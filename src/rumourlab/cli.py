@@ -270,25 +270,24 @@ def _lattice_config(spec: ExperimentSpec, p=None, dist_spec=None) -> lattice.Lat
 def run_simulate(spec: ExperimentSpec):
     config = _lattice_config(spec)
     rows = []
-    clamp = 0
     sites = _parse_sites(spec.sites, spec.dim)
-    if sites:
-        for est in lattice.estimate_under_coverage(config, sites, spec.trials, spec.workers):
-            label = str(est.site) if spec.dim == 1 else f"{est.site[0]}:{est.site[1]}"
-            rows.append(clean_row([label, est.freq, est.ci_low, est.ci_high]))
-    stats = lattice.simulate_window(config, spec.trials, spec.workers)
-    clamp += stats.clamp_count
+    stats = lattice.simulate_window(config, spec.trials, spec.workers, sites=sites or None)
+    for est in stats.sites or ():
+        label = str(est.site) if spec.dim == 1 else f"{est.site[0]}:{est.site[1]}"
+        rows.append(clean_row([label, est.freq, est.ci_low, est.ci_high]))
     mean, lo, hi = mean_interval(stats.fractions)
     rows.append(clean_row(["window", mean, lo, hi]))
     mean, lo, hi = mean_interval(stats.last_normalized)
     rows.append(clean_row(["lastUnderCovered", mean, lo, hi]))
-    return rows, clamp, EXIT_OK
+    return rows, stats.clamp_count, EXIT_OK
 
 
 def run_scan(spec: ExperimentSpec):
     grids = [g for g in (spec.p_grid, spec.beta_grid, spec.lambda_grid) if g]
     if len(grids) != 1:
         raise CliError("scan needs exactly one of --p-grid, --beta-grid, --lambda-grid")
+    if spec.dist is None and not spec.beta_grid:
+        raise CliError(f"a {'lambda' if spec.lambda_grid else 'p'} scan needs --dist")
     rows = []
     clamp = 0
 

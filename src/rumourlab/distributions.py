@@ -124,8 +124,9 @@ class PowerTail(TailDistribution):
 
     def survival_vec(self, j: np.ndarray) -> np.ndarray:
         j = np.asarray(j, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            g = np.minimum(1.0, j ** (-self.beta))
+        # clip before the power: j <= 0 is masked below, and a negative base
+        # to a fractional power would be NaN
+        g = np.minimum(1.0, np.maximum(j, 1.0) ** (-self.beta))
         return np.where(j <= 0, 1.0, g)
 
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
@@ -163,7 +164,8 @@ class Geometric(TailDistribution):
 
     def survival_vec(self, j: np.ndarray) -> np.ndarray:
         j = np.asarray(j, dtype=np.float64)
-        return np.where(j <= 0, 1.0, self.q**j)
+        # q ** j overflows for very negative j, which is masked anyway
+        return np.where(j <= 0, 1.0, self.q ** np.maximum(j, 0.0))
 
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
         q = np.ceil(np.log(u) / math.log(self.q)) - 1.0

@@ -12,10 +12,19 @@ than corrected.
 
 Counting is done with difference arrays (1D) and inclusion-exclusion
 corner grids (2D), so the cost is O(window) regardless of the radii.
+
+The trial engine (estimate_under_coverage, simulate_window) builds each
+trial's field with _trial_field.  A reverse-2D trial streams: it draws the
+same uniforms in the same order as realize, writes each chunk's open bits
+straight into the int32 prefix grid, and computes radii only for open sites
+that can reach the reported window or clamp.  Its memory is ~4 bytes per
+extent cell (the prefix grid) plus fixed chunk buffers, and its field is
+bit-identical to reverse_membership(realize(config), config.k).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -35,6 +44,14 @@ _MAX_CELLS = 2**31
 # sub-stream tags hanging off the configured seed
 _STREAM_WINDOW = 1
 _STREAM_INITIATORS = 2
+
+# initiator sites, in the order of Realization.initiator_radii
+_INITIATOR_SITES = np.array([-1, 0], dtype=np.int64)
+
+# relative slack on the survival bound that selects streamed reverse-2D
+# candidates; far above the few-ulp disagreement between a law's quantile
+# and its survival function, so no source passing the exact tests is lost
+_SURVIVAL_SLACK = 1.0 + 1e-9
 
 FIREWORK = "firework"
 REVERSE = "reverseFirework"
@@ -144,45 +161,51 @@ def realize(config: LatticeConfig) -> Realization:
     runs that share a seed and differ only in p open nested site sets with
     identical radii on the common part.
     """
-    rng = make_rng(config.seed, _STREAM_WINDOW)
-    m = config.extent()
-
-    if config.dimension == 1:
-        activation = np.empty(m, dtype=bool)
-        radii_parts = []
-        for c0 in range(0, m, _CHUNK_CELLS):
-            c1 = min(m, c0 + _CHUNK_CELLS)
-            ua = rng.random(c1 - c0)
-            act = ua < config.p
-            activation[c0:c1] = act
-            ur = rng.random(c1 - c0)
-            if act.any():
-                radii_parts.append(config.dist.quantile_from_uniform(1.0 - ur[act]))
-    else:
-        activation = np.empty((m, m), dtype=bool)
-        radii_parts = []
-        rows = max(1, _CHUNK_CELLS // m)
-        for r0 in range(0, m, rows):
-            r1 = min(m, r0 + rows)
-            ua = rng.random((r1 - r0, m))
-            act = ua < config.p
-            activation[r0:r1] = act
-            ur = rng.random((r1 - r0, m))
-            if act.any():
-                radii_parts.append(config.dist.quantile_from_uniform(1.0 - ur[act]))
+    activation = np.empty((config.extent(),) * config.dimension, dtype=bool)
+    radii_parts = []
+    for r0, act, u in _draws(config):
+        activation[r0:r0 + act.shape[0]] = act
+        if act.any():
+            radii_parts.append(config.dist.quantile_from_uniform(u[act]))
 
     if radii_parts:
         radii = np.concatenate(radii_parts)
     else:
         radii = np.empty(0, dtype=np.int64)
 
-    initiator_radii = None
-    if config.include_initiators:
-        rng_init = make_rng(config.seed, _STREAM_INITIATORS)
-        u = 1.0 - rng_init.random(2)
-        initiator_radii = config.dist.quantile_from_uniform(u)  # (site -1, site 0)
+    return Realization(config, activation, radii, _initiator_radii(config))
 
-    return Realization(config, activation, radii, initiator_radii)
+
+def _row_blocks(m: int, dimension: int) -> list:
+    """Leading-axis ranges [r0, r1) of the RNG chunks: ~_CHUNK_CELLS cells, whole rows in 2D."""
+    step = _CHUNK_CELLS if dimension == 1 else max(1, _CHUNK_CELLS // m)
+    return [(r0, min(m, r0 + step)) for r0 in range(0, m, step)]
+
+
+def _draws(config: LatticeConfig):
+    """The window stream, chunk by chunk: (r0, open bits, radius uniforms in (0, 1]).
+
+    A chunk draws all its activation uniforms, then all its radius uniforms;
+    every consumer of the window stream goes through here so the order is
+    defined once.
+    """
+    rng = make_rng(config.seed, _STREAM_WINDOW)
+    m = config.extent()
+    for r0, r1 in _row_blocks(m, config.dimension):
+        shape = (r1 - r0,) + (m,) * (config.dimension - 1)
+        act = rng.random(shape) < config.p
+        u = rng.random(shape)
+        np.subtract(1.0, u, out=u)
+        yield r0, act, u
+
+
+def _initiator_radii(config: LatticeConfig):
+    """Radii of sites -1 and 0 from their own stream, or None without initiators."""
+    if not config.include_initiators:
+        return None
+    rng_init = make_rng(config.seed, _STREAM_INITIATORS)
+    u = 1.0 - rng_init.random(2)
+    return config.dist.quantile_from_uniform(u)
 
 
 def firework_counts(realization: Realization) -> CoverageField:
@@ -276,71 +299,120 @@ def reverse_membership(realization: Realization, k: int) -> CoverageField:
 def _reverse_membership_2d(realization: Realization, k: int) -> CoverageField:
     cfg = realization.config
     n, m = cfg.n, cfg.extent()
+    S = _prefix_grid_2d(m, realization.initiator_radii is not None)
 
-    # prefix over the open indicator on sites [-1..m]^2; S[a+2, b+2] holds
-    # the inclusive rectangle sum up to site (a, b)
+    def sources():
+        off = 0
+        for r0, r1 in _row_blocks(m, 2):
+            act = realization.activation[r0:r1]
+            _prefix_rows_2d(S, r0, act)
+            rows0, cols0 = np.nonzero(act)
+            rad = realization.radii[off:off + rows0.size]
+            off += rows0.size
+            yield _reaching_2d(n, rows0 + (r0 + 1), cols0 + 1, rad)
+
+    return _membership_2d(n, k, S, sources(), realization.initiator_radii)
+
+
+def _stream_reverse_2d(cfg: LatticeConfig) -> CoverageField:
+    """reverse_membership(realize(cfg), cfg.k) without realizing the window.
+
+    Consumes the window stream of realize chunk by chunk and keeps no
+    activation bitmap and no per-site radii: the open bits go straight into
+    the prefix grid, and radii are computed only for candidates, the open
+    sites whose uniform lies below the survival bound of reaching the
+    window or of clamping.  Since G is non-increasing, that bound at (r, c)
+    is max(min(G(r-n+1), G(c-n+1)), max(G(r+2), G(c+2))), built from one
+    survival vector per axis.  The exact reach and clamp tests then run on
+    the candidates alone.
+    """
+    n, m, dist = cfg.n, cfg.extent(), cfg.dist
+    initiator_radii = _initiator_radii(cfg)
+    S = _prefix_grid_2d(m, initiator_radii is not None)
+    sites = np.arange(1, m + 1, dtype=np.int64)
+    reach_g = _SURVIVAL_SLACK * dist.survival_vec(sites - n + 1)
+    clamp_g = _SURVIVAL_SLACK * dist.survival_vec(sites + 2)
+
+    def sources():
+        for r0, act, u in _draws(cfg):
+            _prefix_rows_2d(S, r0, act)
+            # u below a min of the two axis bounds or below a max of them,
+            # compared per axis so no chunk-sized bound is built
+            rows = slice(r0, r0 + act.shape[0])
+            cand = u < reach_g[rows, None]
+            cand &= u < reach_g
+            clamps = u < clamp_g[rows, None]
+            clamps |= u < clamp_g
+            cand |= clamps
+            cand &= act
+            rows0, cols0 = np.nonzero(cand)
+            rad = dist.quantile_from_uniform(u[rows0, cols0])
+            yield _reaching_2d(n, rows0 + (r0 + 1), cols0 + 1, rad)
+
+    return _membership_2d(n, cfg.k, S, sources(), initiator_radii)
+
+
+def _prefix_grid_2d(m: int, initiators: bool) -> np.ndarray:
+    """Open-site prefix grid over sites [-1..m]^2 with only the initiator rows set.
+
+    S[a+2, b+2] will hold the number of open sites in [-1..a] x [-1..b];
+    _prefix_rows_2d fills the window rows in order.
+    """
     S = np.zeros((m + 3, m + 3), dtype=np.int32)
-    S[3:, 3:] = realization.activation
-    if realization.initiator_radii is not None:
-        S[1, 1] = 1  # site (-1,-1)
-        S[2, 2] = 1  # site (0,0)
-    np.cumsum(S, axis=0, out=S)
-    np.cumsum(S, axis=1, out=S)
+    if initiators:
+        S[1, 1:] = 1  # site (-1,-1)
+        S[2, 1] = 1
+        S[2, 2:] = 2  # and site (0,0)
+    return S
 
-    def rect_count(a1, a2, b1, b2):
-        # open sites in [a1..b1] x [a2..b2], site coords, a >= -1
-        return (
-            S[b1 + 2, b2 + 2].astype(np.int64)
-            - S[a1 + 1, b2 + 2]
-            - S[b1 + 2, a2 + 1]
-            + S[a1 + 1, a2 + 1]
+
+def _prefix_rows_2d(S: np.ndarray, r0: int, act: np.ndarray) -> None:
+    """Fill the prefix rows of window rows r0.. (0-based) from their open bits.
+
+    The rows above must be final and these rows still zero; cumulating down
+    from the row above adds its prefix to these rows' own.
+    """
+    block = S[r0 + 2:r0 + 3 + act.shape[0]]
+    np.cumsum(act, axis=1, dtype=np.int32, out=block[1:, 3:])
+    # row by row: numpy's axis-0 cumsum walks the grid column-wise
+    for i in range(1, block.shape[0]):
+        np.add(block[i - 1], block[i], out=block[i])
+
+
+def _reaching_2d(n: int, r, c, rad):
+    """(r, c, rad) of the sources whose blocks reach [0, n-1]^2, and the clamp count of all."""
+    clamp = int(np.count_nonzero(rad > np.minimum(r, c) + 1))
+    reach = rad >= np.maximum(r, c) - n + 1
+    return r[reach], c[reach], rad[reach], clamp
+
+
+def _membership_2d(n: int, k: int, S: np.ndarray, sources, initiator_radii) -> CoverageField:
+    """Reverse k-sceptic indicator over [0, n-1]^2.
+
+    sources yields (r, c, rad, clamp) chunks as _reaching_2d returns them,
+    in site coordinates; S must be final through row max(r) when a chunk is
+    yielded.  A source qualifies when its block [r-rad, r] x [c-rad, c]
+    holds at least k other open sites; the initiators count as sources.
+    """
+    if initiator_radii is not None:
+        sources = itertools.chain(
+            sources, [_reaching_2d(n, _INITIATOR_SITES, _INITIATOR_SITES, initiator_radii)]
         )
-
     diff = np.zeros((n + 1, n + 1), dtype=np.int64)
     clamp = 0
-
-    rows0, cols0 = np.nonzero(realization.activation)
-    all_radii = realization.radii
-    n_src = rows0.size
-    chunk = max(1, _CHUNK_CELLS // 4)
-    for c0 in range(0, n_src, chunk):
-        c1 = min(n_src, c0 + chunk)
-        r = rows0[c0:c1].astype(np.int64) + 1
-        c = cols0[c0:c1].astype(np.int64) + 1
-        rad = all_radii[c0:c1]
-        clamp += int(np.count_nonzero(rad > np.minimum(r, c) + 1))
+    for r, c, rad, chunk_clamp in sources:
+        clamp += chunk_clamp
         lo1 = np.maximum(r - rad, -1)
         lo2 = np.maximum(c - rad, -1)
-        # only blocks reaching back into the reported window can mark it
-        near = (lo1 <= n - 1) & (lo2 <= n - 1)
-        if not near.any():
-            continue
-        r, c, lo1, lo2 = r[near], c[near], lo1[near], lo2[near]
-        in_block = rect_count(lo1, lo2, r, c)
+        in_block = (
+            S[r + 2, c + 2].astype(np.int64)
+            - S[lo1 + 1, c + 2]
+            - S[r + 2, lo2 + 1]
+            + S[lo1 + 1, lo2 + 1]
+        )
         qualify = in_block - 1 >= k
-        if not qualify.any():
-            continue
-        _mark_blocks_2d(diff, n, lo1[qualify], lo2[qualify], r[qualify], c[qualify])
-
-    if realization.initiator_radii is not None:
-        for site, rad in zip((-1, 0), realization.initiator_radii):
-            s = np.int64(site)
-            rad = np.int64(rad)
-            if rad > s + 1:
-                clamp += 1
-            lo = max(s - rad, -1)
-            if lo > n - 1 or s < 0:
-                continue  # blocks ending below site 0 never reach the window
-            cnt = int(rect_count(np.int64(lo), np.int64(lo), s, s))
-            if cnt - 1 >= k:
-                _mark_blocks_2d(
-                    diff,
-                    n,
-                    np.array([lo]),
-                    np.array([lo]),
-                    np.array([s]),
-                    np.array([s]),
-                )
+        if qualify.any():
+            _mark_blocks_2d(diff, n, lo1[qualify], lo2[qualify], r[qualify], c[qualify])
 
     marked = diff[:n, :n].copy()
     np.cumsum(marked, axis=0, out=marked)
@@ -409,11 +481,16 @@ class SiteEstimate:
 
 @dataclass
 class WindowStats:
-    """Per-trial window summaries in trial order (reductions stay order-fixed)."""
+    """Per-trial window summaries in trial order (reductions stay order-fixed).
+
+    sites holds per-site estimates from the same trials when simulate_window
+    was asked for them.
+    """
 
     fractions: np.ndarray
     last_normalized: np.ndarray
     clamp_count: int
+    sites: list[SiteEstimate] | None = None
 
 
 def _site_indices(config: LatticeConfig, sites) -> tuple:
@@ -440,22 +517,29 @@ def _trial_config(config: LatticeConfig, t: int) -> LatticeConfig:
     return replace(config, seed=mix64(config.seed, t))
 
 
-def _estimate_chunk(config: LatticeConfig, sites, t0: int, t1: int) -> np.ndarray:
+def _trial_field(config: LatticeConfig) -> CoverageField:
+    """Coverage field of one trial; reverse-2D trials stream instead of realizing."""
+    if config.model == REVERSE and config.dimension == 2:
+        return _stream_reverse_2d(config)
+    return coverage_field(realize(config))
+
+
+def _trial_chunk(config: LatticeConfig, sites, window: bool, t0: int, t1: int):
+    """Trials t0..t1-1, one field each: per-site under counts and, if window,
+    the per-trial window fractions and last-normalized values plus clamps."""
     idx = _site_indices(config, sites)
     under = np.zeros(len(sites), dtype=np.int64)
-    for t in range(t0, t1):
-        fld = coverage_field(realize(_trial_config(config, t)))
-        under += fld.under_mask(config.k)[idx]
-    return under
-
-
-def _window_chunk(config: LatticeConfig, t0: int, t1: int):
-    fractions = np.empty(t1 - t0, dtype=np.float64)
-    lasts = np.empty(t1 - t0, dtype=np.float64)
+    size = t1 - t0 if window else 0
+    fractions = np.empty(size, dtype=np.float64)
+    lasts = np.empty(size, dtype=np.float64)
     clamp = 0
     for t in range(t0, t1):
-        fld = coverage_field(realize(_trial_config(config, t)))
+        fld = _trial_field(_trial_config(config, t))
         mask = fld.under_mask(config.k)
+        if sites:
+            under += mask[idx]
+        if not window:
+            continue
         fractions[t - t0] = mask.mean()
         last = last_under_covered(fld, 1 if fld.kind == "membership" else config.k)
         if fld.dimension == 1:
@@ -465,7 +549,7 @@ def _window_chunk(config: LatticeConfig, t0: int, t1: int):
             # None = even the far corner fails (worst case)
             lasts[t - t0] = 1.0 if last is None else (last - fld.origin) / fld.window
         clamp += fld.clamp_count
-    return fractions, lasts, clamp
+    return under, fractions, lasts, clamp
 
 
 def _chunk_ranges(trials: int, workers: int):
@@ -498,21 +582,36 @@ def estimate_under_coverage(
         raise ValueError("trials must be >= 1")
     sites = list(sites)
     _site_indices(config, sites)  # validate before any work
-    parts = _run_chunks(_estimate_chunk, config, trials, workers, sites)
-    under = np.sum(parts, axis=0)
+    parts = _run_chunks(_trial_chunk, config, trials, workers, sites, False)
+    return _site_estimates(sites, parts, trials)
+
+
+def simulate_window(
+    config: LatticeConfig, trials: int, workers: int = 1, sites=None
+) -> WindowStats:
+    """Whole-window under-coverage summaries per trial (same seeding contract).
+
+    With sites, the same trials also give the per-site estimates of
+    estimate_under_coverage (in WindowStats.sites), so each trial's field is
+    built once.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    site_list = [] if sites is None else list(sites)
+    _site_indices(config, site_list)  # validate before any work
+    parts = _run_chunks(_trial_chunk, config, trials, workers, site_list, True)
+    fractions = np.concatenate([p[1] for p in parts])
+    lasts = np.concatenate([p[2] for p in parts])
+    clamp = sum(p[3] for p in parts)
+    estimates = None if sites is None else _site_estimates(site_list, parts, trials)
+    return WindowStats(fractions, lasts, clamp, estimates)
+
+
+def _site_estimates(sites, parts, trials: int) -> list[SiteEstimate]:
+    """99% Wilson estimates from the per-site under counts of _trial_chunk parts."""
+    under = np.sum([p[0] for p in parts], axis=0)
     out = []
     for s, u in zip(sites, under.tolist()):
         lo, hi = wilson_interval(u, trials)
         out.append(SiteEstimate(s, trials, u, u / trials, lo, hi))
     return out
-
-
-def simulate_window(config: LatticeConfig, trials: int, workers: int = 1) -> WindowStats:
-    """Whole-window under-coverage summaries per trial (same seeding contract)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    parts = _run_chunks(_window_chunk, config, trials, workers)
-    fractions = np.concatenate([p[0] for p in parts])
-    lasts = np.concatenate([p[1] for p in parts])
-    clamp = sum(p[2] for p in parts)
-    return WindowStats(fractions, lasts, clamp)

@@ -108,6 +108,14 @@ class TestScan:
         code = main(["scan", "--dist", "pareto:alpha=4", "--n", "10", "--seed", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("grid,kind", [(["--p-grid", "0.1,0.2", "--n", "10"], "p"),
+                                           (["--lambda-grid", "0.1,0.2", "--T", "10"], "lambda")])
+    def test_grid_without_dist(self, capsys, grid, kind):
+        code = main(["scan", *grid, "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [f"error: a {kind} scan needs --dist"]
+
     def test_beta_grid_reverse_dichotomy(self, capsys):
         # heavy tail (beta <= 1) leaves almost nothing uncovered; light tails
         # leave a positive density outside the sceptic region

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ class TestTail:
         for d in [ParetoTail(3.5), PowerTail(1.2), Geometric(0.7), Constant(5),
                   Truncated(Geometric(0.5), 9)]:
             vec = d.survival_vec(js)
+            scal = np.array([d.survival(int(j)) for j in js])
+            np.testing.assert_allclose(vec, scal, rtol=1e-15)
+
+    def test_vectorized_quiet_below_one(self):
+        # G(j) = 1 for j <= 0; no law may warn there (a NaN from a fractional
+        # power of a negative base, an overflow from q ** -3000)
+        js = np.arange(-3000, 50)
+        for d in [ParetoTail(3.5), PowerTail(0.5), PowerTail(1.0), PowerTail(1.5),
+                  Geometric(0.5), Constant(5), Truncated(PowerTail(1.5), 9)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vec = d.survival_vec(js)
+            assert np.all(vec[js <= 0] == 1.0)
             scal = np.array([d.survival(int(j)) for j in js])
             np.testing.assert_allclose(vec, scal, rtol=1e-15)
 

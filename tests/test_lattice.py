@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rumourlab.distributions import Constant, Geometric
+import rumourlab.lattice as lat
+from rumourlab.cli import main
+from rumourlab.distributions import Constant, Geometric, ParetoTail, PowerTail, Truncated
 from rumourlab.lattice import (
     FIREWORK,
     REVERSE,
@@ -320,3 +324,117 @@ class TestSimulateWindow:
         stats = simulate_window(c, 5)
         assert np.all(stats.fractions == 0.0)
         assert np.all(stats.last_normalized == 0.0)
+
+
+# every law family, with power tails on both sides of the finite-mean line
+TRIAL_LAWS = [
+    ParetoTail(4.0),
+    PowerTail(0.5),
+    PowerTail(1.0),
+    PowerTail(1.5),
+    Geometric(0.5),
+    Constant(0),
+    Constant(3),
+    Truncated(PowerTail(1.5), 4),
+]
+
+
+def assert_same_field(a: CoverageField, b: CoverageField):
+    assert (a.kind, a.dimension, a.origin, a.window, a.threshold) == (
+        b.kind, b.dimension, b.origin, b.window, b.threshold)
+    assert a.values.dtype == b.values.dtype
+    np.testing.assert_array_equal(a.values, b.values)
+    assert a.clamp_count == b.clamp_count
+
+
+class TestStreamedReverse2D:
+    """_trial_field streams reverse-2D trials; it must equal the realized path."""
+
+    @pytest.mark.parametrize("dist", TRIAL_LAWS, ids=lambda d: d.spec_string())
+    def test_matches_realized_membership(self, dist):
+        for n, p, k, initiators in [(1, 0.5, 1, True), (1, 1.0, 2, False), (4, 0.0, 1, True),
+                                    (5, 0.5, 2, False), (6, 0.7, 3, True), (9, 1.0, 2, True)]:
+            for seed in range(2):
+                c = cfg(model=REVERSE, dim=2, n=n, cushion=3, p=p, k=k, dist=dist,
+                        seed=seed, initiators=initiators)
+                assert_same_field(lat._trial_field(c), reverse_membership(realize(c), k))
+
+    @pytest.mark.parametrize("chunk_cells", [1, 7, 64])
+    def test_several_row_blocks(self, monkeypatch, chunk_cells):
+        # a tiny chunk splits the extent into many row blocks, down to one row
+        monkeypatch.setattr(lat, "_CHUNK_CELLS", chunk_cells)
+        for dist in (PowerTail(1.5), Geometric(0.5), ParetoTail(2.0)):
+            for initiators in (False, True):
+                c = cfg(model=REVERSE, dim=2, n=7, cushion=4, p=0.5, k=2, dist=dist,
+                        seed=13, initiators=initiators)
+                assert len(lat._row_blocks(c.extent(), 2)) > 1
+                assert_same_field(lat._trial_field(c), reverse_membership(realize(c), 2))
+
+    def test_several_real_chunks(self):
+        c = cfg(model=REVERSE, dim=2, n=700, cushion=3, p=0.5, k=2, dist=PowerTail(1.5),
+                seed=4, initiators=True)
+        assert len(lat._row_blocks(c.extent(), 2)) > 1
+        assert_same_field(lat._trial_field(c), reverse_membership(realize(c), 2))
+
+    def test_other_models_unchanged(self):
+        for model, dim in ((FIREWORK, 1), (FIREWORK, 2), (REVERSE, 1)):
+            c = cfg(model=model, dim=dim, n=9, cushion=2, p=0.5, seed=8)
+            assert_same_field(lat._trial_field(c), lat.coverage_field(realize(c)))
+
+    @given(
+        st.one_of(
+            st.floats(0.1, 20.0).map(ParetoTail),
+            st.floats(0.1, 5.0).map(PowerTail),
+            st.floats(0.05, 0.95).map(Geometric),
+            st.integers(0, 50).map(Constant),
+            st.tuples(st.floats(0.1, 5.0), st.integers(0, 30)).map(
+                lambda t: Truncated(PowerTail(t[0]), t[1])),
+        ),
+        st.integers(-100, 50_000),
+        st.floats(0.0, 1.0),
+        st.one_of(st.none(), st.integers(-4, 4)),
+    )
+    @settings(max_examples=400)
+    def test_candidate_bound_keeps_every_passing_source(self, dist, j, u, ulps):
+        # The reach test (rad >= max(r,c)-n+1) and the clamp test
+        # (rad >= min(r,c)+2) both read "rad >= j"; a source passing either
+        # must lie below the slackened survival bound the stream filters on.
+        # With ulps set, u sits that many ulps from G(j), where rounding bites.
+        g = float(dist.survival_vec(np.array([j]))[0])
+        if ulps is not None:
+            u = g
+            for _ in range(abs(ulps)):
+                u = float(np.nextafter(u, 2.0 if ulps > 0 else 0.0))
+        u = min(max(u, 2.0**-53), 1.0)  # the range of 1 - rng.random()
+        rad = int(dist.quantile_from_uniform(np.array([u]))[0])
+        if rad >= j:
+            assert u < lat._SURVIVAL_SLACK * g
+
+
+class TestOnePassSimulate:
+    def test_sites_and_window_from_the_same_trials(self):
+        for c, sites in ((cfg(p=0.5, k=2, n=9, seed=21), [1, 5, 9]),
+                         (cfg(dim=2, p=0.4, k=1, n=5, dist=C1, seed=22), [(1, 1), (3, 4)]),
+                         (cfg(model=REVERSE, dim=2, p=0.5, k=2, n=4, cushion=3, seed=23,
+                              initiators=True), [(0, 0), (3, 1)])):
+            both = simulate_window(c, 60, sites=sites)
+            alone = simulate_window(c, 60)
+            est = estimate_under_coverage(c, sites, 60)
+            assert alone.sites is None
+            assert both.sites == est
+            np.testing.assert_array_equal(both.fractions, alone.fractions)
+            np.testing.assert_array_equal(both.last_normalized, alone.last_normalized)
+            assert both.clamp_count == alone.clamp_count
+
+    def test_reverse_2d_cli_bytes_independent_of_workers(self, tmp_path):
+        argv = ["simulate", "--model", "reverse", "--dim", "2", "--dist", "power:beta=1.5",
+                "--p", "0.5", "--k", "2", "--n", "12", "--cushion", "3", "--initiators",
+                "--trials", "9", "--sites", "0,0;5,7;11,11", "--seed", "41", "--csv", "--json"]
+        outputs = []
+        for workers in (1, 2):
+            base = tmp_path / f"w{workers}"
+            assert main(argv + ["--workers", str(workers), "--out", str(base)]) == 0
+            outputs.append((base.with_suffix(".csv").read_bytes(),
+                            base.with_suffix(".json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].decode().splitlines()[1].startswith("0:0,")
