@@ -21,6 +21,7 @@ from rumourlab.reporting import (
     ExperimentResult,
     ExperimentSpec,
     clean_row,
+    clean_value,
     render_csv,
     render_json,
     render_svg,
@@ -324,11 +325,13 @@ def run_scan(spec: ExperimentSpec):
 def run_diagnose(spec: ExperimentSpec):
     dist = parse_distribution(spec.dist)
     diag = exact.series_diagnostics(spec.p, dist, spec.k, spec.i_min, spec.i_max)
-    rows = []
-    for pos, i in enumerate(diag.site_indices.tolist()):
-        rows.append(
-            clean_row([i, diag.partial_sums[pos], diag.growth_ratio, diag.decay_exponent])
-        )
+    # clean_row in bulk: tolist() gives plain ints and floats; NaN (s != s) -> None
+    growth = clean_value(diag.growth_ratio)
+    decay = clean_value(diag.decay_exponent)
+    rows = [
+        [i, None if s != s else s, growth, decay]
+        for i, s in zip(diag.site_indices.tolist(), diag.partial_sums.tolist())
+    ]
     return rows, 0, EXIT_OK
 
 

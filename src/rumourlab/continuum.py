@@ -3,21 +3,27 @@
 Points fall as a Poisson process of intensity lam on [0, T]^d; each point
 x grows a block x + [0, rho]^d with rho drawn from a continuous heavy- or
 light-tailed law.  The 1D sweep finds the supremum of the k-deficient
-set exactly; the 2D variant rasterizes onto a pixel grid (discretization
-bias of order resolution * boundary density, documented not corrected).
+set exactly; the 2D variant rasterizes onto a pixel grid with the lattice
+box-count kernel (discretization bias of order resolution * boundary
+density, documented not corrected).  A request expecting more than 2^31
+points per trial is rejected before sampling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from rumourlab.distributions import DistParseError
+from rumourlab.lattice import box_counts
 from rumourlab.stats import mean_interval, mix64, make_rng
 
 _MAX_PIXELS = 2**31
+# expected points per trial (the lattice cell cap), checked before sampling;
+# it also keeps the int32 pixel counts of k_cover_deficit_2d below overflow
+_MAX_POINTS = 2**31
 
 
 @dataclass(frozen=True)
@@ -144,6 +150,10 @@ class ContinuumConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not self.resolution > 0:
             raise ValueError(f"resolution must be positive, got {self.resolution}")
+        # math.prod overflows to inf where float ** raises OverflowError
+        points = self.lam * math.prod((self.window_t,) * self.dimension)
+        if points > _MAX_POINTS:
+            raise ValueError(f"lambda * T^d = {points:g} expected points (> {_MAX_POINTS})")
         if self.dimension == 2:
             pixels = math.ceil(self.window_t / self.resolution) ** 2
             if pixels > _MAX_PIXELS:
@@ -209,32 +219,22 @@ def k_cover_deficit_2d(points: PointSet, k: int, window_t: float, resolution: fl
     m = math.ceil(window_t / resolution)
     if m * m > _MAX_PIXELS:
         raise ValueError(f"pixel grid has {m * m} cells (> {_MAX_PIXELS})")
-    diff = np.zeros((m + 1, m + 1), dtype=np.int64)
-    if points.coordinates.shape[0]:
-        x = points.coordinates[:, 0]
-        y = points.coordinates[:, 1]
-        hix = np.minimum(x + points.radii, window_t)
-        hiy = np.minimum(y + points.radii, window_t)
-        a_lo = np.ceil(x / resolution).astype(np.int64)
-        b_lo = np.ceil(y / resolution).astype(np.int64)
-        a_hi = np.minimum(np.floor(hix / resolution), m - 1).astype(np.int64)
-        b_hi = np.minimum(np.floor(hiy / resolution), m - 1).astype(np.int64)
-        keep = (a_lo <= a_hi) & (b_lo <= b_hi)
-        a_lo, b_lo, a_hi, b_hi = a_lo[keep], b_lo[keep], a_hi[keep], b_hi[keep]
-        np.add.at(diff, (a_lo, b_lo), 1)
-        np.add.at(diff, (a_lo, b_hi + 1), -1)
-        np.add.at(diff, (a_hi + 1, b_lo), -1)
-        np.add.at(diff, (a_hi + 1, b_hi + 1), 1)
-    counts = diff[:m, :m].copy()
-    np.cumsum(counts, axis=0, out=counts)
-    np.cumsum(counts, axis=1, out=counts)
+    x = points.coordinates[:, 0]
+    y = points.coordinates[:, 1]
+    hix = np.minimum(x + points.radii, window_t)
+    hiy = np.minimum(y + points.radii, window_t)
+    a_lo = np.ceil(x / resolution).astype(np.int64)
+    b_lo = np.ceil(y / resolution).astype(np.int64)
+    a_stop = np.minimum(np.floor(hix / resolution), m - 1).astype(np.int64) + 1
+    b_stop = np.minimum(np.floor(hiy / resolution), m - 1).astype(np.int64) + 1
+    keep = (a_lo < a_stop) & (b_lo < b_stop)
+    counts = box_counts(m, 2, [((a_lo[keep], b_lo[keep]), (a_stop[keep], b_stop[keep]))])
     bad = counts < k
     fraction = float(np.count_nonzero(bad)) / (m * m)
     if fraction == 0.0:
         return fraction, None
-    rows, cols = np.nonzero(bad)
-    # lexicographically largest (row, col) deficient pixel
-    a, b = int(rows[-1]), int(cols[rows == rows[-1]][-1])
+    # lexicographically largest (row, col) deficient pixel: the last in row-major order
+    a, b = divmod(int(np.flatnonzero(bad)[-1]), m)
     witness = ((a + 0.5) * resolution, (b + 0.5) * resolution)
     return fraction, witness
 
@@ -270,20 +270,13 @@ def scan_lambda(config: ContinuumConfig, lambdas, trials: int) -> list[LambdaSum
         raise ValueError("lambdas must be sorted ascending")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if lambdas:
+        replace(config, lam=lambdas[-1])  # validates the largest intensity before any trial
     out = []
     for li, lam in enumerate(lambdas):
         vals = np.empty(trials, dtype=np.float64)
         for t in range(trials):
-            cfg = ContinuumConfig(
-                config.dimension,
-                lam,
-                config.window_t,
-                config.radius_law,
-                config.k,
-                mix64(config.seed, li, t),
-                config.resolution,
-            )
-            vals[t] = trial_statistic(cfg)
+            vals[t] = trial_statistic(replace(config, lam=lam, seed=mix64(config.seed, li, t)))
         mean, lo, hi = mean_interval(vals)
         out.append(LambdaSummary(lam, trials, mean, lo, hi, vals))
     return out

@@ -10,8 +10,11 @@ the upper right of the reported window still matter; the reported
 membership is therefore a lower bound and the bias is documented rather
 than corrected.
 
-Counting is done with difference arrays (1D) and inclusion-exclusion
-corner grids (2D), so the cost is O(window) regardless of the radii.
+All counting goes through one box-count kernel, box_counts: boxes put
+their 2^d signed corners on an int32 difference grid of (m+1)^d cells, and
+prefix sums in place turn it into per-cell counts, so the cost is
+O(window + boxes) regardless of the radii.  Firework counts, the reverse
+membership marks (1D and 2D) and the continuum's 2D pixel counts all use it.
 
 The trial engine (estimate_under_coverage, simulate_window) builds each
 trial's field with _trial_field.  A reverse-2D trial streams: it draws the
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -40,6 +44,14 @@ _CHUNK_CELLS = 1 << 22
 
 # addressable simulation size (cells)
 _MAX_CELLS = 2**31
+
+# widest 2D block whose axis-0 prefix sums one column-wise accumulate does
+# faster than a row-by-row add (2-vCPU Xeon: 4x at 257 wide, even at 801,
+# 5x slower at 2001)
+_ACCUMULATE_MAX_WIDTH = 512
+
+# largest 2D mask where one np.nonzero beats row reductions (even near 40x40)
+_NONZERO_MAX_CELLS = 1024
 
 # sub-stream tags hanging off the configured seed
 _STREAM_WINDOW = 1
@@ -208,52 +220,71 @@ def _initiator_radii(config: LatticeConfig):
     return config.dist.quantile_from_uniform(u)
 
 
+def box_counts(m: int, d: int, batches) -> np.ndarray:
+    """Per-cell counts over [0, m)^d of boxes prod [lo[axis], stop[axis]).
+
+    batches yields (lo, stop), one index array per axis each, 0 <= lo <= stop
+    <= m.  Boxes add their 2^d signed corners to the flat view of one int32
+    grid of (m+1)^d cells (int32 signs keep np.add.at on its fast path);
+    in-place prefix sums then leave the counts, exact below 2^31 per cell.
+    """
+    grid = np.zeros((m + 1,) * d, dtype=np.int32)
+    flat = grid.reshape(-1)
+    for lo, stop in batches:
+        for sign, idx in _corners(lo, stop, m + 1):
+            np.add.at(flat, idx, sign)
+    np.add.accumulate(grid, axis=-1, out=grid)
+    if d == 2:
+        _add_down(grid)
+    return grid[(slice(0, m),) * d]
+
+
+def _corners(lo, stop, w: int):
+    """(sign, flat index into a grid of side w) of the boxes' 2^d corners.
+
+    One corner at a time, so at most one index array per axis is alive.
+    """
+    if len(lo) == 1:
+        yield np.int32(1), lo[0]
+        yield np.int32(-1), stop[0]
+        return
+    for sign, idx in _corners(lo[:-1], stop[:-1], w):
+        base = idx * w
+        yield sign, base + lo[-1]
+        yield -sign, base + stop[-1]
+
+
+def _add_down(block: np.ndarray) -> None:
+    """Prefix sums down the rows of a 2D block, in place."""
+    if block.shape[1] <= _ACCUMULATE_MAX_WIDTH:
+        np.add.accumulate(block, axis=0, out=block)
+        return
+    for i in range(1, block.shape[0]):
+        np.add(block[i - 1], block[i], out=block[i])
+
+
 def firework_counts(realization: Realization) -> CoverageField:
     """Distinct-source cover counts over the reported window (firework model)."""
     cfg = realization.config
     if cfg.model != FIREWORK:
         raise ValueError("firework_counts needs a firework-model realization")
     n = cfg.n
-
-    if cfg.dimension == 1:
-        start0 = np.flatnonzero(realization.activation)  # 0-based == site-1
-        radii = realization.radii
-        clamp = int(np.count_nonzero(start0 + radii + 1 > n))
-        ends = np.minimum(start0 + radii + 1, n)
-        diff = np.bincount(start0, minlength=n + 1).astype(np.int64)
-        diff -= np.bincount(ends, minlength=n + 1)
-        if realization.initiator_radii is not None:
-            for site, r in zip((-1, 0), realization.initiator_radii):
-                lo, hi = max(1, site), min(site + int(r), n)
-                if site + int(r) > n:
-                    clamp += 1
-                if hi >= lo:
-                    diff[lo - 1] += 1
-                    diff[hi] -= 1
-        counts = np.cumsum(diff[:n]).astype(np.int32)
-        return CoverageField("counts", 1, 1, n, counts, clamp)
-
-    rows0, cols0 = np.nonzero(realization.activation)
+    starts = np.nonzero(realization.activation)  # 0-based: site - 1 per axis
     radii = realization.radii
-    clamp = int(np.count_nonzero((rows0 + radii > n - 1) | (cols0 + radii > n - 1)))
-    hi_r = np.minimum(rows0 + radii, n - 1)
-    hi_c = np.minimum(cols0 + radii, n - 1)
-    diff = np.zeros((n + 1, n + 1), dtype=np.int64)
-    np.add.at(diff, (rows0, cols0), 1)
-    np.add.at(diff, (rows0, hi_c + 1), -1)
-    np.add.at(diff, (hi_r + 1, cols0), -1)
-    np.add.at(diff, (hi_r + 1, hi_c + 1), 1)
-    counts = diff[:n, :n].copy()
-    np.cumsum(counts, axis=0, out=counts)
-    np.cumsum(counts, axis=1, out=counts)
-    return CoverageField("counts", 2, 1, n, counts.astype(np.int32), clamp)
-
-
-def _mark_intervals_1d(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """0/1 union of [lo,hi] site ranges already clipped into [0, n-1]."""
-    diff = np.bincount(lo, minlength=n + 1).astype(np.int64)
-    diff -= np.bincount(hi + 1, minlength=n + 1)
-    return (np.cumsum(diff[:n]) > 0).astype(np.uint8)
+    if realization.initiator_radii is not None:
+        # 1D sites -1 and 0 cover sites 1..site+r: blocks from index 0 with
+        # radius max(site+r, 0) - 1 (-1 for an empty one)
+        starts = (np.concatenate([starts[0], [0, 0]]),)
+        init_radii = np.maximum(_INITIATOR_SITES + realization.initiator_radii, 0) - 1
+        radii = np.concatenate([radii, init_radii])
+    stops = [x + radii + 1 for x in starts]
+    over = stops[0] > n
+    for stop in stops[1:]:
+        over |= stop > n
+    for stop in stops:
+        np.minimum(stop, n, out=stop)
+    counts = box_counts(n, cfg.dimension, [(starts, stops)])
+    return CoverageField("counts", cfg.dimension, 1, n, counts, int(np.count_nonzero(over)))
 
 
 def reverse_membership(realization: Realization, k: int) -> CoverageField:
@@ -278,19 +309,18 @@ def reverse_membership(realization: Realization, k: int) -> CoverageField:
         if realization.initiator_radii is not None:
             sites = np.concatenate([np.array([-1, 0], dtype=np.int64), sites])
             radii = np.concatenate([realization.initiator_radii, radii])
-        # prefix of the open indicator over sites [-1 .. m] (grid index site+1)
-        open_grid = np.zeros(m + 2, dtype=np.int32)
-        open_grid[sites + 1] = 1
-        prefix = np.zeros(m + 3, dtype=np.int64)
-        np.cumsum(open_grid, out=prefix[1:])
+        # prefix[a+2]: open sites in [-1..a]; each site s counts from index s+2 on
+        prefix = box_counts(m + 3, 1, [((sites + 2,), (np.full_like(sites, m + 3),))])
         clamp = int(np.count_nonzero(sites - radii < -1))
         lo = np.maximum(sites - radii, -1)
         in_block = prefix[sites + 2] - prefix[lo + 1]
         qualify = in_block - 1 >= k
+        # qualifying blocks clipped to the report window, empty ones dropped
         mark_lo = np.maximum(lo[qualify], 0)
-        mark_hi = np.minimum(sites[qualify], n - 1)
-        keep = mark_lo <= mark_hi
-        values = _mark_intervals_1d(n, mark_lo[keep], mark_hi[keep])
+        mark_stop = np.minimum(sites[qualify] + 1, n)
+        keep = mark_lo < mark_stop
+        marks = box_counts(n, 1, [((mark_lo[keep],), (mark_stop[keep],))])
+        values = (marks > 0).view(np.uint8)
         return CoverageField("membership", 1, 0, n, values, clamp, threshold=k)
 
     return _reverse_membership_2d(realization, k)
@@ -374,9 +404,7 @@ def _prefix_rows_2d(S: np.ndarray, r0: int, act: np.ndarray) -> None:
     """
     block = S[r0 + 2:r0 + 3 + act.shape[0]]
     np.cumsum(act, axis=1, dtype=np.int32, out=block[1:, 3:])
-    # row by row: numpy's axis-0 cumsum walks the grid column-wise
-    for i in range(1, block.shape[0]):
-        np.add(block[i - 1], block[i], out=block[i])
+    _add_down(block)
 
 
 def _reaching_2d(n: int, r, c, rad):
@@ -398,43 +426,31 @@ def _membership_2d(n: int, k: int, S: np.ndarray, sources, initiator_radii) -> C
         sources = itertools.chain(
             sources, [_reaching_2d(n, _INITIATOR_SITES, _INITIATOR_SITES, initiator_radii)]
         )
-    diff = np.zeros((n + 1, n + 1), dtype=np.int64)
     clamp = 0
-    for r, c, rad, chunk_clamp in sources:
-        clamp += chunk_clamp
-        lo1 = np.maximum(r - rad, -1)
-        lo2 = np.maximum(c - rad, -1)
-        in_block = (
-            S[r + 2, c + 2].astype(np.int64)
-            - S[lo1 + 1, c + 2]
-            - S[r + 2, lo2 + 1]
-            + S[lo1 + 1, lo2 + 1]
-        )
-        qualify = in_block - 1 >= k
-        if qualify.any():
-            _mark_blocks_2d(diff, n, lo1[qualify], lo2[qualify], r[qualify], c[qualify])
 
-    marked = diff[:n, :n].copy()
-    np.cumsum(marked, axis=0, out=marked)
-    np.cumsum(marked, axis=1, out=marked)
-    values = (marked > 0).astype(np.uint8)
+    def blocks():
+        nonlocal clamp
+        for r, c, rad, chunk_clamp in sources:
+            clamp += chunk_clamp
+            lo1 = np.maximum(r - rad, -1)
+            lo2 = np.maximum(c - rad, -1)
+            in_block = (
+                S[r + 2, c + 2].astype(np.int64)
+                - S[lo1 + 1, c + 2]
+                - S[r + 2, lo2 + 1]
+                + S[lo1 + 1, lo2 + 1]
+            )
+            qualify = in_block - 1 >= k
+            # qualifying blocks clipped to the report window, empty ones dropped
+            a1 = np.maximum(lo1[qualify], 0)
+            a2 = np.maximum(lo2[qualify], 0)
+            s1 = np.minimum(r[qualify] + 1, n)
+            s2 = np.minimum(c[qualify] + 1, n)
+            keep = (a1 < s1) & (a2 < s2)
+            yield (a1[keep], a2[keep]), (s1[keep], s2[keep])
+
+    values = (box_counts(n, 2, blocks()) > 0).view(np.uint8)
     return CoverageField("membership", 2, 0, n, values, clamp, threshold=k)
-
-
-def _mark_blocks_2d(diff, n, lo1, lo2, hi1, hi2):
-    """Add [lo1..hi1] x [lo2..hi2] site blocks into the report difference grid."""
-    a1 = np.maximum(lo1, 0)
-    a2 = np.maximum(lo2, 0)
-    b1 = np.minimum(hi1, n - 1)
-    b2 = np.minimum(hi2, n - 1)
-    keep = (a1 <= b1) & (a2 <= b2)
-    if not keep.any():
-        return
-    a1, a2, b1, b2 = a1[keep], a2[keep], b1[keep], b2[keep]
-    np.add.at(diff, (a1, a2), 1)
-    np.add.at(diff, (a1, b2 + 1), -1)
-    np.add.at(diff, (b1 + 1, a2), -1)
-    np.add.at(diff, (b1 + 1, b2 + 1), 1)
 
 
 def coverage_field(realization: Realization) -> CoverageField:
@@ -444,7 +460,7 @@ def coverage_field(realization: Realization) -> CoverageField:
     return reverse_membership(realization, realization.config.k)
 
 
-def last_under_covered(fld: CoverageField, k: int):
+def last_under_covered(fld: CoverageField, k: int, mask: np.ndarray | None = None):
     """Rightmost under-covered site (1D) or smallest clean corner start (2D).
 
     1D: the largest reported site with fewer than k covers, or None when
@@ -453,18 +469,26 @@ def last_under_covered(fld: CoverageField, k: int):
     when even the top corner fails.  A non-None value only witnesses a
     lower bound: sites beyond the window are never inspected.  Membership
     fields should be queried with k=1 (their values are 0/1 indicators).
+    mask, if given, is fld.under_mask(k) built by the caller.
     """
-    mask = fld.under_mask(k)
+    if mask is None:
+        mask = fld.under_mask(k)
     if fld.dimension == 1:
         idx = np.flatnonzero(mask)
         if idx.size == 0:
             return None
         return int(fld.origin + idx[-1])
-    rows, cols = np.nonzero(mask)
-    if rows.size == 0:
-        return fld.origin
-    worst = int(np.minimum(rows, cols).max()) + fld.origin
-    n0 = worst + 1
+    # worst = the largest min(row, col) over under-covered cells, -1 if none
+    if mask.size <= _NONZERO_MAX_CELLS:
+        rows, cols = np.nonzero(mask)
+        worst = int(np.minimum(rows, cols).max()) if rows.size else -1
+    else:
+        # each row's largest min(row, col) is at its last under-covered column
+        m = mask.shape[0]
+        last = (m - 1) - mask[:, ::-1].argmax(axis=1)
+        np.minimum(last, np.arange(m), out=last)
+        worst = int(np.max(last, where=mask.any(axis=1), initial=-1))
+    n0 = worst + 1 + fld.origin
     max_site = fld.origin + fld.window - 1
     return None if n0 > max_site else n0
 
@@ -541,7 +565,8 @@ def _trial_chunk(config: LatticeConfig, sites, window: bool, t0: int, t1: int):
         if not window:
             continue
         fractions[t - t0] = mask.mean()
-        last = last_under_covered(fld, 1 if fld.kind == "membership" else config.k)
+        # a membership field's under_mask ignores k, so mask serves k=1 too
+        last = last_under_covered(fld, 1 if fld.kind == "membership" else config.k, mask)
         if fld.dimension == 1:
             # None = fully covered; otherwise scale the witness site into (0, 1]
             lasts[t - t0] = 0.0 if last is None else (last - fld.origin + 1) / fld.window
@@ -559,7 +584,9 @@ def _chunk_ranges(trials: int, workers: int):
 
 def _run_chunks(fn, config, trials: int, workers: int, *extra):
     ranges = _chunk_ranges(trials, workers)
-    if workers <= 1 or len(ranges) == 1:
+    # never more processes than chunks or usable CPUs, whatever was asked
+    workers = min(workers, len(ranges), len(os.sched_getaffinity(0)))
+    if workers <= 1:
         return [fn(config, *extra, t0, t1) for t0, t1 in ranges]
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:

@@ -1,12 +1,16 @@
+import hashlib
 import json
 import os
 
 import pytest
 
-from rumourlab.cli import main
+from rumourlab import continuum, exact
+from rumourlab.cli import main, run_diagnose
+from rumourlab.distributions import parse_distribution
 from rumourlab.reporting import (
     ExperimentResult,
     ExperimentSpec,
+    clean_row,
     parse_result_json,
     render_json,
 )
@@ -148,6 +152,18 @@ class TestDiagnose:
         assert out[0] == "n,partialSum,growthRatio,decayExponent"
         assert len(out) == 51
 
+    @pytest.mark.parametrize("imin,imax", [(1, 40), (5, 6)])
+    def test_bulk_rows_equal_clean_row(self, imin, imax):
+        # (5, 6) has no doubling point: growthRatio is NaN, written as None
+        spec = ExperimentSpec(subcommand="diagnose", seed=1, dist="pareto:alpha=4", p=0.5,
+                              k=2, i_min=imin, i_max=imax)
+        diag = exact.series_diagnostics(0.5, parse_distribution("pareto:alpha=4"), 2, imin, imax)
+        want = [clean_row([i, diag.partial_sums[pos], diag.growth_ratio, diag.decay_exponent])
+                for pos, i in enumerate(diag.site_indices.tolist())]
+        rows = run_diagnose(spec)[0]
+        assert rows == want
+        assert [[type(v) for v in r] for r in rows] == [[type(v) for v in r] for r in want]
+
 
 class TestContinuumCmd:
     def test_rows(self, capsys):
@@ -176,6 +192,53 @@ class TestSeedHandling:
         code = main(["simulate", "--dim", "1", "--dist", "const:r=1", "--p", "0.5",
                      "--k", "1", "--n", "4", "--trials", "3", "--strict"])
         assert code == 0
+
+
+class TestOversizedContinuum:
+    @pytest.mark.parametrize("argv", [
+        ["continuum", "--dist", "pareto:alpha=1e-300", "--lambda", "1e9", "--T", "1e6"],
+        ["scan", "--dim", "1", "--dist", "pareto:alpha=4", "--lambda-grid", "1e12",
+         "--T", "1e6", "--trials", "1"],
+        ["scan", "--dim", "2", "--dist", "pareto:alpha=4", "--lambda-grid", "0.1,1e12",
+         "--T", "1e3", "--trials", "1"],
+    ])
+    def test_rejected_before_sampling(self, argv, capsys, monkeypatch):
+        def no_sampling(config):
+            raise AssertionError("sampled an oversized request")
+
+        monkeypatch.setattr(continuum, "sample_ppp", no_sampling)
+        assert main(argv + ["--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "expected points" in err
+
+
+class TestGoldenBytes:
+    # SHA-256 of CSV + JSON as written by rumourlab 0.1.0 before the box-count
+    # kernel; p2d and l2d use grids wide enough for the row-by-row prefix and
+    # last_under_covered's row reductions, p2d_small the other branches
+    SPECS = {
+        "p2d": (["--dist", "pareto:alpha=4", "--p-grid", "0.05,0.2", "--n", "600",
+                 "--trials", "3", "--seed", "11"],
+                "a2e399241c080028f29e2288d527fbf8ce7c5ffb521414fc54db30bf76f8051f"),
+        "p2d_small": (["--dist", "geom:q=0.5", "--p-grid", "0.3,0.6", "--n", "12",
+                       "--trials", "5", "--seed", "13"],
+                      "95af9321c05fe8aa534dd6bb2f1524d64bb45edd55a39a92d4a96a94c7dc8dcb"),
+        "p2d_rev": (["--model", "reverse", "--dist", "power:beta=3", "--p-grid", "0.1,0.3",
+                     "--k", "3", "--n", "40", "--cushion", "2", "--trials", "3",
+                     "--initiators", "--seed", "14"],
+                    "c656d6657722ce3bcc44b9241660586ad65047bd2f833028783948aa25d9aacf"),
+        "l2d": (["--dist", "pareto:alpha=4", "--lambda-grid", "0.5,2", "--T", "40",
+                 "--resolution", "0.5", "--trials", "3", "--seed", "12"],
+                "c500fb4d3e9b1435458a6d97aff9a8b77a8ef26269d3837dff1916fce3acabaf"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_scan_2d_bytes(self, name, tmp_path):
+        args, digest = self.SPECS[name]
+        base = tmp_path / name
+        assert main(["scan", "--dim", "2", *args, "--csv", "--json", "--out", str(base)]) == 0
+        data = base.with_suffix(".csv").read_bytes() + base.with_suffix(".json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestErrors:

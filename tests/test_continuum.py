@@ -127,7 +127,40 @@ class TestLastGap1D:
             assert abs(exact_len - raster_len) <= step * (2 * n + 2)
 
 
+def brute_deficit_2d(points: PointSet, k: int, T: float, res: float):
+    """Pixel by pixel: a corner (a*res, b*res) is covered by every block that holds it."""
+    m = math.ceil(T / res)
+    counts = np.zeros((m, m), dtype=np.int64)
+    for (x, y), r in zip(points.coordinates, points.radii):
+        hx, hy = min(x + r, T), min(y + r, T)
+        for a in range(m):
+            for b in range(m):
+                if x <= a * res <= hx and y <= b * res <= hy:
+                    counts[a, b] += 1
+    bad = [(a, b) for a in range(m) for b in range(m) if counts[a, b] < k]
+    if not bad:
+        return 0.0, None
+    a, b = max(bad)
+    return len(bad) / (m * m), ((a + 0.5) * res, (b + 0.5) * res)
+
+
 class TestDeficit2D:
+    # power-of-two resolutions keep a*res and x/res exact, so the pixel
+    # loop and the rasterizer read the same corners
+    @pytest.mark.parametrize("lam,T,res,k", [(0.3, 6.0, 0.5, 1), (1.0, 6.0, 0.5, 2),
+                                             (2.0, 5.0, 0.25, 3), (0.05, 7.0, 1.0, 1)])
+    def test_against_pixel_loop(self, lam, T, res, k):
+        for seed in range(4):
+            pts = sample_ppp(cfg(dim=2, lam=lam, T=T, law=ParetoCont(0.8), seed=seed, res=res))
+            assert k_cover_deficit_2d(pts, k, T, res) == brute_deficit_2d(pts, k, T, res)
+
+    def test_too_many_points_rejected_before_sampling(self):
+        with pytest.raises(ValueError, match="expected points"):
+            cfg(dim=1, lam=1e9, T=1e6)
+        with pytest.raises(ValueError, match="expected points"):
+            cfg(dim=2, lam=1.0, T=1e300)
+        cfg(dim=2, lam=512.0, T=2048.0)  # 2^9 * 2^22 points: exactly at the cap
+
     def test_empty(self):
         pts = PointSet(np.empty((0, 2)), np.empty(0))
         frac, wit = k_cover_deficit_2d(pts, 1, 1.0, 0.25)

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +175,43 @@ class TestFireworkCounts:
         assert firework_counts(r).clamp_count == 3
 
 
+def brute_box_counts(m: int, d: int, boxes):
+    """Cells of [0, m)^d inside each box ((lo, stop) per axis), counted box by box."""
+    out = np.zeros((m,) * d, dtype=np.int64)
+    for box in boxes:
+        out[tuple(slice(lo, stop) for lo, stop in box)] += 1
+    return out
+
+
+class TestBoxCounts:
+    @given(st.data(), st.sampled_from([1, 2]), st.integers(1, 12), st.sampled_from([0, 512]))
+    @settings(max_examples=300)
+    def test_matches_brute_force(self, data, d, m, width):
+        # edges drawn often so boxes touch the window's sides; repeats add
+        # duplicate boxes; two batches go into one grid; width 0 sends the
+        # axis-0 prefix down the row-by-row branch
+        edge = st.integers(0, m) | st.sampled_from([0, m])
+        axis = st.tuples(edge, edge).map(sorted)
+        boxes = data.draw(st.lists(st.tuples(*[axis] * d), max_size=12))
+        if boxes:
+            boxes += data.draw(st.lists(st.sampled_from(boxes), max_size=4))
+        split = data.draw(st.integers(0, len(boxes)))
+        batches = [
+            (tuple(np.array([b[ax][0] for b in batch], dtype=np.int64) for ax in range(d)),
+             tuple(np.array([b[ax][1] for b in batch], dtype=np.int64) for ax in range(d)))
+            for batch in (boxes[:split], boxes[split:])
+        ]
+        with patch.object(lat, "_ACCUMULATE_MAX_WIDTH", width):
+            counts = lat.box_counts(m, d, iter(batches))
+        assert counts.dtype == np.int32 and counts.shape == (m,) * d
+        np.testing.assert_array_equal(counts, brute_box_counts(m, d, boxes))
+
+    def test_firework_rows_row_by_row(self, monkeypatch):
+        monkeypatch.setattr(lat, "_ACCUMULATE_MAX_WIDTH", 0)
+        r = realize(cfg(dim=2, n=9, p=0.4, seed=4, dist=GEO))
+        np.testing.assert_array_equal(firework_counts(r).values, brute_firework_counts(r))
+
+
 class TestReverseMembership:
     def test_hand_example_initiators(self):
         c = cfg(model=REVERSE, n=3, dist=Constant(3), initiators=True)
@@ -207,6 +247,21 @@ class TestReverseMembership:
                             dist=GEO, initiators=initiators))
             got = reverse_membership(r, k).values
             np.testing.assert_array_equal(got, brute_reverse_membership(r, k))
+
+    @pytest.mark.parametrize("chunk_cells", [1, 1 << 22])
+    def test_against_brute_force_row_by_row(self, monkeypatch, chunk_cells):
+        # width 0 sends every axis-0 prefix (the kernel's and the open-site
+        # prefix grid's, one row block at a time) down the row-by-row branch
+        monkeypatch.setattr(lat, "_ACCUMULATE_MAX_WIDTH", 0)
+        monkeypatch.setattr(lat, "_CHUNK_CELLS", chunk_cells)
+        for seed, initiators in ((6, False), (7, True)):
+            r = realize(cfg(model=REVERSE, dim=2, n=5, cushion=2, p=0.6, seed=seed,
+                            dist=GEO, initiators=initiators))
+            for k in (1, 2):
+                want = brute_reverse_membership(r, k)
+                np.testing.assert_array_equal(reverse_membership(r, k).values, want)
+                c = replace(r.config, k=k)
+                np.testing.assert_array_equal(lat._trial_field(c).values, want)
 
     def test_nesting_in_k(self):
         for seed in range(5):
@@ -270,6 +325,42 @@ class TestLastUnderCovered:
         assert last_under_covered(fld, 1) is None
 
 
+def nonzero_last_under_covered(fld, k):
+    """The 2D formula over np.nonzero of the whole mask, kept as the reference."""
+    rows, cols = np.nonzero(fld.under_mask(k))
+    if rows.size == 0:
+        return fld.origin
+    n0 = int(np.minimum(rows, cols).max()) + fld.origin + 1
+    return None if n0 > fld.origin + fld.window - 1 else n0
+
+
+class TestLastUnderCovered2D:
+    # 32x32 masks take the nonzero path, 33x33 and up the row reductions
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 33, 47, 120])
+    @pytest.mark.parametrize("kind", ["random", "sparse", "false", "true", "corner", "edge"])
+    def test_matches_nonzero_formula(self, n, kind):
+        rng = np.random.default_rng(n)
+        for origin, fill in ((1, 3), (0, 1)):
+            for trial in range(4):
+                under = {
+                    "random": rng.random((n, n)) < rng.random(),
+                    "sparse": rng.random((n, n)) < 2.0 / (n * n),
+                    "false": np.zeros((n, n), dtype=bool),
+                    "true": np.ones((n, n), dtype=bool),
+                    "corner": np.eye(n, dtype=bool)[::-1] & (rng.random((n, n)) < 0.5),
+                    "edge": np.zeros((n, n), dtype=bool),
+                }[kind]
+                if kind == "edge":
+                    under[rng.integers(n), n - 1] = True
+                values = np.where(under, 0, fill)
+                kind_name = "counts" if origin == 1 else "membership"
+                fld = CoverageField(kind_name, 2, origin, n, values)
+                k = fill if origin == 1 else 1
+                want = nonzero_last_under_covered(fld, k)
+                assert last_under_covered(fld, k) == want
+                assert last_under_covered(fld, k, fld.under_mask(k)) == want
+
+
 class TestEstimate:
     def test_p0_trivial(self):
         est = estimate_under_coverage(cfg(p=0.0, k=1, n=6, seed=1), [3], 200)
@@ -293,6 +384,45 @@ class TestEstimate:
         assert [(e.under_count, e.freq, e.ci_low, e.ci_high) for e in a] == [
             (e.under_count, e.freq, e.ci_low, e.ci_high) for e in b
         ]
+
+    def test_workers_clamped_to_chunks_and_cpus(self, monkeypatch):
+        # a fake pool records max_workers and runs tasks inline: no process starts
+        seen = []
+
+        class InlineFuture:
+            def __init__(self, value):
+                self._value = value
+
+            def result(self):
+                return self._value
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context=None):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return InlineFuture(fn(*args))
+
+        monkeypatch.setattr(lat, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(lat.os, "sched_getaffinity", lambda pid: set(range(4)))
+        c = cfg(p=0.5, k=2, n=5, dist=C1, seed=123)
+        want = estimate_under_coverage(c, [2, 4], 20, workers=1)
+        for workers, trials, used in ((1000, 20, 4), (3, 20, 3), (1000, 2, 2)):
+            seen.clear()
+            got = estimate_under_coverage(c, [2, 4], trials, workers=workers)
+            assert seen == [used]
+            if trials == 20:
+                assert got == want
+        monkeypatch.setattr(lat.os, "sched_getaffinity", lambda pid: {0})
+        seen.clear()
+        assert estimate_under_coverage(c, [2, 4], 20, workers=1000) == want
+        assert seen == []
 
     def test_doubling_trials_halves_width(self):
         c = cfg(p=0.5, k=2, n=5, dist=C1, seed=99)
