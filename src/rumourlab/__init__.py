@@ -9,21 +9,19 @@ Poisson Boolean analogue on the positive orthant.
 """
 
 from rumourlab.distributions import (
+    ConstCont,
     Constant,
     DistParseError,
     Geometric,
+    ParetoCont,
     ParetoTail,
+    PowerCont,
     PowerTail,
     TailDistribution,
     TailFunctionals,
     Truncated,
     TruncatedLawError,
-    moment_finite,
     parse_distribution,
-    sample_radius,
-    survival_complement,
-    tail,
-    tail_functionals,
 )
 from rumourlab.lattice import (
     CoverageField,
@@ -56,14 +54,10 @@ from rumourlab.exact import (
 )
 from rumourlab.continuum import (
     ContinuumConfig,
-    ConstCont,
     LambdaSummary,
-    ParetoCont,
     PointSet,
-    PowerCont,
     k_cover_deficit_2d,
     k_cover_last_gap_1d,
-    parse_continuous_law,
     sample_ppp,
     scan_lambda,
 )

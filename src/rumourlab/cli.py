@@ -26,7 +26,7 @@ from rumourlab.reporting import (
     render_json,
     render_svg,
 )
-from rumourlab.stats import mean_interval, mix64
+from rumourlab.stats import mean_interval
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -161,6 +161,8 @@ def _resolve_seed(args) -> int:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
+    if args.workers < 1:
+        raise CliError(f"--workers must be >= 1, got {args.workers}")
     model = getattr(args, "model", "firework")
     return ExperimentSpec(
         subcommand=args.subcommand,
@@ -295,7 +297,7 @@ def run_scan(spec: ExperimentSpec):
     if spec.lambda_grid:
         if spec.window_t is None:
             raise CliError("a lambda scan needs --T")
-        law = cont.parse_continuous_law(spec.dist)
+        law = parse_distribution(spec.dist, continuous=True)
         base = cont.ContinuumConfig(
             spec.dim, spec.lambda_grid[0], spec.window_t, law, spec.k, spec.seed, spec.resolution
         )
@@ -336,22 +338,14 @@ def run_diagnose(spec: ExperimentSpec):
 
 
 def run_continuum(spec: ExperimentSpec):
-    law = cont.parse_continuous_law(spec.dist)
+    law = parse_distribution(spec.dist, continuous=True)
+    base = cont.ContinuumConfig(
+        spec.dim, spec.lam, spec.window_t, law, spec.k, spec.seed, spec.resolution
+    )
     rows = []
-    for t in range(spec.trials):
-        cfg = cont.ContinuumConfig(
-            spec.dim, spec.lam, spec.window_t, law, spec.k,
-            mix64(spec.seed, t), spec.resolution,
-        )
-        points = cont.sample_ppp(cfg)
-        if spec.dim == 1:
-            gap = cont.k_cover_last_gap_1d(points, spec.k, spec.window_t)
-            stat = 0.0 if gap is None else gap / spec.window_t
-            witness = None if gap is None else gap
-        else:
-            frac, wit = cont.k_cover_deficit_2d(points, spec.k, spec.window_t, spec.resolution)
-            stat = frac
-            witness = None if wit is None else f"{wit[0]:g}:{wit[1]:g}"
+    for t, (stat, witness) in enumerate(cont.run_trials(base, spec.trials)):
+        if spec.dim == 2 and witness is not None:
+            witness = f"{witness[0]:g}:{witness[1]:g}"
         rows.append(clean_row([t, stat, witness]))
     return rows, 0, EXIT_OK
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from rumourlab.distributions import DistParseError
+from rumourlab.distributions import ConstCont, ParetoCont, PowerCont
 from rumourlab.lattice import box_counts
 from rumourlab.stats import mean_interval, mix64, make_rng
 
@@ -27,114 +27,11 @@ _MAX_POINTS = 2**31
 
 
 @dataclass(frozen=True)
-class ContinuousLaw:
-    """Base for continuous radius laws given by their survival function."""
-
-    def survival(self, x: float) -> float:
-        raise NotImplementedError
-
-    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """rho with P(rho > quantile(u)) = u; u in (0, 1]."""
-        raise NotImplementedError
-
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ParetoCont(ContinuousLaw):
-    """P(rho > x) = min(1, alpha/x)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-    def survival(self, x: float) -> float:
-        if x <= self.alpha:
-            return 1.0
-        return self.alpha / x
-
-    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        return self.alpha / u
-
-    def spec_string(self) -> str:
-        return f"pareto:alpha={self.alpha:g}"
-
-
-@dataclass(frozen=True)
-class PowerCont(ContinuousLaw):
-    """P(rho > x) = min(1, x^(-beta))."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-
-    def survival(self, x: float) -> float:
-        if x <= 1.0:
-            return 1.0
-        return x ** (-self.beta)
-
-    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        return u ** (-1.0 / self.beta)
-
-    def spec_string(self) -> str:
-        return f"power:beta={self.beta:g}"
-
-
-@dataclass(frozen=True)
-class ConstCont(ContinuousLaw):
-    r: float
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"r must be nonnegative, got {self.r}")
-
-    def survival(self, x: float) -> float:
-        return 1.0 if x <= self.r else 0.0
-
-    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(u), float(self.r))
-
-    def spec_string(self) -> str:
-        return f"const:r={self.r:g}"
-
-
-def parse_continuous_law(spec: str) -> ContinuousLaw:
-    """Same grammar as the lattice laws, continuous families only."""
-    head, _, rest = spec.partition(":")
-    try:
-        if head == "pareto":
-            key, _, val = rest.partition("=")
-            if key != "alpha":
-                raise DistParseError(rest, "expected 'alpha=<float>'")
-            return ParetoCont(float(val))
-        if head == "power":
-            key, _, val = rest.partition("=")
-            if key != "beta":
-                raise DistParseError(rest, "expected 'beta=<float>'")
-            return PowerCont(float(val))
-        if head == "const":
-            key, _, val = rest.partition("=")
-            if key != "r":
-                raise DistParseError(rest, "expected 'r=<float>'")
-            return ConstCont(float(val))
-    except DistParseError:
-        raise
-    except ValueError as e:
-        raise DistParseError(rest, str(e)) from None
-    raise DistParseError(head, "unknown continuous family (want pareto|power|const)")
-
-
-@dataclass(frozen=True)
 class ContinuumConfig:
     dimension: int
     lam: float
     window_t: float
-    radius_law: ContinuousLaw
+    radius_law: ParetoCont | PowerCont | ConstCont
     k: int
     seed: int
     resolution: float = 1.0
@@ -249,14 +146,25 @@ class LambdaSummary:
     values: np.ndarray
 
 
-def trial_statistic(config: ContinuumConfig) -> float:
-    """Normalized deficiency for one realization: last-gap/T (1D) or pixel fraction (2D)."""
+def trial_statistic(config: ContinuumConfig) -> tuple[float, object]:
+    """(statistic, witness) for one realization; the witness is None when covered.
+
+    1D: the last k-deficient point over T, and that point; 2D: the
+    deficient pixel fraction, and the last deficient pixel centre.
+    """
     points = sample_ppp(config)
     if config.dimension == 1:
         gap = k_cover_last_gap_1d(points, config.k, config.window_t)
-        return 0.0 if gap is None else gap / config.window_t
-    fraction, _ = k_cover_deficit_2d(points, config.k, config.window_t, config.resolution)
-    return fraction
+        return (0.0, None) if gap is None else (gap / config.window_t, gap)
+    return k_cover_deficit_2d(points, config.k, config.window_t, config.resolution)
+
+
+def run_trials(config: ContinuumConfig, trials: int, *key: int) -> list:
+    """trial_statistic of `trials` realizations seeded mix64(config.seed, *key, t)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return [trial_statistic(replace(config, seed=mix64(config.seed, *key, t)))
+            for t in range(trials)]
 
 
 def scan_lambda(config: ContinuumConfig, lambdas, trials: int) -> list[LambdaSummary]:
@@ -268,15 +176,11 @@ def scan_lambda(config: ContinuumConfig, lambdas, trials: int) -> list[LambdaSum
     lambdas = list(lambdas)
     if any(l2 < l1 for l1, l2 in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be sorted ascending")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if lambdas:
         replace(config, lam=lambdas[-1])  # validates the largest intensity before any trial
     out = []
     for li, lam in enumerate(lambdas):
-        vals = np.empty(trials, dtype=np.float64)
-        for t in range(trials):
-            vals[t] = trial_statistic(replace(config, lam=lam, seed=mix64(config.seed, li, t)))
+        vals = np.array([stat for stat, _ in run_trials(replace(config, lam=lam), trials, li)])
         mean, lo, hi = mean_interval(vals)
         out.append(LambdaSummary(lam, trials, mean, lo, hi, vals))
     return out

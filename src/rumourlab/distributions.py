@@ -1,9 +1,11 @@
-"""Integer radius laws: survival functions, samplers, and tail functionals.
+"""Radius laws: survival functions, samplers, tail functionals and the spec parser.
 
-Every law is described by its survival function G(j) = P(radius >= j) on
-the nonnegative integers, with G(0) = 1.  The families are closed-form so
+Every lattice law is described by its survival function G(j) = P(radius >= j)
+on the nonnegative integers, with G(0) = 1.  The families are closed-form so
 that the tail functionals liminf/limsup of j*G(j) and the moment flags are
-exact rather than estimated.
+exact rather than estimated.  The continuum counterparts (ParetoCont,
+PowerCont, ConstCont) are given by P(rho > x) on the reals; one table maps
+each spec family to its lattice and continuum class.
 """
 
 from __future__ import annotations
@@ -60,12 +62,17 @@ class TailDistribution:
         """
         raise NotImplementedError
 
+    # E[radius^d] is finite exactly for d < moment_bound
+    moment_bound = _INF
+
     def functionals(self) -> TailFunctionals:
         raise NotImplementedError
 
     def moment_finite(self, d: int) -> bool:
-        """Whether E[radius^d] is finite."""
-        raise NotImplementedError
+        """Whether E[radius^d] is finite (d >= 1)."""
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
+        return d < self.moment_bound
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -76,6 +83,8 @@ class ParetoTail(TailDistribution):
     """G(j) = min(1, alpha/j) for j >= 1.  Infinite mean for every alpha."""
 
     alpha: float
+    # sum j^(d-1) * alpha/j diverges for every d >= 1
+    moment_bound = 1.0
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -98,10 +107,6 @@ class ParetoTail(TailDistribution):
 
     def functionals(self) -> TailFunctionals:
         return TailFunctionals(self.alpha, self.alpha)
-
-    def moment_finite(self, d: int) -> bool:
-        # sum j^(d-1) * alpha/j diverges for every d >= 1
-        return False
 
     def spec_string(self) -> str:
         return f"pareto:alpha={self.alpha:g}"
@@ -140,8 +145,9 @@ class PowerTail(TailDistribution):
             return TailFunctionals(1.0, 1.0)
         return TailFunctionals(0.0, 0.0)
 
-    def moment_finite(self, d: int) -> bool:
-        return self.beta > d
+    @property
+    def moment_bound(self) -> float:
+        return self.beta
 
     def spec_string(self) -> str:
         return f"power:beta={self.beta:g}"
@@ -174,9 +180,6 @@ class Geometric(TailDistribution):
     def functionals(self) -> TailFunctionals:
         return TailFunctionals(0.0, 0.0)
 
-    def moment_finite(self, d: int) -> bool:
-        return True
-
     def spec_string(self) -> str:
         return f"geom:q={self.q:g}"
 
@@ -203,9 +206,6 @@ class Constant(TailDistribution):
 
     def functionals(self) -> TailFunctionals:
         return TailFunctionals(0.0, 0.0)
-
-    def moment_finite(self, d: int) -> bool:
-        return True
 
     def spec_string(self) -> str:
         return f"const:r={self.r}"
@@ -244,103 +244,127 @@ class Truncated(TailDistribution):
             "the base law; query the base distribution instead"
         )
 
-    def moment_finite(self, d: int) -> bool:
-        return True
-
     def spec_string(self) -> str:
         return f"trunc:{self.base.spec_string()}:cap={self.cap}"
 
 
-def tail(dist: TailDistribution, j: int) -> float:
-    """Survival probability G(j) = P(radius >= j)."""
-    return dist.survival(j)
+@dataclass(frozen=True)
+class ParetoCont:
+    """Continuum law P(rho > x) = min(1, alpha/x)."""
+
+    alpha: float
+
+    def __post_init__(self):
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+
+    def survival(self, x: float) -> float:
+        if x <= self.alpha:
+            return 1.0
+        return self.alpha / x
+
+    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
+        """rho with P(rho > quantile(u)) = u; u in (0, 1]."""
+        return self.alpha / u
+
+    def spec_string(self) -> str:
+        return f"pareto:alpha={self.alpha:g}"
 
 
-def survival_complement(dist: TailDistribution, p: float, j: int) -> float:
-    """Probability 1 - p*G(j) that a candidate source at displacement j misses."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0,1], got {p}")
-    return 1.0 - p * dist.survival(j)
+@dataclass(frozen=True)
+class PowerCont:
+    """Continuum law P(rho > x) = min(1, x^(-beta))."""
+
+    beta: float
+
+    def __post_init__(self):
+        if not self.beta > 0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
+
+    def survival(self, x: float) -> float:
+        if x <= 1.0:
+            return 1.0
+        return x ** (-self.beta)
+
+    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
+        return u ** (-1.0 / self.beta)
+
+    def spec_string(self) -> str:
+        return f"power:beta={self.beta:g}"
 
 
-def sample_radius(dist: TailDistribution, rng: np.random.Generator) -> int:
-    """One radius draw by inverse transform; advances the stream by one uniform."""
-    u = 1.0 - rng.random()  # (0, 1]
-    return int(dist.quantile_from_uniform(np.array([u]))[0])
+@dataclass(frozen=True)
+class ConstCont:
+    """Continuum law rho = r always: P(rho > x) = 1 for x < r, else 0."""
+
+    r: float
+
+    def __post_init__(self):
+        if self.r < 0:
+            raise ValueError(f"r must be nonnegative, got {self.r}")
+
+    def survival(self, x: float) -> float:
+        return 1.0 if x < self.r else 0.0
+
+    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(u), float(self.r))
+
+    def spec_string(self) -> str:
+        return f"const:r={self.r:g}"
 
 
-def sample_radii(dist: TailDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized radius draws; consumes exactly `size` uniforms."""
-    u = 1.0 - rng.random(size)
-    return dist.quantile_from_uniform(u)
+# family -> (parameter key, (lattice class, parameter type),
+#            (continuum class, parameter type) or None)
+_LAWS = {
+    "pareto": ("alpha", (ParetoTail, float), (ParetoCont, float)),
+    "power": ("beta", (PowerTail, float), (PowerCont, float)),
+    "geom": ("q", (Geometric, float), None),
+    "const": ("r", (Constant, int), (ConstCont, float)),
+}
 
 
-def tail_functionals(dist: TailDistribution) -> TailFunctionals:
-    """Closed-form liminf/limsup of j*G(j); rejects truncated laws."""
-    return dist.functionals()
-
-
-def moment_finite(dist: TailDistribution, d: int) -> bool:
-    """Whether the d-th moment of the radius is finite (d >= 1)."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return dist.moment_finite(d)
-
-
-def _parse_kv(token: str, key: str, spec: str) -> str:
+def _parse_value(token: str, key: str, kind: type, spec: str):
     prefix = key + "="
     if not token.startswith(prefix):
         raise DistParseError(token, f"expected '{key}=<value>' in {spec!r}")
-    return token[len(prefix):]
-
-
-def _parse_float(token: str, key: str, spec: str) -> float:
-    raw = _parse_kv(token, key, spec)
     try:
-        return float(raw)
+        return kind(token[len(prefix):])
     except ValueError:
-        raise DistParseError(token, f"{key} is not a number") from None
+        what = "a number" if kind is float else "an integer"
+        raise DistParseError(token, f"{key} is not {what}") from None
 
 
-def _parse_int(token: str, key: str, spec: str) -> int:
-    raw = _parse_kv(token, key, spec)
-    try:
-        return int(raw)
-    except ValueError:
-        raise DistParseError(token, f"{key} is not an integer") from None
-
-
-def parse_distribution(spec: str) -> TailDistribution:
-    """Parse a spec string.
+def parse_distribution(spec: str, continuous: bool = False):
+    """Parse a spec string into a lattice law, or a continuum law if `continuous`.
 
     Grammar (case-sensitive):
       pareto:alpha=<float> | power:beta=<float> | geom:q=<float>
       | const:r=<int> | trunc:<spec>:cap=<int>
+    The continuum takes pareto, power and const, with a float r.
     """
-    if spec.startswith("trunc:"):
+    if spec.startswith("trunc:") and not continuous:
         rest = spec[len("trunc:"):]
         sep = rest.rfind(":cap=")
         if sep < 0:
             raise DistParseError(spec, "truncated law needs a ':cap=<int>' suffix")
         base = parse_distribution(rest[:sep])
-        cap = _parse_int(rest[sep + 1:], "cap", spec)
+        cap = _parse_value(rest[sep + 1:], "cap", int, spec)
         try:
             return Truncated(base, cap)
         except ValueError as e:
             raise DistParseError(rest[sep + 1:], str(e)) from None
 
+    column = 2 if continuous else 1
     head, _, rest = spec.partition(":")
+    form = _LAWS[head][column] if head in _LAWS else None
+    if form is None:
+        want = [family for family, law in _LAWS.items() if law[column]]
+        want += [] if continuous else ["trunc"]
+        label = "continuous family" if continuous else "family"
+        raise DistParseError(head, f"unknown {label} (want {'|'.join(want)})")
+    key, (cls, kind) = _LAWS[head][0], form
+    value = _parse_value(rest, key, kind, spec)
     try:
-        if head == "pareto":
-            return ParetoTail(_parse_float(rest, "alpha", spec))
-        if head == "power":
-            return PowerTail(_parse_float(rest, "beta", spec))
-        if head == "geom":
-            return Geometric(_parse_float(rest, "q", spec))
-        if head == "const":
-            return Constant(_parse_int(rest, "r", spec))
-    except DistParseError:
-        raise
+        return cls(value)
     except ValueError as e:
         raise DistParseError(rest, str(e)) from None
-    raise DistParseError(head, "unknown family (want pareto|power|geom|const|trunc)")

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from rumourlab.cli import main
-from rumourlab.continuum import ContinuumConfig, ParetoCont, scan_lambda
-from rumourlab.distributions import Constant, Geometric, ParetoTail, PowerTail, Truncated
+from rumourlab.continuum import ContinuumConfig, scan_lambda
+from rumourlab.distributions import Constant, Geometric, ParetoCont, ParetoTail, PowerTail, Truncated
 from rumourlab.exact import (
     ExactQuery,
     enumeration_oracle,

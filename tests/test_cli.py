@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from rumourlab import continuum, exact
+from rumourlab import continuum, exact, lattice
 from rumourlab.cli import main, run_diagnose
 from rumourlab.distributions import parse_distribution
 from rumourlab.reporting import (
@@ -175,6 +175,29 @@ class TestContinuumCmd:
         assert out[0] == "trial,statistic,witness"
         assert len(out) == 5
 
+    def test_const_radius_takes_a_float(self, capsys):
+        code = main(["continuum", "--dist", "const:r=2.5", "--lambda", "1.0", "--T", "20",
+                     "--trials", "2", "--seed", "5"])
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    @pytest.mark.parametrize("dist,token", [("geom:q=0.5", "geom"),
+                                            ("trunc:const:r=1:cap=3", "trunc")])
+    def test_lattice_only_law_rejected(self, dist, token, capsys):
+        code = main(["continuum", "--dist", dist, "--lambda", "1.0", "--T", "20", "--seed", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and repr(token) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["continuum", "--lambda", "1.0", "--T", "20", "--trials", "0"],
+        ["continuum", "--lambda", "1.0", "--T", "20", "--trials", "-3"],
+        ["scan", "--lambda-grid", "0.5,1", "--T", "20", "--trials", "0"],
+    ])
+    def test_trials_must_be_positive(self, argv, capsys):
+        assert main(argv + ["--dist", "pareto:alpha=4", "--seed", "5"]) == 2
+        assert capsys.readouterr().err == "error: trials must be >= 1\n"
+
 
 class TestSeedHandling:
     def test_strict_without_seed(self):
@@ -192,6 +215,21 @@ class TestSeedHandling:
         code = main(["simulate", "--dim", "1", "--dist", "const:r=1", "--p", "0.5",
                      "--k", "1", "--n", "4", "--trials", "3", "--strict"])
         assert code == 0
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dist", "const:r=1", "--p", "0.5", "--n", "8", "--trials", "4"],
+        ["continuum", "--dist", "pareto:alpha=4", "--lambda", "1.0", "--T", "20"],
+    ])
+    def test_below_one_rejected(self, argv, workers, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a process pool")
+
+        monkeypatch.setattr(lattice, "ProcessPoolExecutor", no_pool)
+        assert main(argv + ["--workers", workers, "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
 
 
 class TestOversizedContinuum:
@@ -213,30 +251,56 @@ class TestOversizedContinuum:
 
 
 class TestGoldenBytes:
-    # SHA-256 of CSV + JSON as written by rumourlab 0.1.0 before the box-count
-    # kernel; p2d and l2d use grids wide enough for the row-by-row prefix and
-    # last_under_covered's row reductions, p2d_small the other branches
+    # SHA-256 of CSV + JSON as written by rumourlab 0.1.0: the scan --dim 2
+    # specs before the box-count kernel (p2d and l2d use grids wide enough for
+    # the row-by-row prefix and last_under_covered's row reductions, p2d_small
+    # the other branches), the rest before the radius-law table and the one
+    # continuum trial path (the criterion 10 specs, the 1D continuum with its
+    # float witness, and a 1D lambda scan)
     SPECS = {
-        "p2d": (["--dist", "pareto:alpha=4", "--p-grid", "0.05,0.2", "--n", "600",
-                 "--trials", "3", "--seed", "11"],
+        "p2d": (["scan", "--dim", "2", "--dist", "pareto:alpha=4", "--p-grid", "0.05,0.2",
+                 "--n", "600", "--trials", "3", "--seed", "11"],
                 "a2e399241c080028f29e2288d527fbf8ce7c5ffb521414fc54db30bf76f8051f"),
-        "p2d_small": (["--dist", "geom:q=0.5", "--p-grid", "0.3,0.6", "--n", "12",
-                       "--trials", "5", "--seed", "13"],
+        "p2d_small": (["scan", "--dim", "2", "--dist", "geom:q=0.5", "--p-grid", "0.3,0.6",
+                       "--n", "12", "--trials", "5", "--seed", "13"],
                       "95af9321c05fe8aa534dd6bb2f1524d64bb45edd55a39a92d4a96a94c7dc8dcb"),
-        "p2d_rev": (["--model", "reverse", "--dist", "power:beta=3", "--p-grid", "0.1,0.3",
-                     "--k", "3", "--n", "40", "--cushion", "2", "--trials", "3",
-                     "--initiators", "--seed", "14"],
+        "p2d_rev": (["scan", "--dim", "2", "--model", "reverse", "--dist", "power:beta=3",
+                     "--p-grid", "0.1,0.3", "--k", "3", "--n", "40", "--cushion", "2",
+                     "--trials", "3", "--initiators", "--seed", "14"],
                     "c656d6657722ce3bcc44b9241660586ad65047bd2f833028783948aa25d9aacf"),
-        "l2d": (["--dist", "pareto:alpha=4", "--lambda-grid", "0.5,2", "--T", "40",
-                 "--resolution", "0.5", "--trials", "3", "--seed", "12"],
+        "l2d": (["scan", "--dim", "2", "--dist", "pareto:alpha=4", "--lambda-grid", "0.5,2",
+                 "--T", "40", "--resolution", "0.5", "--trials", "3", "--seed", "12"],
                 "c500fb4d3e9b1435458a6d97aff9a8b77a8ef26269d3837dff1916fce3acabaf"),
+        "exact": (["exact", "--dim", "1", "--dist", "const:r=2", "--p", "0.4", "--k", "2",
+                   "--sites", "2,5", "--method", "dp,closedForm,oracle", "--seed", "10"],
+                  "b56fc3265a5c0d56ff9c6412f3529a3a64dd24a97354010cf64d124541b97563"),
+        "simulate_rev1d": (["simulate", "--dim", "1", "--model", "reverse", "--dist",
+                            "geom:q=0.5", "--p", "0.5", "--k", "2", "--n", "50", "--cushion",
+                            "4", "--trials", "40", "--sites", "3,10", "--seed", "11"],
+                           "29e2dfc68fb1568c6d7ad2bc2bda1fe744aba4f5b5f7a22f30ca37cf0783b5a4"),
+        "p1d": (["scan", "--dim", "1", "--dist", "pareto:alpha=4", "--p-grid", "0.2,0.5,0.8",
+                 "--k", "2", "--n", "60", "--trials", "6", "--seed", "12"],
+                "28fac34f894041db5dfa36366c4ec66124ab7987cea09c8adf8d75f8c472f30e"),
+        "diagnose": (["diagnose", "--dist", "pareto:alpha=4", "--p", "0.5", "--k", "2",
+                      "--imin", "1", "--imax", "500", "--seed", "13"],
+                     "58f6ade463eb3fe6651afd0417f0503799df6e75ddd8b57616c7a4717aff9f11"),
+        "continuum_2d": (["continuum", "--dim", "2", "--dist", "pareto:alpha=4", "--lambda",
+                          "0.5", "--T", "50", "--resolution", "0.5", "--k", "2", "--trials",
+                          "5", "--seed", "14"],
+                         "22f061c7c1f6a094ce04585a91229331a556c6876b24a22b76b9eeccd64f52dd"),
+        "continuum_1d": (["continuum", "--dim", "1", "--dist", "pareto:alpha=4", "--lambda",
+                          "0.3", "--T", "200", "--k", "2", "--trials", "8", "--seed", "15"],
+                         "8b211c3d6e95e75c8a7dadb4df443032be8427ab79bb2a75db20ac06ede69575"),
+        "l1d": (["scan", "--dim", "1", "--dist", "pareto:alpha=4", "--lambda-grid", "0.1,0.5,2",
+                 "--T", "500", "--k", "2", "--trials", "4", "--seed", "16"],
+                "c106766709b087dcb7313e96189bc115acf0a7629919604ea9df99edb3eea38b"),
     }
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_scan_2d_bytes(self, name, tmp_path):
         args, digest = self.SPECS[name]
         base = tmp_path / name
-        assert main(["scan", "--dim", "2", *args, "--csv", "--json", "--out", str(base)]) == 0
+        assert main([*args, "--csv", "--json", "--out", str(base)]) == 0
         data = base.with_suffix(".csv").read_bytes() + base.with_suffix(".json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 

@@ -3,20 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from rumourlab import continuum
 from rumourlab.continuum import (
-    ConstCont,
     ContinuumConfig,
-    ParetoCont,
     PointSet,
-    PowerCont,
     k_cover_deficit_2d,
     k_cover_last_gap_1d,
-    parse_continuous_law,
     sample_ppp,
     scan_lambda,
     trial_statistic,
 )
-from rumourlab.distributions import DistParseError
+from rumourlab.distributions import (
+    ConstCont,
+    DistParseError,
+    ParetoCont,
+    PowerCont,
+    TailDistribution,
+    parse_distribution,
+)
 from rumourlab.stats import mix64
 
 
@@ -214,21 +218,38 @@ class TestScanLambda:
         assert lo.mean > 0.7
 
     def test_trial_statistic_2d(self):
-        v = trial_statistic(cfg(dim=2, lam=3.0, T=20.0, seed=4, res=0.5))
+        c = cfg(dim=2, lam=3.0, T=20.0, seed=4, res=0.5)
+        v, witness = trial_statistic(c)
         assert 0.0 <= v <= 1.0
+        assert (v, witness) == k_cover_deficit_2d(sample_ppp(c), c.k, c.window_t, c.resolution)
+
+    def test_trial_statistic_1d(self, monkeypatch):
+        # the statistic is the last gap over T, the witness the raw gap
+        c = cfg(lam=0.3, T=200.0, seed=6)
+        gap = k_cover_last_gap_1d(sample_ppp(c), c.k, c.window_t)
+        assert trial_statistic(c) == (gap / 200.0, gap)
+        # a covered window has no witness; sampling is looked up in the module
+        covering = PointSet(np.array([[0.0], [0.0]]), np.array([300.0, 300.0]))
+        monkeypatch.setattr(continuum, "sample_ppp", lambda config: covering)
+        assert trial_statistic(c) == (0.0, None)
 
 
 class TestContinuousLawParsing:
     def test_families(self):
-        assert parse_continuous_law("pareto:alpha=4") == ParetoCont(4.0)
-        assert parse_continuous_law("power:beta=1.5") == PowerCont(1.5)
-        assert parse_continuous_law("const:r=2.5") == ConstCont(2.5)
+        for spec, law in [("pareto:alpha=4", ParetoCont(4.0)), ("power:beta=1.5", PowerCont(1.5)),
+                          ("const:r=2.5", ConstCont(2.5))]:
+            assert parse_distribution(spec, continuous=True) == law
+            assert parse_distribution(law.spec_string(), continuous=True) == law
+            # not a lattice law, so draws are not counted as lattice radius quantiles
+            assert not isinstance(law, TailDistribution)
 
     def test_lattice_only_families_rejected(self):
-        with pytest.raises(DistParseError):
-            parse_continuous_law("geom:q=0.5")
-        with pytest.raises(DistParseError):
-            parse_continuous_law("trunc:const:r=1:cap=3")
+        with pytest.raises(DistParseError) as exc:
+            parse_distribution("geom:q=0.5", continuous=True)
+        assert exc.value.token == "geom"
+        with pytest.raises(DistParseError) as exc:
+            parse_distribution("trunc:const:r=1:cap=3", continuous=True)
+        assert exc.value.token == "trunc"
 
     def test_inverse_transform(self):
         # survival(quantile(u)) == u wherever the survival is strictly decreasing
@@ -239,3 +260,5 @@ class TestContinuousLawParsing:
             sv = np.array([law.survival(float(v)) for v in x])
             np.testing.assert_allclose(sv, u, rtol=1e-12)
         assert np.all(ConstCont(3.0).quantile_from_uniform(u) == 3.0)
+        # P(rho > x) for rho = 3: one below r, zero at and above it
+        assert [ConstCont(3.0).survival(x) for x in (2.5, 3.0, 3.5)] == [1.0, 0.0, 0.0]

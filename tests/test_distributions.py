@@ -14,14 +14,9 @@ from rumourlab.distributions import (
     PowerTail,
     Truncated,
     TruncatedLawError,
-    moment_finite,
     parse_distribution,
-    sample_radii,
-    sample_radius,
-    survival_complement,
-    tail,
-    tail_functionals,
 )
+from rumourlab.exact import _miss_prob
 from rumourlab.stats import make_rng
 
 
@@ -40,34 +35,34 @@ def dist_strategy():
 class TestTail:
     def test_pareto_examples(self):
         d = ParetoTail(4)
-        assert tail(d, 0) == 1.0
-        assert tail(d, 2) == 1.0
-        assert tail(d, 8) == 0.5
+        assert d.survival(0) == 1.0
+        assert d.survival(2) == 1.0
+        assert d.survival(8) == 0.5
 
     def test_family_closed_forms(self):
-        assert tail(PowerTail(0.5), 4) == pytest.approx(0.5, rel=1e-15)
-        assert tail(Geometric(0.5), 3) == pytest.approx(0.125, rel=1e-15)
-        assert tail(Constant(2), 2) == 1.0
-        assert tail(Constant(2), 3) == 0.0
+        assert PowerTail(0.5).survival(4) == pytest.approx(0.5, rel=1e-15)
+        assert Geometric(0.5).survival(3) == pytest.approx(0.125, rel=1e-15)
+        assert Constant(2).survival(2) == 1.0
+        assert Constant(2).survival(3) == 0.0
         t = Truncated(Geometric(0.5), 4)
-        assert tail(t, 4) == pytest.approx(0.5**4)
-        assert tail(t, 5) == 0.0
+        assert t.survival(4) == pytest.approx(0.5**4)
+        assert t.survival(5) == 0.0
 
     @given(dist_strategy(), st.integers(0, 10_000))
     def test_monotone_and_bounded(self, d, j):
-        g0, g1 = tail(d, j), tail(d, j + 1)
+        g0, g1 = d.survival(j), d.survival(j + 1)
         assert 0.0 <= g1 <= g0 <= 1.0
-        assert tail(d, 0) == 1.0
+        assert d.survival(0) == 1.0
 
     @given(dist_strategy(), st.floats(0.0, 1.0), st.integers(0, 1000))
     def test_survival_complement_identity(self, d, p, j):
         # complement + p*G == 1 up to one rounding unit
-        assert survival_complement(d, p, j) + p * tail(d, j) == pytest.approx(1.0, abs=1e-15)
+        assert _miss_prob(d, p, j) + p * d.survival(j) == pytest.approx(1.0, abs=1e-15)
 
     def test_survival_complement_examples(self):
-        assert survival_complement(ParetoTail(4), 0.5, 8) == 0.75
-        assert survival_complement(Geometric(0.3), 0.0, 17) == 1.0
-        assert survival_complement(Constant(1), 1.0, 2) == 1.0
+        assert _miss_prob(ParetoTail(4), 0.5, 8) == 0.75
+        assert _miss_prob(Geometric(0.3), 0.0, 17) == 1.0
+        assert _miss_prob(Constant(1), 1.0, 2) == 1.0
 
     def test_vectorized_matches_scalar(self):
         js = np.arange(0, 50)
@@ -93,64 +88,68 @@ class TestTail:
 
 class TestFunctionals:
     def test_values(self):
-        assert tail_functionals(ParetoTail(4)) == tail_functionals(ParetoTail(4))
-        f = tail_functionals(ParetoTail(4))
+        assert ParetoTail(4).functionals() == ParetoTail(4).functionals()
+        f = ParetoTail(4).functionals()
         assert (f.liminf_jg, f.limsup_jg) == (4, 4)
-        f = tail_functionals(Geometric(0.5))
+        f = Geometric(0.5).functionals()
         assert (f.liminf_jg, f.limsup_jg) == (0, 0)
-        f = tail_functionals(PowerTail(0.5))
+        f = PowerTail(0.5).functionals()
         assert f.liminf_jg == math.inf and f.limsup_jg == math.inf
-        f = tail_functionals(PowerTail(1.5))
+        f = PowerTail(1.5).functionals()
         assert (f.liminf_jg, f.limsup_jg) == (0, 0)
-        f = tail_functionals(Constant(9))
+        f = Constant(9).functionals()
         assert (f.liminf_jg, f.limsup_jg) == (0, 0)
 
     def test_truncated_rejected(self):
         with pytest.raises(TruncatedLawError):
-            tail_functionals(Truncated(ParetoTail(4), 100))
+            Truncated(ParetoTail(4), 100).functionals()
 
     def test_pareto_numeric_probe(self):
         d = ParetoTail(4)
         for j in range(4, 4000, 37):
-            assert abs(j * tail(d, j) - 4.0) < 1e-12
+            assert abs(j * d.survival(j) - 4.0) < 1e-12
 
     @given(dist_strategy())
     def test_liminf_le_limsup(self, d):
         if isinstance(d, Truncated):
             return
-        f = tail_functionals(d)
+        f = d.functionals()
         assert f.liminf_jg <= f.limsup_jg
 
 
 class TestMoments:
     def test_examples(self):
-        assert moment_finite(PowerTail(1.5), 1) is True
-        assert moment_finite(PowerTail(1.5), 2) is False
-        assert moment_finite(Geometric(0.9), 5) is True
-        assert moment_finite(ParetoTail(100.0), 1) is False
-        assert moment_finite(Constant(3), 4) is True
-        assert moment_finite(Truncated(PowerTail(0.5), 10), 3) is True
+        assert PowerTail(1.5).moment_finite(1) is True
+        assert PowerTail(1.5).moment_finite(2) is False
+        assert PowerTail(2.0).moment_finite(2) is False
+        assert Geometric(0.9).moment_finite(5) is True
+        assert ParetoTail(100.0).moment_finite(1) is False
+        assert Constant(3).moment_finite(4) is True
+        assert Truncated(PowerTail(0.5), 10).moment_finite(3) is True
 
     def test_d_must_be_positive(self):
-        with pytest.raises(ValueError):
-            moment_finite(Geometric(0.5), 0)
+        for d in [ParetoTail(4), PowerTail(1.5), Geometric(0.5), Constant(3),
+                  Truncated(PowerTail(0.5), 10)]:
+            with pytest.raises(ValueError):
+                d.moment_finite(0)
 
 
 class TestSampler:
     def test_constant_degenerate(self):
         rng = make_rng(0)
-        assert all(sample_radius(Constant(3), rng) == 3 for _ in range(20))
+        assert all(Constant(3).quantile_from_uniform(1.0 - rng.random(1))[0] == 3
+                   for _ in range(20))
 
     def test_truncation_bound(self):
         rng = make_rng(1)
-        draws = sample_radii(Truncated(PowerTail(0.5), 10**6), rng, 10_000)
+        draws = Truncated(PowerTail(0.5), 10**6).quantile_from_uniform(1.0 - rng.random(10_000))
         assert draws.max() <= 10**6
 
     def test_geometric_empirical_survival(self):
         # survival at j=3 is 0.125; check a binomial CI of 3 standard errors
         n = 10**6
         rng = make_rng(2)
-        draws = sample_radii(Geometric(0.5), rng, n)
+        draws = Geometric(0.5).quantile_from_uniform(1.0 - rng.random(n))
         phat = np.count_nonzero(draws >= 3) / n
         se = math.sqrt(0.125 * 0.875 / n)
         assert abs(phat - 0.125) <= 3 * se
@@ -174,15 +173,15 @@ class TestSampler:
         d = Truncated(Geometric(0.5), 6)
         n = 10**5
         rng = make_rng(3)
-        draws = sample_radii(d, rng, n)
+        draws = d.quantile_from_uniform(1.0 - rng.random(n))
         observed = np.bincount(draws, minlength=7)
-        expected = np.array([(tail(d, j) - tail(d, j + 1)) * n for j in range(7)])
+        expected = np.array([(d.survival(j) - d.survival(j + 1)) * n for j in range(7)])
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 < 16.812  # chi-square 0.99 quantile, 6 degrees of freedom
 
     def test_stream_advances_deterministically(self):
-        a = sample_radii(ParetoTail(4), make_rng(5), 1000)
-        b = sample_radii(ParetoTail(4), make_rng(5), 1000)
+        a = ParetoTail(4).quantile_from_uniform(1.0 - make_rng(5).random(1000))
+        b = ParetoTail(4).quantile_from_uniform(1.0 - make_rng(5).random(1000))
         np.testing.assert_array_equal(a, b)
 
 
