@@ -301,7 +301,7 @@ def run_scan(spec: ExperimentSpec):
         base = cont.ContinuumConfig(
             spec.dim, spec.lambda_grid[0], spec.window_t, law, spec.k, spec.seed, spec.resolution
         )
-        for summary in cont.scan_lambda(base, list(spec.lambda_grid), spec.trials):
+        for summary in cont.scan_lambda(base, list(spec.lambda_grid), spec.trials, spec.workers):
             rows.append(clean_row([summary.lam, summary.mean, summary.ci_low, summary.ci_high]))
         return rows, clamp, EXIT_OK
 
@@ -342,8 +342,10 @@ def run_continuum(spec: ExperimentSpec):
     base = cont.ContinuumConfig(
         spec.dim, spec.lam, spec.window_t, law, spec.k, spec.seed, spec.resolution
     )
+    [results] = lattice.run_trials(cont.trial_statistic, [(base, (), ())], spec.trials,
+                                   spec.workers)
     rows = []
-    for t, (stat, witness) in enumerate(cont.run_trials(base, spec.trials)):
+    for t, (stat, witness) in enumerate(results):
         if spec.dim == 2 and witness is not None:
             witness = f"{witness[0]:g}:{witness[1]:g}"
         rows.append(clean_row([t, stat, witness]))

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from rumourlab.distributions import ConstCont, ParetoCont, PowerCont
-from rumourlab.lattice import box_counts
-from rumourlab.stats import mean_interval, mix64, make_rng
+from rumourlab.lattice import box_counts, run_trials
+from rumourlab.stats import mean_interval, make_rng
 
 _MAX_PIXELS = 2**31
 # expected points per trial (the lattice cell cap), checked before sampling;
@@ -52,9 +52,10 @@ class ContinuumConfig:
         if points > _MAX_POINTS:
             raise ValueError(f"lambda * T^d = {points:g} expected points (> {_MAX_POINTS})")
         if self.dimension == 2:
-            pixels = math.ceil(self.window_t / self.resolution) ** 2
-            if pixels > _MAX_PIXELS:
-                raise ValueError(f"pixel grid has {pixels} cells (> {_MAX_PIXELS})")
+            # ceil(side)^2 <= 2^31 pixels; ceil would raise on an inf side, a 0 side has none
+            side, most = self.window_t / self.resolution, math.isqrt(_MAX_PIXELS)
+            if not 0 < side <= most:
+                raise ValueError(f"T / resolution = {side:g} pixels per axis (want (0, {most}])")
 
 
 @dataclass
@@ -159,28 +160,22 @@ def trial_statistic(config: ContinuumConfig) -> tuple[float, object]:
     return k_cover_deficit_2d(points, config.k, config.window_t, config.resolution)
 
 
-def run_trials(config: ContinuumConfig, trials: int, *key: int) -> list:
-    """trial_statistic of `trials` realizations seeded mix64(config.seed, *key, t)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return [trial_statistic(replace(config, seed=mix64(config.seed, *key, t)))
-            for t in range(trials)]
-
-
-def scan_lambda(config: ContinuumConfig, lambdas, trials: int) -> list[LambdaSummary]:
+def scan_lambda(config: ContinuumConfig, lambdas, trials: int,
+                workers: int = 1) -> list[LambdaSummary]:
     """Per-intensity deficiency summaries for bracketing the covered phase.
 
     Trials use seeds mix64(seed, grid index, trial); draws are independent
-    across intensities, so monotonicity holds in expectation only.
+    across intensities, so monotonicity holds in expectation only.  All
+    intensities share one pool of up to `workers` processes.
     """
     lambdas = list(lambdas)
     if any(l2 < l1 for l1, l2 in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be sorted ascending")
-    if lambdas:
-        replace(config, lam=lambdas[-1])  # validates the largest intensity before any trial
+    # every intensity is validated here, before any trial
+    jobs = [(replace(config, lam=lam), (li,), ()) for li, lam in enumerate(lambdas)]
     out = []
-    for li, lam in enumerate(lambdas):
-        vals = np.array([stat for stat, _ in run_trials(replace(config, lam=lam), trials, li)])
+    for lam, results in zip(lambdas, run_trials(trial_statistic, jobs, trials, workers)):
+        vals = np.array([stat for stat, _ in results])
         mean, lo, hi = mean_interval(vals)
         out.append(LambdaSummary(lam, trials, mean, lo, hi, vals))
     return out

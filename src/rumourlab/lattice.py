@@ -16,13 +16,15 @@ prefix sums in place turn it into per-cell counts, so the cost is
 O(window + boxes) regardless of the radii.  Firework counts, the reverse
 membership marks (1D and 2D) and the continuum's 2D pixel counts all use it.
 
-The trial engine (estimate_under_coverage, simulate_window) builds each
-trial's field with _trial_field.  A reverse-2D trial streams: it draws the
-same uniforms in the same order as realize, writes each chunk's open bits
-straight into the int32 prefix grid, and computes radii only for open sites
-that can reach the reported window or clamp.  Its memory is ~4 bytes per
-extent cell (the prefix grid) plus fixed chunk buffers, and its field is
-bit-identical to reverse_membership(realize(config), config.k).
+One trial engine, run_trials, seeds, chunks and pools the trials of the
+lattice (estimate_under_coverage, simulate_window) and of the continuum
+(scan_lambda, the continuum command).  Lattice trials build their field
+with _trial_field.  A reverse-2D trial streams: it draws the same uniforms
+in the same order as realize, writes each chunk's open bits straight into
+the int32 prefix grid, and computes radii only for open sites that can
+reach the reported window or clamp.  Its memory is ~4 bytes per extent cell
+(the prefix grid) plus fixed chunk buffers, and its field is bit-identical
+to reverse_membership(realize(config), config.k).
 """
 
 from __future__ import annotations
@@ -537,10 +539,6 @@ def _site_indices(config: LatticeConfig, sites) -> tuple:
     return (np.array(r, dtype=np.int64), np.array(c, dtype=np.int64))
 
 
-def _trial_config(config: LatticeConfig, t: int) -> LatticeConfig:
-    return replace(config, seed=mix64(config.seed, t))
-
-
 def _trial_field(config: LatticeConfig) -> CoverageField:
     """Coverage field of one trial; reverse-2D trials stream instead of realizing."""
     if config.model == REVERSE and config.dimension == 2:
@@ -548,50 +546,57 @@ def _trial_field(config: LatticeConfig) -> CoverageField:
     return coverage_field(realize(config))
 
 
-def _trial_chunk(config: LatticeConfig, sites, window: bool, t0: int, t1: int):
-    """Trials t0..t1-1, one field each: per-site under counts and, if window,
-    the per-trial window fractions and last-normalized values plus clamps."""
-    idx = _site_indices(config, sites)
-    under = np.zeros(len(sites), dtype=np.int64)
-    size = t1 - t0 if window else 0
-    fractions = np.empty(size, dtype=np.float64)
-    lasts = np.empty(size, dtype=np.float64)
-    clamp = 0
-    for t in range(t0, t1):
-        fld = _trial_field(_trial_config(config, t))
-        mask = fld.under_mask(config.k)
-        if sites:
-            under += mask[idx]
-        if not window:
-            continue
-        fractions[t - t0] = mask.mean()
-        # a membership field's under_mask ignores k, so mask serves k=1 too
-        last = last_under_covered(fld, 1 if fld.kind == "membership" else config.k, mask)
-        if fld.dimension == 1:
-            # None = fully covered; otherwise scale the witness site into (0, 1]
-            lasts[t - t0] = 0.0 if last is None else (last - fld.origin + 1) / fld.window
-        else:
-            # None = even the far corner fails (worst case)
-            lasts[t - t0] = 1.0 if last is None else (last - fld.origin) / fld.window
-        clamp += fld.clamp_count
-    return under, fractions, lasts, clamp
+def _trial_under(config: LatticeConfig, idx):
+    """One trial's under-covered bits at the site indices idx, as a one-field record."""
+    return (_trial_field(config).under_mask(config.k)[idx],)
 
 
-def _chunk_ranges(trials: int, workers: int):
-    per = math.ceil(trials / max(1, workers))
-    return [(t0, min(trials, t0 + per)) for t0 in range(0, trials, per)]
+def _trial_summary(config: LatticeConfig, idx):
+    """One trial's site bits, window fraction, normalized last under-covered site and clamps."""
+    fld = _trial_field(config)
+    mask = fld.under_mask(config.k)
+    # a membership field's under_mask ignores k, so mask serves k=1 too
+    last = last_under_covered(fld, 1 if fld.kind == "membership" else config.k, mask)
+    if fld.dimension == 1:
+        # None = fully covered; otherwise scale the witness site into (0, 1]
+        norm = 0.0 if last is None else (last - fld.origin + 1) / fld.window
+    else:
+        # None = even the far corner fails (worst case)
+        norm = 1.0 if last is None else (last - fld.origin) / fld.window
+    return mask[idx], mask.mean(), norm, fld.clamp_count
 
 
-def _run_chunks(fn, config, trials: int, workers: int, *extra):
-    ranges = _chunk_ranges(trials, workers)
-    # never more processes than chunks or usable CPUs, whatever was asked
-    workers = min(workers, len(ranges), len(os.sched_getaffinity(0)))
+def run_trials(fn, jobs, trials: int, workers: int, dtype=object) -> list[np.ndarray]:
+    """Per-trial results of fn for each job, as arrays of dtype in trial order.
+
+    A job is (config, key, extra); its trial t returns
+    fn(replace(config, seed=mix64(config.seed, *key, t)), *extra), so each
+    result depends on the job and t alone, not on chunking or workers.  Each
+    job's trials are cut into chunks, and the chunks of all jobs share one
+    fork pool of min(workers, chunks, usable CPUs) processes.  Results are
+    packed as they come: a numeric dtype keeps no Python object per trial.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    workers = max(1, min(workers, len(os.sched_getaffinity(0))))
+    per = math.ceil(trials / workers)
+    chunks = [(job, t0, min(trials, t0 + per)) for job in jobs for t0 in range(0, trials, per)]
+    workers = min(workers, len(chunks))
     if workers <= 1:
-        return [fn(config, *extra, t0, t1) for t0, t1 in ranges]
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        futures = [pool.submit(fn, config, *extra, t0, t1) for t0, t1 in ranges]
-        return [f.result() for f in futures]
+        parts = [_trial_range(fn, *chunk, dtype) for chunk in chunks]
+    else:
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            futures = [pool.submit(_trial_range, fn, *chunk, dtype) for chunk in chunks]
+            parts = [f.result() for f in futures]
+    flat = np.concatenate([np.empty(0, dtype), *parts])  # each job's trials, in order
+    return [flat[i:i + trials] for i in range(0, len(flat), trials)]
+
+
+def _trial_range(fn, job, t0: int, t1: int, dtype) -> np.ndarray:
+    config, key, extra = job
+    return np.fromiter((fn(replace(config, seed=mix64(config.seed, *key, t)), *extra)
+                        for t in range(t0, t1)), dtype, count=t1 - t0)
 
 
 def estimate_under_coverage(
@@ -605,12 +610,11 @@ def estimate_under_coverage(
     Trial t runs on seed mix64(config.seed, t), so the estimate is
     independent of chunking and worker count.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     sites = list(sites)
-    _site_indices(config, sites)  # validate before any work
-    parts = _run_chunks(_trial_chunk, config, trials, workers, sites, False)
-    return _site_estimates(sites, parts, trials)
+    idx = _site_indices(config, sites)  # validates before any work
+    dtype = [("bits", bool, (len(sites),))]
+    [results] = run_trials(_trial_under, [(config, (), (idx,))], trials, workers, dtype)
+    return _site_estimates(sites, results["bits"], trials)
 
 
 def simulate_window(
@@ -622,21 +626,19 @@ def simulate_window(
     estimate_under_coverage (in WindowStats.sites), so each trial's field is
     built once.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     site_list = [] if sites is None else list(sites)
-    _site_indices(config, site_list)  # validate before any work
-    parts = _run_chunks(_trial_chunk, config, trials, workers, site_list, True)
-    fractions = np.concatenate([p[1] for p in parts])
-    lasts = np.concatenate([p[2] for p in parts])
-    clamp = sum(p[3] for p in parts)
-    estimates = None if sites is None else _site_estimates(site_list, parts, trials)
-    return WindowStats(fractions, lasts, clamp, estimates)
+    idx = _site_indices(config, site_list)  # validates before any work
+    dtype = [("bits", bool, (len(site_list),)), ("fraction", np.float64),
+             ("last", np.float64), ("clamp", np.int64)]
+    [results] = run_trials(_trial_summary, [(config, (), (idx,))], trials, workers, dtype)
+    estimates = None if sites is None else _site_estimates(site_list, results["bits"], trials)
+    return WindowStats(results["fraction"], results["last"], int(results["clamp"].sum()),
+                       estimates)
 
 
-def _site_estimates(sites, parts, trials: int) -> list[SiteEstimate]:
-    """99% Wilson estimates from the per-site under counts of _trial_chunk parts."""
-    under = np.sum([p[0] for p in parts], axis=0)
+def _site_estimates(sites, bits, trials: int) -> list[SiteEstimate]:
+    """99% Wilson estimates from each trial's under-covered bits at the sites."""
+    under = np.count_nonzero(bits, axis=0)
     out = []
     for s, u in zip(sites, under.tolist()):
         lo, hi = wilson_interval(u, trials)

@@ -231,6 +231,17 @@ class TestWorkers:
         assert main(argv + ["--workers", workers, "--seed", "1"]) == 2
         assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
 
+    @pytest.mark.parametrize("argv, tasks", [
+        (["continuum", "--dist", "pareto:alpha=4", "--lambda", "1.0", "--T", "20",
+          "--trials", "4"], 2),
+        (["scan", "--dist", "pareto:alpha=4", "--lambda-grid", "0.5,1", "--T", "20",
+          "--trials", "4"], 4),
+    ])
+    def test_continuum_trials_share_one_pool(self, argv, tasks, inline_pools, monkeypatch):
+        monkeypatch.setattr(lattice.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(argv + ["--workers", "2", "--seed", "1"]) == 0
+        assert [(p.max_workers, p.tasks) for p in inline_pools] == [(2, tasks)]
+
 
 class TestOversizedContinuum:
     @pytest.mark.parametrize("argv", [
@@ -248,6 +259,24 @@ class TestOversizedContinuum:
         assert main(argv + ["--seed", "1"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "expected points" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["continuum", "--dim", "2", "--dist", "pareto:alpha=4", "--lambda", "1e-12",
+         "--T", "1e10", "--resolution", "1e-300", "--trials", "1"],
+        ["continuum", "--dim", "2", "--dist", "pareto:alpha=4", "--lambda", "1",
+         "--T", "10", "--resolution", "inf", "--trials", "1"],
+        ["scan", "--dim", "2", "--dist", "pareto:alpha=4", "--lambda-grid", "1",
+         "--T", "10", "--resolution", "inf"],
+    ])
+    def test_pixel_ratio_out_of_range(self, argv, capsys, monkeypatch):
+        # T / resolution overflowing to inf or falling to 0 is a usage error
+        def no_sampling(config):
+            raise AssertionError("sampled a request with no usable pixel grid")
+
+        monkeypatch.setattr(continuum, "sample_ppp", no_sampling)
+        assert main(argv + ["--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "pixels per axis" in err
 
 
 class TestGoldenBytes:
@@ -298,9 +327,17 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_scan_2d_bytes(self, name, tmp_path):
+        self.check(name, tmp_path, [])
+
+    # the continuum trials run on the shared trial engine: same bytes in a pool
+    @pytest.mark.parametrize("name", ["continuum_1d", "continuum_2d", "l1d", "l2d"])
+    def test_continuum_bytes_at_two_workers(self, name, tmp_path):
+        self.check(name, tmp_path, ["--workers", "2"])
+
+    def check(self, name, tmp_path, extra):
         args, digest = self.SPECS[name]
         base = tmp_path / name
-        assert main([*args, "--csv", "--json", "--out", str(base)]) == 0
+        assert main([*args, *extra, "--csv", "--json", "--out", str(base)]) == 0
         data = base.with_suffix(".csv").read_bytes() + base.with_suffix(".json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rumourlab import continuum
+from rumourlab import continuum, lattice
 from rumourlab.continuum import (
     ContinuumConfig,
     PointSet,
@@ -205,6 +205,19 @@ class TestScanLambda:
         out = scan_lambda(cfg(seed=9), [0.2, 0.5, 1.0], 4)
         assert [s.lam for s in out] == [0.2, 0.5, 1.0]
         assert all(s.values.size == 4 for s in out)
+
+    def test_one_pool_for_all_intensities(self, inline_pools, monkeypatch):
+        monkeypatch.setattr(lattice.os, "sched_getaffinity", lambda pid: {0, 1})
+        lambdas = [0.2, 0.5, 1.0]
+        want = scan_lambda(cfg(seed=9), lambdas, 4)
+        assert inline_pools == []
+        got = scan_lambda(cfg(seed=9), lambdas, 4, workers=2)
+        # two chunks per intensity, all in one pool of two
+        assert [(p.max_workers, p.tasks) for p in inline_pools] == [(2, 6)]
+        for a, b in zip(got, want, strict=True):
+            assert (a.lam, a.trials, a.mean, a.ci_low, a.ci_high) == (
+                b.lam, b.trials, b.mean, b.ci_low, b.ci_high)
+            np.testing.assert_array_equal(a.values, b.values)
 
     def test_requires_sorted(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
+import math
 from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rumourlab.lattice as lat
@@ -23,6 +24,7 @@ from rumourlab.lattice import (
     reverse_membership,
     simulate_window,
 )
+from rumourlab.stats import mix64
 
 C1 = Constant(1)
 GEO = Geometric(0.5)
@@ -385,44 +387,20 @@ class TestEstimate:
             (e.under_count, e.freq, e.ci_low, e.ci_high) for e in b
         ]
 
-    def test_workers_clamped_to_chunks_and_cpus(self, monkeypatch):
-        # a fake pool records max_workers and runs tasks inline: no process starts
-        seen = []
-
-        class InlineFuture:
-            def __init__(self, value):
-                self._value = value
-
-            def result(self):
-                return self._value
-
-        class InlinePool:
-            def __init__(self, max_workers, mp_context=None):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                return InlineFuture(fn(*args))
-
-        monkeypatch.setattr(lat, "ProcessPoolExecutor", InlinePool)
+    def test_workers_clamped_to_chunks_and_cpus(self, monkeypatch, inline_pools):
         monkeypatch.setattr(lat.os, "sched_getaffinity", lambda pid: set(range(4)))
         c = cfg(p=0.5, k=2, n=5, dist=C1, seed=123)
         want = estimate_under_coverage(c, [2, 4], 20, workers=1)
         for workers, trials, used in ((1000, 20, 4), (3, 20, 3), (1000, 2, 2)):
-            seen.clear()
+            inline_pools.clear()
             got = estimate_under_coverage(c, [2, 4], trials, workers=workers)
-            assert seen == [used]
+            assert [p.max_workers for p in inline_pools] == [used]
             if trials == 20:
                 assert got == want
         monkeypatch.setattr(lat.os, "sched_getaffinity", lambda pid: {0})
-        seen.clear()
+        inline_pools.clear()
         assert estimate_under_coverage(c, [2, 4], 20, workers=1000) == want
-        assert seen == []
+        assert inline_pools == []
 
     def test_doubling_trials_halves_width(self):
         c = cfg(p=0.5, k=2, n=5, dist=C1, seed=99)
@@ -454,6 +432,41 @@ class TestSimulateWindow:
         stats = simulate_window(c, 5)
         assert np.all(stats.fractions == 0.0)
         assert np.all(stats.last_normalized == 0.0)
+
+
+def seed_and_extra(config, *extra):
+    return config.seed, extra
+
+
+class TestRunTrials:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(trials=st.integers(1, 40), workers=st.integers(1, 8), cpus=st.integers(1, 4),
+           keys=st.lists(st.lists(st.integers(0, 2**64 - 1), max_size=2).map(tuple),
+                         max_size=3, unique=True))
+    @example(trials=7, workers=4, cpus=4, keys=[])
+    @example(trials=1, workers=8, cpus=4, keys=[()])
+    def test_equals_serial_loop_with_one_clamped_pool(self, inline_pools, trials, workers,
+                                                      cpus, keys):
+        inline_pools.clear()
+        jobs = [(cfg(seed=j), key, (j, "x")) for j, key in enumerate(keys)]
+        with patch.object(lat.os, "sched_getaffinity", lambda pid: set(range(cpus))):
+            got = lat.run_trials(seed_and_extra, jobs, trials, workers)
+        want = [[(mix64(c.seed, *key, t), extra) for t in range(trials)]
+                for c, key, extra in jobs]
+        assert [list(results) for results in got] == want
+        # each job's trials cut into chunks of ceil(trials / min(workers, cpus))
+        per = math.ceil(trials / min(workers, cpus))
+        chunks = len(jobs) * math.ceil(trials / per)
+        used = min(workers, cpus, chunks)
+        assert [(p.max_workers, p.tasks) for p in inline_pools] == (
+            [(used, chunks)] if used > 1 else [])
+
+    def test_trials_checked_once(self, inline_pools):
+        for jobs in ([], [(cfg(), (), ())]):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                lat.run_trials(seed_and_extra, jobs, 0, 2)
+        assert inline_pools == []
 
 
 # every law family, with power tails on both sides of the finite-mean line
