@@ -15,7 +15,7 @@ import time
 import rumourlab
 from rumourlab import continuum as cont
 from rumourlab import exact, lattice
-from rumourlab.distributions import DistParseError, parse_distribution
+from rumourlab.distributions import DistParseError, PowerTail, parse_distribution
 from rumourlab.reporting import (
     SCHEMA_COLUMNS,
     ExperimentResult,
@@ -253,17 +253,16 @@ def run_exact(spec: ExperimentSpec):
     return rows, 0, code
 
 
-def _lattice_config(spec: ExperimentSpec, p=None, dist_spec=None) -> lattice.LatticeConfig:
+def _lattice_config(spec: ExperimentSpec, p=None, law=None) -> lattice.LatticeConfig:
     if spec.n is None:
         raise CliError("this subcommand needs --n")
-    dist = parse_distribution(dist_spec if dist_spec is not None else spec.dist)
     return lattice.LatticeConfig(
         dimension=spec.dim,
         model=spec.model,
         p=spec.p if p is None else p,
         k=spec.k,
         n=spec.n,
-        dist=dist,
+        dist=parse_distribution(spec.dist) if law is None else law,
         seed=spec.seed,
         cushion=spec.cushion,
         include_initiators=spec.initiators,
@@ -306,14 +305,14 @@ def run_scan(spec: ExperimentSpec):
         return rows, clamp, EXIT_OK
 
     if spec.p_grid:
-        params = [(p, spec.dist) for p in spec.p_grid]
+        params = [(p, None) for p in spec.p_grid]
     else:
-        params = [(spec.p, f"power:beta={b:g}") for b in spec.beta_grid]
         if spec.p is None:
             raise CliError("a beta scan needs --p")
+        params = [(spec.p, PowerTail(b)) for b in spec.beta_grid]
 
-    for value, (p, dist_spec) in zip(spec.p_grid or spec.beta_grid, params):
-        config = _lattice_config(spec, p=p, dist_spec=dist_spec)
+    for value, (p, law) in zip(spec.p_grid or spec.beta_grid, params):
+        config = _lattice_config(spec, p=p, law=law)
         stats = lattice.simulate_window(config, spec.trials, spec.workers)
         clamp += stats.clamp_count
         # firework scans track the rightmost failure; reverse scans the

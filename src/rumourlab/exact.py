@@ -18,6 +18,12 @@ import numpy as np
 
 from rumourlab.distributions import TailDistribution, Truncated
 
+# series_diagnostics holds ~5 int64/float64 arrays over sites 0..i_max (the
+# displacements, G, the cover probabilities, the probabilities and the
+# partial sums); requests above _MAX_SERIES_BYTES are refused up front
+_SERIES_BYTES_PER_SITE = 40
+_MAX_SERIES_BYTES = 2**31
+
 
 class PaperFormulaDivisionError(ZeroDivisionError):
     """The printed 2D formula divides by 1 - p*G(t); it is undefined when p*G(t) = 1."""
@@ -330,6 +336,10 @@ def series_diagnostics(
         raise ValueError(f"p must lie in [0,1], got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    need = i_max * _SERIES_BYTES_PER_SITE
+    if need > _MAX_SERIES_BYTES:
+        raise ValueError(f"i_max = {i_max} needs ~{need} bytes of series arrays "
+                         f"(> {_MAX_SERIES_BYTES})")
 
     g = 1.0 - p * dist.survival_vec(np.arange(i_max, dtype=np.int64))
     c = 1.0 - g  # cover probability per displacement

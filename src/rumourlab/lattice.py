@@ -14,21 +14,27 @@ All counting goes through one box-count kernel, box_counts: boxes put
 their 2^d signed corners on an int32 difference grid of (m+1)^d cells, and
 prefix sums in place turn it into per-cell counts, so the cost is
 O(window + boxes) regardless of the radii.  Firework counts, the reverse
-membership marks (1D and 2D) and the continuum's 2D pixel counts all use it.
+membership marks and the continuum's 2D pixel counts all use it.
+
+The reverse model has one body for 1D and 2D: chunk by chunk, the open
+bits fill an int32 prefix grid over sites [-1..m]^d, each source's block
+count is the signed sum of that grid at the block's 2^d corners, and the
+qualifying blocks are marked through box_counts.
 
 One trial engine, run_trials, seeds, chunks and pools the trials of the
 lattice (estimate_under_coverage, simulate_window) and of the continuum
 (scan_lambda, the continuum command).  Lattice trials build their field
-with _trial_field.  A reverse-2D trial streams: it draws the same uniforms
-in the same order as realize, writes each chunk's open bits straight into
-the int32 prefix grid, and computes radii only for open sites that can
-reach the reported window or clamp.  Its memory is ~4 bytes per extent cell
-(the prefix grid) plus fixed chunk buffers, and its field is bit-identical
-to reverse_membership(realize(config), config.k).
+with _trial_field.  Only a reverse-2D trial streams: it draws the same
+uniforms in the same order as realize, writes each chunk's open bits
+straight into the prefix grid, and computes radii only for open sites that
+can reach the reported window or clamp.  Its memory is ~4 bytes per extent
+cell (the prefix grid) plus fixed chunk buffers, and its field is
+bit-identical to reverse_membership(realize(config), config.k).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -46,6 +52,10 @@ _CHUNK_CELLS = 1 << 22
 
 # addressable simulation size (cells)
 _MAX_CELLS = 2**31
+
+# largest result array run_trials packs for all jobs' trials (bytes),
+# checked before any trial runs
+_MAX_RESULT_BYTES = 2**31
 
 # widest 2D block whose axis-0 prefix sums one column-wise accumulate does
 # faster than a row-by-row add (2-vCPU Xeon: 4x at 257 wide, even at 801,
@@ -161,11 +171,6 @@ class CoverageField:
             return self.values == 0
         return self.values < k
 
-    def site_value(self, site) -> int:
-        if self.dimension == 1:
-            return int(self.values[site - self.origin])
-        return int(self.values[site[0] - self.origin, site[1] - self.origin])
-
 
 def realize(config: LatticeConfig) -> Realization:
     """Sample one realization; a pure function of (config, seed).
@@ -257,8 +262,8 @@ def _corners(lo, stop, w: int):
 
 
 def _add_down(block: np.ndarray) -> None:
-    """Prefix sums down the rows of a 2D block, in place."""
-    if block.shape[1] <= _ACCUMULATE_MAX_WIDTH:
+    """Prefix sums down the rows of a 1D or 2D block, in place."""
+    if block.ndim == 1 or block.shape[1] <= _ACCUMULATE_MAX_WIDTH:
         np.add.accumulate(block, axis=0, out=block)
         return
     for i in range(1, block.shape[0]):
@@ -296,54 +301,30 @@ def reverse_membership(realization: Realization, k: int) -> CoverageField:
     i + [-radius_i, 0]^d together with at least k open sites other than i
     (initiators count as open).  k=0 degenerates to plain reverse
     coverage.  Sources beyond the cushioned window are missing, so the
-    indicator is a lower bound on the true region.
+    indicator is a lower bound on the true region.  One body serves 1D and
+    2D: the bitmap is read in the chunks of realize, whose rows fill the
+    prefix grid and whose sources reaching the window go to _membership.
     """
     cfg = realization.config
     if cfg.model != REVERSE:
         raise ValueError("reverse_membership needs a reverse-model realization")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    n, m = cfg.n, cfg.extent()
-
-    if cfg.dimension == 1:
-        sites = np.flatnonzero(realization.activation).astype(np.int64) + 1
-        radii = realization.radii
-        if realization.initiator_radii is not None:
-            sites = np.concatenate([np.array([-1, 0], dtype=np.int64), sites])
-            radii = np.concatenate([realization.initiator_radii, radii])
-        # prefix[a+2]: open sites in [-1..a]; each site s counts from index s+2 on
-        prefix = box_counts(m + 3, 1, [((sites + 2,), (np.full_like(sites, m + 3),))])
-        clamp = int(np.count_nonzero(sites - radii < -1))
-        lo = np.maximum(sites - radii, -1)
-        in_block = prefix[sites + 2] - prefix[lo + 1]
-        qualify = in_block - 1 >= k
-        # qualifying blocks clipped to the report window, empty ones dropped
-        mark_lo = np.maximum(lo[qualify], 0)
-        mark_stop = np.minimum(sites[qualify] + 1, n)
-        keep = mark_lo < mark_stop
-        marks = box_counts(n, 1, [((mark_lo[keep],), (mark_stop[keep],))])
-        values = (marks > 0).view(np.uint8)
-        return CoverageField("membership", 1, 0, n, values, clamp, threshold=k)
-
-    return _reverse_membership_2d(realization, k)
-
-
-def _reverse_membership_2d(realization: Realization, k: int) -> CoverageField:
-    cfg = realization.config
-    n, m = cfg.n, cfg.extent()
-    S = _prefix_grid_2d(m, realization.initiator_radii is not None)
+    n, m, d = cfg.n, cfg.extent(), cfg.dimension
+    S = _prefix_grid(m, d, realization.initiator_radii is not None)
 
     def sources():
         off = 0
-        for r0, r1 in _row_blocks(m, 2):
+        for r0, r1 in _row_blocks(m, d):
             act = realization.activation[r0:r1]
-            _prefix_rows_2d(S, r0, act)
-            rows0, cols0 = np.nonzero(act)
-            rad = realization.radii[off:off + rows0.size]
-            off += rows0.size
-            yield _reaching_2d(n, rows0 + (r0 + 1), cols0 + 1, rad)
+            _prefix_rows(S, r0, act)
+            x = [c + 1 for c in np.nonzero(act)]  # 1-based sites, rows from r0
+            x[0] += r0
+            rad = realization.radii[off:off + x[0].size]
+            off += x[0].size
+            yield _reaching(n, x, rad)
 
-    return _membership_2d(n, k, S, sources(), realization.initiator_radii)
+    return _membership(n, k, S, sources(), realization.initiator_radii)
 
 
 def _stream_reverse_2d(cfg: LatticeConfig) -> CoverageField:
@@ -360,14 +341,14 @@ def _stream_reverse_2d(cfg: LatticeConfig) -> CoverageField:
     """
     n, m, dist = cfg.n, cfg.extent(), cfg.dist
     initiator_radii = _initiator_radii(cfg)
-    S = _prefix_grid_2d(m, initiator_radii is not None)
+    S = _prefix_grid(m, 2, initiator_radii is not None)
     sites = np.arange(1, m + 1, dtype=np.int64)
     reach_g = _SURVIVAL_SLACK * dist.survival_vec(sites - n + 1)
     clamp_g = _SURVIVAL_SLACK * dist.survival_vec(sites + 2)
 
     def sources():
         for r0, act, u in _draws(cfg):
-            _prefix_rows_2d(S, r0, act)
+            _prefix_rows(S, r0, act)
             # u below a min of the two axis bounds or below a max of them,
             # compared per axis so no chunk-sized bound is built
             rows = slice(r0, r0 + act.shape[0])
@@ -379,80 +360,86 @@ def _stream_reverse_2d(cfg: LatticeConfig) -> CoverageField:
             cand &= act
             rows0, cols0 = np.nonzero(cand)
             rad = dist.quantile_from_uniform(u[rows0, cols0])
-            yield _reaching_2d(n, rows0 + (r0 + 1), cols0 + 1, rad)
+            yield _reaching(n, (rows0 + (r0 + 1), cols0 + 1), rad)
 
-    return _membership_2d(n, cfg.k, S, sources(), initiator_radii)
+    return _membership(n, cfg.k, S, sources(), initiator_radii)
 
 
-def _prefix_grid_2d(m: int, initiators: bool) -> np.ndarray:
-    """Open-site prefix grid over sites [-1..m]^2 with only the initiator rows set.
+def _prefix_grid(m: int, d: int, initiators: bool) -> np.ndarray:
+    """Open-site prefix grid over sites [-1..m]^d with only the initiator rows set.
 
-    S[a+2, b+2] will hold the number of open sites in [-1..a] x [-1..b];
-    _prefix_rows_2d fills the window rows in order.
+    S[a+2] (1D) or S[a+2, b+2] (2D) will hold the number of open sites in
+    [-1..a] or [-1..a] x [-1..b]; _prefix_rows fills the window rows in
+    order.  The initiators sit on the diagonal at (-1,..,-1) and (0,..,0) and
+    count from index 1 and 2 on every axis; only their rows 1 and 2 are set
+    here, and _prefix_rows adds them down into the window rows.
     """
-    S = np.zeros((m + 3, m + 3), dtype=np.int32)
+    S = np.zeros((m + 3,) * d, dtype=np.int32)
     if initiators:
-        S[1, 1:] = 1  # site (-1,-1)
-        S[2, 1] = 1
-        S[2, 2:] = 2  # and site (0,0)
+        for i in (1, 2):
+            S[(slice(i, 3),) + (slice(i, None),) * (d - 1)] += 1
     return S
 
 
-def _prefix_rows_2d(S: np.ndarray, r0: int, act: np.ndarray) -> None:
+def _prefix_rows(S: np.ndarray, r0: int, act: np.ndarray) -> None:
     """Fill the prefix rows of window rows r0.. (0-based) from their open bits.
 
     The rows above must be final and these rows still zero; cumulating down
     from the row above adds its prefix to these rows' own.
     """
     block = S[r0 + 2:r0 + 3 + act.shape[0]]
-    np.cumsum(act, axis=1, dtype=np.int32, out=block[1:, 3:])
+    own = block[(slice(1, None),) + (slice(3, None),) * (act.ndim - 1)]
+    own[...] = act
+    for axis in range(1, act.ndim):
+        np.add.accumulate(own, axis=axis, out=own)
     _add_down(block)
 
 
-def _reaching_2d(n: int, r, c, rad):
-    """(r, c, rad) of the sources whose blocks reach [0, n-1]^2, and the clamp count of all."""
-    clamp = int(np.count_nonzero(rad > np.minimum(r, c) + 1))
-    reach = rad >= np.maximum(r, c) - n + 1
-    return r[reach], c[reach], rad[reach], clamp
+def _reaching(n: int, x, rad):
+    """(x, rad) of the sources whose blocks reach [0, n-1]^d, and the clamp count of all.
 
-
-def _membership_2d(n: int, k: int, S: np.ndarray, sources, initiator_radii) -> CoverageField:
-    """Reverse k-sceptic indicator over [0, n-1]^2.
-
-    sources yields (r, c, rad, clamp) chunks as _reaching_2d returns them,
-    in site coordinates; S must be final through row max(r) when a chunk is
-    yielded.  A source qualifies when its block [r-rad, r] x [c-rad, c]
-    holds at least k other open sites; the initiators count as sources.
+    x holds one array of site coordinates per axis.
     """
+    clamp = int(np.count_nonzero(rad > functools.reduce(np.minimum, x) + 1))
+    reach = rad >= functools.reduce(np.maximum, x) - n + 1
+    return tuple(c[reach] for c in x), rad[reach], clamp
+
+
+def _membership(n: int, k: int, S: np.ndarray, sources, initiator_radii) -> CoverageField:
+    """Reverse k-sceptic indicator over [0, n-1]^d.
+
+    sources yields (x, rad, clamp) chunks as _reaching returns them, in
+    site coordinates; S must be final through row max(x[0]) when a chunk is
+    yielded.  A source qualifies when its block prod [x - rad, x] holds at
+    least k other open sites; the initiators count as sources.
+    """
+    d = S.ndim
     if initiator_radii is not None:
         sources = itertools.chain(
-            sources, [_reaching_2d(n, _INITIATOR_SITES, _INITIATOR_SITES, initiator_radii)]
+            sources, [_reaching(n, (_INITIATOR_SITES,) * d, initiator_radii)]
         )
+    flat = S.reshape(-1)
     clamp = 0
 
     def blocks():
         nonlocal clamp
-        for r, c, rad, chunk_clamp in sources:
+        for x, rad, chunk_clamp in sources:
             clamp += chunk_clamp
-            lo1 = np.maximum(r - rad, -1)
-            lo2 = np.maximum(c - rad, -1)
-            in_block = (
-                S[r + 2, c + 2].astype(np.int64)
-                - S[lo1 + 1, c + 2]
-                - S[r + 2, lo2 + 1]
-                + S[lo1 + 1, lo2 + 1]
-            )
+            lo = [np.maximum(c - rad, -1) for c in x]
+            # open sites in the block: the prefix grid's signed corner sum,
+            # with the top corner x+2 in _corners' lo slot and lo+1 in stop;
+            # int32 wraps in between, so the sum is exact as S's entries are
+            corners = _corners([c + 2 for c in x], [c + 1 for c in lo], S.shape[0])
+            in_block = sum(sign * flat[idx] for sign, idx in corners)
             qualify = in_block - 1 >= k
             # qualifying blocks clipped to the report window, empty ones dropped
-            a1 = np.maximum(lo1[qualify], 0)
-            a2 = np.maximum(lo2[qualify], 0)
-            s1 = np.minimum(r[qualify] + 1, n)
-            s2 = np.minimum(c[qualify] + 1, n)
-            keep = (a1 < s1) & (a2 < s2)
-            yield (a1[keep], a2[keep]), (s1[keep], s2[keep])
+            a = [np.maximum(c[qualify], 0) for c in lo]
+            s = [np.minimum(c[qualify] + 1, n) for c in x]
+            keep = functools.reduce(np.logical_and, map(np.less, a, s))
+            yield tuple(c[keep] for c in a), tuple(c[keep] for c in s)
 
-    values = (box_counts(n, 2, blocks()) > 0).view(np.uint8)
-    return CoverageField("membership", 2, 0, n, values, clamp, threshold=k)
+    values = (box_counts(n, d, blocks()) > 0).view(np.uint8)
+    return CoverageField("membership", d, 0, n, values, clamp, threshold=k)
 
 
 def coverage_field(realization: Realization) -> CoverageField:
@@ -520,23 +507,18 @@ class WindowStats:
 
 
 def _site_indices(config: LatticeConfig, sites) -> tuple:
+    """Per-axis index arrays of the sites into the reported window, validated."""
     origin = config.report_origin()
     hi = origin + config.n - 1
-    if config.dimension == 1:
-        idx = []
-        for s in sites:
-            if not origin <= s <= hi:
-                raise ValueError(f"site {s} outside reported window [{origin}, {hi}]")
-            idx.append(s - origin)
-        return (np.array(idx, dtype=np.int64),)
-    r, c = [], []
+    d = config.dimension
+    idx = []
     for s in sites:
-        s1, s2 = s
-        if not (origin <= s1 <= hi and origin <= s2 <= hi):
-            raise ValueError(f"site {s} outside reported window [{origin}, {hi}]^2")
-        r.append(s1 - origin)
-        c.append(s2 - origin)
-    return (np.array(r, dtype=np.int64), np.array(c, dtype=np.int64))
+        coords = (s,) if d == 1 else tuple(s)
+        if not all(origin <= c <= hi for c in coords):
+            power = "" if d == 1 else f"^{d}"
+            raise ValueError(f"site {s} outside reported window [{origin}, {hi}]{power}")
+        idx.append([c - origin for c in coords])
+    return tuple(np.array(idx, dtype=np.int64).reshape(-1, d).T)
 
 
 def _trial_field(config: LatticeConfig) -> CoverageField:
@@ -578,6 +560,11 @@ def run_trials(fn, jobs, trials: int, workers: int, dtype=object) -> list[np.nda
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    dtype = np.dtype(dtype)
+    need = len(jobs) * trials * dtype.itemsize
+    if need > _MAX_RESULT_BYTES:
+        raise ValueError(f"{len(jobs)} x {trials} trials need {need} bytes of results "
+                         f"(> {_MAX_RESULT_BYTES})")
     workers = max(1, min(workers, len(os.sched_getaffinity(0))))
     per = math.ceil(trials / workers)
     chunks = [(job, t0, min(trials, t0 + per)) for job in jobs for t0 in range(0, trials, per)]

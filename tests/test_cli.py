@@ -2,11 +2,12 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from rumourlab import continuum, exact, lattice
 from rumourlab.cli import main, run_diagnose
-from rumourlab.distributions import parse_distribution
+from rumourlab.distributions import ParetoTail, PowerTail, parse_distribution
 from rumourlab.reporting import (
     ExperimentResult,
     ExperimentSpec,
@@ -133,6 +134,23 @@ class TestScan:
         assert stats["1.5"] > 0.1
         assert stats["2.5"] > 0.1
 
+    def test_beta_grid_runs_the_printed_betas(self, capsys, monkeypatch):
+        # betas with more than 6 significant digits reach the law unrounded
+        betas = [0.5, 1.23456789, 2.000000001]
+        configs = []
+
+        def record(config, trials, workers=1, sites=None):
+            configs.append(config)
+            return lattice.WindowStats(np.zeros(trials), np.zeros(trials), 0)
+
+        monkeypatch.setattr(lattice, "simulate_window", record)
+        code = main(["scan", "--model", "reverse", "--beta-grid", ",".join(map(repr, betas)),
+                     "--p", "0.5", "--n", "10", "--trials", "2", "--seed", "1"])
+        assert code == 0
+        assert [c.dist for c in configs] == [PowerTail(b) for b in betas]
+        params = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert params == [repr(b) for b in betas]
+
     def test_lambda_grid(self, capsys):
         code = main(["scan", "--dim", "1", "--dist", "pareto:alpha=4", "--lambda-grid",
                      "0.1,2.0", "--T", "1000", "--k", "2", "--trials", "5", "--seed", "32"])
@@ -241,6 +259,29 @@ class TestWorkers:
         monkeypatch.setattr(lattice.os, "sched_getaffinity", lambda pid: {0, 1})
         assert main(argv + ["--workers", "2", "--seed", "1"]) == 0
         assert [(p.max_workers, p.tasks) for p in inline_pools] == [(2, tasks)]
+
+
+class TestOversizedRequests:
+    # each would allocate tebibytes; the byte checks refuse them first
+    def test_diagnose_imax(self, capsys, monkeypatch):
+        def no_series(self, j):
+            raise AssertionError("allocated the series arrays")
+
+        monkeypatch.setattr(ParetoTail, "survival_vec", no_series)
+        assert main(["diagnose", "--dist", "pareto:alpha=4", "--p", "0.5",
+                     "--imax", "10000000000000", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "series arrays" in err
+
+    def test_simulate_trials(self, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("allocated the trial results")
+
+        monkeypatch.setattr(lattice, "_trial_range", no_trials)
+        assert main(["simulate", "--dist", "const:r=1", "--p", "0.5", "--n", "3",
+                     "--trials", "1000000000000", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "bytes of results" in err
 
 
 class TestOversizedContinuum:

@@ -230,8 +230,9 @@ class TestReverseMembership:
         np.testing.assert_array_equal(reverse_membership(r, 2).values, [0, 0, 0])
 
     def test_k0_is_plain_coverage(self):
-        for seed in range(4):
-            r = realize(cfg(model=REVERSE, n=10, cushion=2, p=0.5, seed=seed))
+        for seed, initiators in ((0, False), (1, False), (2, False), (3, False), (4, True)):
+            r = realize(cfg(model=REVERSE, n=10, cushion=2, p=0.5, seed=seed,
+                            initiators=initiators))
             got = reverse_membership(r, 0).values
             np.testing.assert_array_equal(got, brute_reverse_membership(r, 0))
 
@@ -250,15 +251,19 @@ class TestReverseMembership:
             got = reverse_membership(r, k).values
             np.testing.assert_array_equal(got, brute_reverse_membership(r, k))
 
-    @pytest.mark.parametrize("chunk_cells", [1, 1 << 22])
-    def test_against_brute_force_row_by_row(self, monkeypatch, chunk_cells):
-        # width 0 sends every axis-0 prefix (the kernel's and the open-site
-        # prefix grid's, one row block at a time) down the row-by-row branch
+    @pytest.mark.parametrize("chunk_cells,dim", [
+        pytest.param(1, 2, id="1"), pytest.param(1 << 22, 2, id="4194304"),
+        pytest.param(1, 1, id="1-dim1"), pytest.param(1 << 22, 1, id="4194304-dim1"),
+    ])
+    def test_against_brute_force_row_by_row(self, monkeypatch, chunk_cells, dim):
+        # width 0 sends every 2D axis-0 prefix (the kernel's and the open-site
+        # prefix grid's, one row block at a time) down the row-by-row branch;
+        # one chunk cell splits a 1D extent into one-site chunks
         monkeypatch.setattr(lat, "_ACCUMULATE_MAX_WIDTH", 0)
         monkeypatch.setattr(lat, "_CHUNK_CELLS", chunk_cells)
         for seed, initiators in ((6, False), (7, True)):
-            r = realize(cfg(model=REVERSE, dim=2, n=5, cushion=2, p=0.6, seed=seed,
-                            dist=GEO, initiators=initiators))
+            r = realize(cfg(model=REVERSE, dim=dim, n=5 if dim == 2 else 20, cushion=2,
+                            p=0.6, seed=seed, dist=GEO, initiators=initiators))
             for k in (1, 2):
                 want = brute_reverse_membership(r, k)
                 np.testing.assert_array_equal(reverse_membership(r, k).values, want)
@@ -369,10 +374,13 @@ class TestEstimate:
         assert est[0].freq == 1.0
 
     def test_site_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^site 7 outside reported window \[1, 6\]$"):
             estimate_under_coverage(cfg(n=6), [7], 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^site 6 outside reported window \[0, 5\]$"):
             estimate_under_coverage(cfg(model=REVERSE, n=6, cushion=2), [6], 10)
+        with pytest.raises(ValueError,
+                           match=r"^site \(2, 0\) outside reported window \[1, 6\]\^2$"):
+            estimate_under_coverage(cfg(dim=2, n=6), [(1, 1), (2, 0)], 10)
 
     def test_interval_covers_exact(self):
         c = cfg(p=0.5, k=2, n=5, dist=C1, seed=77)
