@@ -11,6 +11,7 @@ import os
 import secrets
 import sys
 import time
+from dataclasses import fields
 
 import rumourlab
 from rumourlab import continuum as cont
@@ -34,7 +35,6 @@ EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 
 DIVERGENCE_TOL = 1e-9
-METHODS = ("closedForm", "dp", "paperEq11", "oracle")
 
 
 class CliError(Exception):
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--sites", type=str, required=True)
-    sp.add_argument("--method", type=str, default="dp",
+    sp.add_argument("--method", dest="methods", metavar="METHOD", type=str, default="dp",
                     help="comma list from closedForm,dp,paperEq11,oracle")
     sp.add_argument("--initiators", action="store_true")
     sp.add_argument("--allow-paper-formula-divergence", action="store_true")
@@ -127,8 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dist", type=str, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--imin", type=int, default=1)
-    sp.add_argument("--imax", type=int, default=1000)
+    sp.add_argument("--imin", dest="i_min", metavar="IMIN", type=int, default=1)
+    sp.add_argument("--imax", dest="i_max", metavar="IMAX", type=int, default=1000)
     common(sp)
 
     sp = sub.add_parser("continuum", help="Poisson Boolean coverage trials at one intensity")
@@ -161,57 +161,20 @@ def _resolve_seed(args) -> int:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
+    """The spec holds every parsed flag it has a field for; the rest keep their defaults."""
     if args.workers < 1:
         raise CliError(f"--workers must be >= 1, got {args.workers}")
-    model = getattr(args, "model", "firework")
-    return ExperimentSpec(
-        subcommand=args.subcommand,
-        seed=_resolve_seed(args),
-        dim=getattr(args, "dim", 1),
-        model="reverseFirework" if model == "reverse" else model,
-        dist=getattr(args, "dist", None),
-        p=getattr(args, "p", None),
-        k=getattr(args, "k", 2),
-        n=getattr(args, "n", None),
-        cushion=getattr(args, "cushion", 10),
-        trials=getattr(args, "trials", 100),
-        sites=getattr(args, "sites", None),
-        workers=args.workers,
-        methods=tuple(getattr(args, "method", "dp").split(",")),
-        p_grid=_float_list(args.p_grid) if getattr(args, "p_grid", None) else None,
-        beta_grid=_float_list(args.beta_grid) if getattr(args, "beta_grid", None) else None,
-        lambda_grid=_float_list(args.lambda_grid) if getattr(args, "lambda_grid", None) else None,
-        i_min=getattr(args, "imin", 1),
-        i_max=getattr(args, "imax", 1000),
-        lam=getattr(args, "lam", None),
-        window_t=getattr(args, "window_t", None),
-        resolution=getattr(args, "resolution", 1.0),
-        initiators=getattr(args, "initiators", False),
-        allow_paper_formula_divergence=getattr(args, "allow_paper_formula_divergence", False),
-        strict=args.strict,
-    )
-
-
-def _exact_method_value(method: str, q: exact.ExactQuery) -> float:
-    if method == "dp":
-        if q.dimension == 1:
-            return exact.undercovered_prob_1d(q)
-        return exact.undercovered_prob_2d_exact(q)
-    if method == "closedForm":
-        if q.dimension == 1:
-            return exact.undercovered_prob_1d_closed_form(q)
-        if q.k == 1:
-            return exact.uncovered_prob_2d(q)
-        raise CliError("closedForm in 2D exists for k=1 only (use paperEq11 or dp)")
-    if method == "paperEq11":
-        return exact.undercovered_prob_2d_paper(q)
-    if method == "oracle":
-        if q.dimension == 1:
-            max_disp = q.site + 1 if q.include_initiators else q.site - 1
-        else:
-            max_disp = max(q.site) - 1
-        return exact.enumeration_oracle(q, max(0, max_disp))
-    raise CliError(f"unknown method {method!r} (want one of {','.join(METHODS)})")
+    parsed = vars(args)
+    values = {f.name: parsed[f.name] for f in fields(ExperimentSpec) if f.name in parsed}
+    values["seed"] = _resolve_seed(args)
+    if values.get("model") == "reverse":
+        values["model"] = "reverseFirework"
+    if "methods" in values:
+        values["methods"] = tuple(values["methods"].split(","))
+    for grid in ("p_grid", "beta_grid", "lambda_grid"):
+        if grid in values:
+            values[grid] = _float_list(values[grid]) if values[grid] else None
+    return ExperimentSpec(**values)
 
 
 def run_exact(spec: ExperimentSpec):
@@ -220,21 +183,19 @@ def run_exact(spec: ExperimentSpec):
     if not sites:
         raise CliError("exact needs at least one site")
     for m in spec.methods:
-        if m not in METHODS:
-            raise CliError(f"unknown method {m!r} (want one of {','.join(METHODS)})")
+        if m not in exact.METHODS:
+            raise CliError(f"unknown method {m!r} (want one of {','.join(exact.METHODS)})")
     rows = []
     divergences = []
     for site in sites:
         q = exact.ExactQuery(spec.dim, site, spec.p, spec.k, dist, spec.initiators)
-        reference = _exact_method_value("dp", q)
+        reference = exact.METHODS["dp"](q)
         for method in spec.methods:
-            value = reference if method == "dp" else _exact_method_value(method, q)
+            value = reference if method == "dp" else exact.METHODS[method](q)
             if abs(value - reference) > DIVERGENCE_TOL:
                 divergences.append((site, method, value, reference))
-            if spec.dim == 1:
-                rows.append(clean_row([site, spec.p, spec.k, value, method]))
-            else:
-                rows.append(clean_row([site[0], site[1], spec.p, spec.k, value, method]))
+            coords = (site,) if spec.dim == 1 else site
+            rows.append(clean_row([*coords, spec.p, spec.k, value, method]))
     for site, method, value, reference in divergences:
         print(
             f"divergence at site {site}: {method}={value!r} vs dp={reference!r} "
@@ -304,15 +265,15 @@ def run_scan(spec: ExperimentSpec):
             rows.append(clean_row([summary.lam, summary.mean, summary.ci_low, summary.ci_high]))
         return rows, clamp, EXIT_OK
 
+    # every point's config is checked before any point runs a trial
     if spec.p_grid:
-        params = [(p, None) for p in spec.p_grid]
+        configs = [_lattice_config(spec, p=p) for p in spec.p_grid]
     else:
         if spec.p is None:
             raise CliError("a beta scan needs --p")
-        params = [(spec.p, PowerTail(b)) for b in spec.beta_grid]
+        configs = [_lattice_config(spec, law=PowerTail(b)) for b in spec.beta_grid]
 
-    for value, (p, law) in zip(spec.p_grid or spec.beta_grid, params):
-        config = _lattice_config(spec, p=p, law=law)
+    for value, config in zip(spec.p_grid or spec.beta_grid, configs):
         stats = lattice.simulate_window(config, spec.trials, spec.workers)
         clamp += stats.clamp_count
         # firework scans track the rightmost failure; reverse scans the

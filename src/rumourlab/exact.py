@@ -1,16 +1,20 @@
 """Exact under-coverage probabilities and series diagnostics.
 
 A site is under-covered at threshold k when fewer than k distinct sources
-reach it.  In 1D the candidate sources for site i sit at displacements
-0..i-1 and each covers independently with probability p*G(t); in 2D the
-candidates for (i,j), i >= j, group into shells of equal max-coordinate
-displacement t with multiplicity 2t+1 (t < j) or j (j <= t < i).  All
-products are evaluated in log space with exact-zero short-circuiting, and
-sums of closed-form terms use compensated summation.
+reach it.  Every exact method reads one source model, `_shells`: in 1D the
+candidate sources for site i sit at displacements 0..i-1 and each covers
+independently with probability p*G(t); in 2D the candidates for (i,j),
+i >= j, group into shells of equal max-coordinate displacement t with
+multiplicity 2t+1 (t < j) or j (j <= t < i).  One log-space product with
+exact-zero short-circuiting gives the no-cover probability, one count DP
+the probability of fewer than k covers, and sums of closed-form terms use
+compensated summation.  `METHODS` maps each method name to its value of a
+query in either dimension.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,12 +24,15 @@ from rumourlab.distributions import TailDistribution, Truncated
 
 # series_diagnostics holds ~5 int64/float64 arrays over sites 0..i_max (the
 # displacements, G, the cover probabilities, the probabilities and the
-# partial sums); requests above _MAX_SERIES_BYTES are refused up front
+# partial sums); requests above _MAX_SERIES_BYTES are refused up front.  The
+# DP reads the cover probabilities as Python floats, ~32 more bytes per site.
 _SERIES_BYTES_PER_SITE = 40
 _MAX_SERIES_BYTES = 2**31
+# the count DP costs sources * list length updates; more are refused up front
+_MAX_DP_UPDATES = 2**31
 
 
-class PaperFormulaDivisionError(ZeroDivisionError):
+class PaperFormulaDivisionError(ZeroDivisionError, ValueError):
     """The printed 2D formula divides by 1 - p*G(t); it is undefined when p*G(t) = 1."""
 
 
@@ -73,14 +80,87 @@ def _miss_prob(dist: TailDistribution, p: float, t: int) -> float:
     return 1.0 - p * dist.survival(t)
 
 
-def _product_from_logs(factors: list[float]) -> float:
-    """Product of probabilities via summed logs; exact 0 when any factor is 0."""
+def shell_multiplicity_2d(i: int, j: int, t: int) -> int:
+    """Number of candidate sources for (i,j), i >= j >= 1, at max displacement t."""
+    if i < j or j < 1:
+        raise ValueError(f"need i >= j >= 1, got ({i}, {j})")
+    if t < 0:
+        return 0
+    if t <= j - 1:
+        return 2 * t + 1
+    if t <= i - 1:
+        return j
+    return 0
+
+
+def _shells(q: ExactQuery) -> list[tuple[float, int]]:
+    """(cover probability, multiplicity) of the candidate sources at each displacement t."""
+    if q.dimension == 1:
+        shells = [(q.p * q.dist.survival(t), 1) for t in range(q.site)]
+        if q.include_initiators:
+            # always-open sources at 0 and -1: displacements i and i+1
+            shells += [(q.dist.survival(q.site), 1), (q.dist.survival(q.site + 1), 1)]
+        return shells
+    i, j = sorted(q.site, reverse=True)
+    return [(q.p * q.dist.survival(t), shell_multiplicity_2d(i, j, t)) for t in range(i)]
+
+
+def _no_cover(shells) -> float:
+    """P(no source covers): prod (1-c)^m via summed logs; exactly 0 on a sure cover."""
     logs = []
-    for f in factors:
-        if f == 0.0:
+    for c, m in shells:
+        g = 1.0 - c
+        if g == 0.0:
             return 0.0
-        logs.append(math.log(f))
+        logs.append(m * math.log(g))
     return math.exp(math.fsum(logs))
+
+
+def _dp_width(sources: int, k: int) -> int:
+    """The count DP's list length: counts above `sources` stay exactly 0, so
+    capping k there changes no bit.  Refuses more than _MAX_DP_UPDATES updates."""
+    width = min(k, sources + 1)
+    if sources * width > _MAX_DP_UPDATES:
+        raise ValueError(f"the count DP over {sources} sources at k={k} needs "
+                         f"{sources * width} updates (> {_MAX_DP_UPDATES})")
+    return width
+
+
+def _count_dp(shells, width: int):
+    """Yield P(count = 0..width-1) before the first shell and after each one.
+
+    One list, updated in place per source; every entry stays a probability,
+    so the recursion is numerically stable.
+    """
+    dp = [1.0] + [0.0] * (width - 1)
+    downward = range(width - 1, 0, -1)
+    yield dp
+    for c, m in shells:
+        if not 0.0 <= c <= 1.0:
+            raise ValueError(f"probability out of range: {c}")
+        miss = 1.0 - c
+        for _ in range(m):
+            for idx in downward:
+                dp[idx] = dp[idx] * miss + dp[idx - 1] * c
+            dp[0] *= miss
+        yield dp
+
+
+def _fewer_than(shells, k: int) -> float:
+    """P(fewer than k of the shells' sources cover)."""
+    for dp in _count_dp(shells, _dp_width(sum(m for _, m in shells), k)):
+        pass
+    return math.fsum(dp)
+
+
+def poisson_binomial_fewer_than(probs, k: int) -> float:
+    """P(sum of independent Bernoulli(probs) < k), by the count DP.
+
+    O(n * min(k, n+1)) time and O(min(k, n+1)) space for n = len(probs).
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return _fewer_than([(c, 1) for c in probs], k)
 
 
 def uncovered_prob_1d(q: ExactQuery) -> float:
@@ -89,44 +169,14 @@ def uncovered_prob_1d(q: ExactQuery) -> float:
         raise ValueError("uncovered_prob_1d takes a 1D query with k=1")
     if q.include_initiators:
         raise ValueError("the closed-form product is defined without initiators")
-    i = q.site
-    return _product_from_logs([_miss_prob(q.dist, q.p, t) for t in range(i)])
-
-
-def poisson_binomial_fewer_than(probs, k: int) -> float:
-    """P(sum of independent Bernoulli(probs) < k), by the count DP.
-
-    O(len(probs) * k) time, O(k) space; every intermediate value is a
-    probability, so the recursion is numerically stable.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    dp = [0.0] * k
-    dp[0] = 1.0
-    for c in probs:
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(f"probability out of range: {c}")
-        for idx in range(k - 1, 0, -1):
-            dp[idx] = dp[idx] * (1.0 - c) + dp[idx - 1] * c
-        dp[0] *= 1.0 - c
-    return math.fsum(dp)
-
-
-def _cover_probs_1d(q: ExactQuery) -> list[float]:
-    i = q.site
-    probs = [q.p * q.dist.survival(t) for t in range(i)]
-    if q.include_initiators:
-        # always-open sources at 0 and -1: displacements i and i+1
-        probs.append(q.dist.survival(i))
-        probs.append(q.dist.survival(i + 1))
-    return probs
+    return _no_cover(_shells(q))
 
 
 def undercovered_prob_1d(q: ExactQuery) -> float:
     """P(site i is reached by fewer than k distinct sources)."""
     if q.dimension != 1:
         raise ValueError("undercovered_prob_1d takes a 1D query")
-    return poisson_binomial_fewer_than(_cover_probs_1d(q), q.k)
+    return _fewer_than(_shells(q), q.k)
 
 
 def undercovered_prob_1d_closed_form(q: ExactQuery) -> float:
@@ -146,8 +196,9 @@ def undercovered_prob_1d_closed_form(q: ExactQuery) -> float:
         raise ValueError(f"no closed form shipped for k={q.k}; use the DP")
     i, p, dist = q.site, q.p, q.dist
 
-    g = [_miss_prob(dist, p, t) for t in range(i)]
-    none_term = _product_from_logs(g)
+    shells = _shells(q)
+    g = [1.0 - c for c, _ in shells]
+    none_term = _no_cover(shells)
 
     # product over l = 1..i-1, tracked as (log sum of nonzeros, zero count)
     zeros = sum(1 for gl in g[1:] if gl == 0.0)
@@ -168,39 +219,11 @@ def undercovered_prob_1d_closed_form(q: ExactQuery) -> float:
     return none_term + zero_term + one_term
 
 
-def shell_multiplicity_2d(i: int, j: int, t: int) -> int:
-    """Number of candidate sources for (i,j), i >= j >= 1, at max displacement t."""
-    if i < j or j < 1:
-        raise ValueError(f"need i >= j >= 1, got ({i}, {j})")
-    if t < 0:
-        return 0
-    if t <= j - 1:
-        return 2 * t + 1
-    if t <= i - 1:
-        return j
-    return 0
-
-
-def _sorted_site(q: ExactQuery) -> tuple[int, int]:
-    i, j = q.site
-    return (i, j) if i >= j else (j, i)
-
-
 def uncovered_prob_2d(q: ExactQuery) -> float:
     """P((i,j) has no cover): shell product, symmetric in (i,j)."""
     if q.dimension != 2 or q.k != 1:
         raise ValueError("uncovered_prob_2d takes a 2D query with k=1")
-    i, j = _sorted_site(q)
-    logs = []
-    for t in range(i):
-        g = _miss_prob(q.dist, q.p, t)
-        mult = shell_multiplicity_2d(i, j, t)
-        if mult == 0:
-            continue
-        if g == 0.0:
-            return 0.0
-        logs.append(mult * math.log(g))
-    return math.exp(math.fsum(logs))
+    return _no_cover(_shells(q))
 
 
 def undercovered_prob_2d_paper(q: ExactQuery) -> float:
@@ -213,29 +236,23 @@ def undercovered_prob_2d_paper(q: ExactQuery) -> float:
     """
     if q.dimension != 2 or q.k != 2:
         raise ValueError("the printed formula is for 2D with k=2")
-    i, j = _sorted_site(q)
-    a = uncovered_prob_2d(ExactQuery(2, (i, j), q.p, 1, q.dist))
+    shells = _shells(q)
     ratios = []
-    for t in range(i):
-        g = _miss_prob(q.dist, q.p, t)
+    for t, (c, _) in enumerate(shells):
+        g = 1.0 - c
         if g == 0.0:
             raise PaperFormulaDivisionError(
                 f"g(t) = 1 - p*G(t) vanishes at t={t} (p*G(t)=1); the printed formula is undefined"
             )
         ratios.append(q.dist.survival(t) / g)
-    return a * (1.0 + q.p * math.fsum(ratios))
+    return _no_cover(shells) * (1.0 + q.p * math.fsum(ratios))
 
 
 def undercovered_prob_2d_exact(q: ExactQuery) -> float:
     """P((i,j) has fewer than k covers): count DP over the shell multiset."""
     if q.dimension != 2:
         raise ValueError("undercovered_prob_2d_exact takes a 2D query")
-    i, j = _sorted_site(q)
-    probs = []
-    for t in range(i):
-        c = q.p * q.dist.survival(t)
-        probs.extend([c] * shell_multiplicity_2d(i, j, t))
-    return poisson_binomial_fewer_than(probs, q.k)
+    return _fewer_than(_shells(q), q.k)
 
 
 def _candidate_sources(q: ExactQuery) -> list[tuple[float, int]]:
@@ -250,22 +267,25 @@ def _candidate_sources(q: ExactQuery) -> list[tuple[float, int]]:
     return [(q.p, max(i - a, j - b)) for a in range(1, i + 1) for b in range(1, j + 1)]
 
 
-def enumeration_oracle(q: ExactQuery, radius_cap: int) -> float:
+def enumeration_oracle(q: ExactQuery, radius_cap: int | None = None) -> float:
     """Ground truth by exhaustive enumeration of cover patterns.
 
-    Radii are truncated at radius_cap; per source, the radius assignments
-    collapse exactly into cover/miss with cover mass p * sum of the
-    truncated pmf over radii >= displacement (independence makes the full
-    radius-level sum factor through).  Every one of the 2^S cover patterns
+    Radii are truncated at radius_cap, by default the farthest candidate
+    displacement, where truncation loses nothing; per source, the radius
+    assignments collapse exactly into cover/miss with cover mass p * sum of
+    the truncated pmf over radii >= displacement (independence makes the
+    full radius-level sum factor through).  Every one of the 2^S cover patterns
     is then enumerated and its product probability accrued if the cover
     count stays below k.  Deliberately naive: no DP recursion, no log-space
     products, so it is an independent check of the closed forms.
     """
-    if radius_cap < 0:
-        raise ValueError("radius_cap must be nonnegative")
     sources = _candidate_sources(q)
     n = len(sources)
     max_disp = max((t for _, t in sources), default=0)
+    if radius_cap is None:
+        radius_cap = max_disp
+    if radius_cap < 0:
+        raise ValueError("radius_cap must be nonnegative")
     if q.dist.survival(radius_cap + 1) > 0.0 and radius_cap < max_disp:
         raise LossyTruncationError(
             f"cap {radius_cap} is below the farthest displacement {max_disp} while "
@@ -293,6 +313,22 @@ def enumeration_oracle(q: ExactQuery, radius_cap: int) -> float:
             prob *= cover[s] if (mask >> s) & 1 else 1.0 - cover[s]
         terms.append(prob)
     return math.fsum(terms)
+
+
+def _closed_form(q: ExactQuery) -> float:
+    if q.dimension == 1:
+        return undercovered_prob_1d_closed_form(q)
+    if q.k == 1:
+        return uncovered_prob_2d(q)
+    raise ValueError("closedForm in 2D exists for k=1 only (use paperEq11 or dp)")
+
+
+METHODS = {
+    "closedForm": _closed_form,
+    "dp": lambda q: _fewer_than(_shells(q), q.k),
+    "paperEq11": undercovered_prob_2d_paper,
+    "oracle": enumeration_oracle,
+}
 
 
 @dataclass
@@ -328,7 +364,7 @@ def series_diagnostics(
     """Under-coverage probabilities for sites i_min..i_max plus growth summaries.
 
     Streams the count DP across sites (site i+1 sees one more candidate
-    source than site i), so the whole range costs O(i_max * k).
+    source than site i), so the whole range costs O(i_max * min(k, i_max)).
     """
     if not (1 <= i_min < i_max):
         raise ValueError(f"need 1 <= i_min < i_max, got [{i_min}, {i_max}]")
@@ -340,22 +376,17 @@ def series_diagnostics(
     if need > _MAX_SERIES_BYTES:
         raise ValueError(f"i_max = {i_max} needs ~{need} bytes of series arrays "
                          f"(> {_MAX_SERIES_BYTES})")
+    width = _dp_width(i_max, k)
 
     g = 1.0 - p * dist.survival_vec(np.arange(i_max, dtype=np.int64))
-    c = 1.0 - g  # cover probability per displacement
+    covers = (1.0 - g).tolist()  # cover probability per displacement
 
-    dp = [0.0] * k
-    dp[0] = 1.0
     probs = np.empty(i_max - i_min + 1, dtype=np.float64)
     sums = np.empty_like(probs)
     running = 0.0
     comp = 0.0  # Kahan correction
-    for l in range(i_max):
-        cl = c[l]
-        for idx in range(k - 1, 0, -1):
-            dp[idx] = dp[idx] * (1.0 - cl) + dp[idx - 1] * cl
-        dp[0] *= 1.0 - cl
-        i = l + 1
+    # after i sources the DP holds site i's count distribution
+    for i, dp in enumerate(_count_dp(zip(covers, itertools.repeat(1)), width)):
         if i < i_min:
             continue
         val = math.fsum(dp)

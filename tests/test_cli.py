@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rumourlab import continuum, exact, lattice
 from rumourlab.cli import main, run_diagnose
@@ -70,6 +74,23 @@ class TestExact:
         code = main(["exact", "--dim", "1", "--dist", "const:r=1", "--p", "0.5",
                      "--k", "1", "--sites", "40", "--method", "oracle", "--seed", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--allow-paper-formula-divergence"]])
+    @pytest.mark.parametrize("methods", ["paperEq11", "dp,paperEq11"])
+    def test_paper_formula_undefined_is_usage_error(self, methods, extra, capsys):
+        # p*G(0) = 1 makes the printed formula divide by zero
+        code = main(["exact", "--dim", "2", "--dist", "const:r=1", "--p", "1", "--k", "2",
+                     "--sites", "2,2", "--method", methods, *extra, "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: g(t) = 1 - p*G(t) vanishes at t=0 "
+                                           "(p*G(t)=1); the printed formula is undefined\n")
+
+    def test_closed_form_2d_needs_k1(self, capsys):
+        code = main(["exact", "--dim", "2", "--dist", "const:r=1", "--p", "0.5", "--k", "2",
+                     "--sites", "2,2", "--method", "closedForm", "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: closedForm in 2D exists for k=1 only "
+                                           "(use paperEq11 or dp)\n")
 
 
 class TestSimulate:
@@ -150,6 +171,18 @@ class TestScan:
         assert [c.dist for c in configs] == [PowerTail(b) for b in betas]
         params = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
         assert params == [repr(b) for b in betas]
+
+    @pytest.mark.parametrize("grid", [["--p-grid", "0.5,1.5"], ["--beta-grid", "1.5,-1"]])
+    def test_bad_grid_point_rejected_before_any_trial(self, grid, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("ran a grid point's trials")
+
+        monkeypatch.setattr(lattice, "simulate_window", no_trials)
+        code = main(["scan", *grid, "--dist", "const:r=1", "--p", "0.5", "--n", "10",
+                     "--trials", "3", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_lambda_grid(self, capsys):
         code = main(["scan", "--dim", "1", "--dist", "pareto:alpha=4", "--lambda-grid",
@@ -284,6 +317,41 @@ class TestOversizedRequests:
         assert err.count("\n") == 1 and err.startswith("error: ") and "bytes of results" in err
 
 
+class TestCountDPBound:
+    # sources * min(k, sources + 1) DP updates above 2^31 are refused before the DP runs
+    @pytest.mark.parametrize("argv, sources", [
+        (["exact", "--dim", "2", "--dist", "const:r=1", "--p", "0.5", "--k", "2",
+          "--sites", "40000,40000"], 1_600_000_000),
+        (["diagnose", "--dist", "pareto:alpha=4", "--p", "0.5", "--k", "100000",
+          "--imax", "300000"], 300_000),
+    ])
+    def test_refused_before_the_dp(self, argv, sources, capsys, monkeypatch):
+        def no_dp(*args):
+            raise AssertionError("entered the count DP")
+
+        monkeypatch.setattr(exact, "_count_dp", no_dp)
+        assert main(argv + ["--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: the count DP over {sources} ")
+
+    @pytest.mark.parametrize("argv, width", [
+        (["exact", "--dim", "1", "--dist", "const:r=2", "--p", "0.5", "--sites", "3"], 4),
+        (["diagnose", "--dist", "pareto:alpha=4", "--p", "0.5", "--imax", "1000"], 1001),
+    ])
+    def test_huge_k_allocates_no_k_long_list(self, argv, width, capsys, monkeypatch):
+        # the DP list is capped at sources + 1 entries, so --k 10^7 costs nothing extra
+        widths = []
+        count_dp = exact._count_dp
+
+        def record(shells, width):
+            widths.append(width)
+            return count_dp(shells, width)
+
+        monkeypatch.setattr(exact, "_count_dp", record)
+        assert main(argv + ["--k", "10000000", "--seed", "1"]) == 0
+        assert widths == [width]
+
+
 class TestOversizedContinuum:
     @pytest.mark.parametrize("argv", [
         ["continuum", "--dist", "pareto:alpha=1e-300", "--lambda", "1e9", "--T", "1e6"],
@@ -326,7 +394,8 @@ class TestGoldenBytes:
     # the row-by-row prefix and last_under_covered's row reductions, p2d_small
     # the other branches), the rest before the radius-law table and the one
     # continuum trial path (the criterion 10 specs, the 1D continuum with its
-    # float witness, and a 1D lambda scan)
+    # float witness, and a 1D lambda scan), the exact_* and diagnose_k* specs
+    # before the one shell list and count DP of the exact layer
     SPECS = {
         "p2d": (["scan", "--dim", "2", "--dist", "pareto:alpha=4", "--p-grid", "0.05,0.2",
                  "--n", "600", "--trials", "3", "--seed", "11"],
@@ -364,6 +433,47 @@ class TestGoldenBytes:
         "l1d": (["scan", "--dim", "1", "--dist", "pareto:alpha=4", "--lambda-grid", "0.1,0.5,2",
                  "--T", "500", "--k", "2", "--trials", "4", "--seed", "16"],
                 "c106766709b087dcb7313e96189bc115acf0a7629919604ea9df99edb3eea38b"),
+        "exact_2d_k1": (["exact", "--dim", "2", "--dist", "pareto:alpha=4", "--p", "0.3",
+                         "--k", "1", "--sites", "1,1;3,2;2,5", "--method", "dp,closedForm",
+                         "--seed", "20"],
+                        "0c319df79efde6ed38090feabbfd61151b339833a801927f4911d1e9e57b0cb5"),
+        "exact_2d_k2": (["exact", "--dim", "2", "--dist", "const:r=1", "--p", "0.5", "--k", "2",
+                         "--sites", "2,2;4,3", "--method", "dp,paperEq11",
+                         "--allow-paper-formula-divergence", "--seed", "21"],
+                        "4186dbc7d561803484e8f600318f29799f7a49ed0a102fcb932d37be9cfc3417"),
+        "exact_2d_oracle": (["exact", "--dim", "2", "--dist", "geom:q=0.5", "--p", "0.3",
+                             "--k", "2", "--sites", "2,2;3,1", "--method", "dp,oracle",
+                             "--seed", "22"],
+                            "a476fe36b8a4e537da24cf0e30aa75b9bb260eb7a900eacb0f1af1b94b01c3f2"),
+        "exact_initiators": (["exact", "--dim", "1", "--dist", "const:r=2", "--p", "0.3",
+                              "--k", "3", "--sites", "1,2,4", "--method", "dp,oracle",
+                              "--initiators", "--seed", "23"],
+                             "e3a9ad7d17a245958a969784b2c35d300ce00688976567c049cfbf882b3a4a5d"),
+        "exact_power": (["exact", "--dim", "1", "--dist", "power:beta=1.5", "--p", "0.6",
+                         "--k", "2", "--sites", "1,7,60", "--method", "dp,closedForm",
+                         "--seed", "24"],
+                        "540bf43f0641304e3e948fdab1e918e3864b5761af112d952fca5f9aaeb6a1f9"),
+        "exact_pareto": (["exact", "--dim", "1", "--dist", "pareto:alpha=3", "--p", "0.4",
+                          "--k", "3", "--sites", "2,9,200", "--seed", "25"],
+                         "41d17e565009e4a928bbfc31284404770efe76f3a57ae77205649577282b20af"),
+        "exact_geom": (["exact", "--dim", "1", "--dist", "geom:q=0.6", "--p", "0.7", "--k", "1",
+                        "--sites", "1,5,30", "--method", "dp,closedForm", "--seed", "26"],
+                       "fc4f7dca93079cc31624efc7f66c3a70cec226e0ea237ec098817893b9d3e76b"),
+        "exact_trunc": (["exact", "--dim", "2", "--dist", "trunc:pareto:alpha=2:cap=3",
+                         "--p", "0.5", "--k", "3", "--sites", "2,3;5,5", "--seed", "27"],
+                        "02f4354c628c1ab567edff193c3fb72c07c4498958956ba1b07ca404caa3b885"),
+        "exact_p0": (["exact", "--dim", "2", "--dist", "pareto:alpha=4", "--p", "0", "--k", "2",
+                      "--sites", "3,3", "--method", "dp,paperEq11", "--seed", "28"],
+                     "7440e65c17112c95eaf947009cbed1a033225de503760f1104c833f3d796160b"),
+        "exact_p1": (["exact", "--dim", "1", "--dist", "const:r=1", "--p", "1", "--k", "2",
+                      "--sites", "1,2,5", "--method", "dp,closedForm", "--seed", "29"],
+                     "a6a580b5f51fcf586fdb0f72e7ca23702bc723714a841c72d78785c16f253825"),
+        "diagnose_k1": (["diagnose", "--dist", "geom:q=0.5", "--p", "0.5", "--k", "1",
+                         "--imin", "3", "--imax", "400", "--seed", "30"],
+                        "005a3253ab0f011b5ba235f1ab128c9728d999d96ee12d1d43df3552459e97c5"),
+        "diagnose_k3": (["diagnose", "--dist", "power:beta=1.5", "--p", "0.4", "--k", "3",
+                         "--imin", "1", "--imax", "300", "--seed", "31"],
+                        "b4723d5aaea507b27bd7b1e02084f2862a4f65dcfb6fa467206e67c3c6fd269d"),
     }
 
     @pytest.mark.parametrize("name", sorted(SPECS))
@@ -459,3 +569,50 @@ class TestSpecRoundTrip:
         a = ExperimentResult(spec, "0.1.0", ["x"], [[1]], 0, wall_time_ms=5.0)
         b = ExperimentResult(spec, "0.1.0", ["x"], [[1]], 0, wall_time_ms=None)
         assert a == b
+
+
+_LAWS = ["const:r=1", "const:r=3", "pareto:alpha=4", "power:beta=1.5", "geom:q=0.5",
+         "trunc:pareto:alpha=2:cap=3", "trunc:geom:q=0.5:cap=2"]
+_P = st.one_of(st.sampled_from(["0", "0.3", "1"]), st.floats(-0.5, 1.5).map(repr))
+
+
+@st.composite
+def exact_argv(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    coords = st.integers(1, 12)
+    if dim == 1:
+        sites = ",".join(str(draw(coords)) for _ in range(draw(st.integers(1, 3))))
+    else:
+        sites = ";".join(f"{draw(coords)},{draw(coords)}" for _ in range(draw(st.integers(1, 3))))
+    methods = draw(st.lists(st.sampled_from(["closedForm", "dp", "paperEq11", "oracle"]),
+                            min_size=1, unique=True))
+    flags = draw(st.lists(st.sampled_from(["--initiators", "--allow-paper-formula-divergence"]),
+                          unique=True))
+    return ["exact", "--dim", str(dim), "--dist", draw(st.sampled_from(_LAWS)), "--p", draw(_P),
+            "--k", str(draw(st.integers(1, 5))), "--sites", sites, "--method", ",".join(methods),
+            *flags]
+
+
+@st.composite
+def diagnose_argv(draw):
+    i_max = draw(st.integers(1, 2000))
+    return ["diagnose", "--dist", draw(st.sampled_from(_LAWS)), "--p", draw(_P),
+            "--k", str(draw(st.integers(1, 5))), "--imin", str(draw(st.integers(1, i_max))),
+            "--imax", str(i_max)]
+
+
+class TestExactAndDiagnoseProperty:
+    """Any small exact or diagnose request ends in one of the documented exit codes,
+    with at most one error line and no traceback."""
+
+    @given(st.one_of(exact_argv(), diagnose_argv()))
+    @example(["exact", "--dim", "2", "--dist", "const:r=1", "--p", "1", "--k", "2",
+              "--sites", "2,2", "--method", "paperEq11"])
+    @settings(max_examples=300, deadline=None)
+    def test_exit_codes_and_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--seed", "1"])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("error:") <= 1

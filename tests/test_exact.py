@@ -56,6 +56,21 @@ class TestPoissonBinomial:
         assert got == pytest.approx(want, abs=1e-12)
 
 
+    @given(st.lists(st.floats(0.0, 1.0), max_size=12), st.integers(1, 20))
+    def test_capped_list_gives_the_same_bits(self, probs, k):
+        # the DP list stops at len(probs) + 1 entries; a k-long list gives the same bits
+        dp = [0.0] * k
+        dp[0] = 1.0
+        for c in probs:
+            for idx in range(k - 1, 0, -1):
+                dp[idx] = dp[idx] * (1.0 - c) + dp[idx - 1] * c
+            dp[0] *= 1.0 - c
+        assert poisson_binomial_fewer_than(probs, k) == math.fsum(dp)
+        if k > len(probs):
+            assert poisson_binomial_fewer_than(probs, k) == poisson_binomial_fewer_than(
+                probs, len(probs) + 1)
+
+
 class TestUncovered1D:
     def test_examples(self):
         assert uncovered_prob_1d(ExactQuery(1, 1, 0.5, 1, ParetoTail(4))) == 0.5
@@ -214,6 +229,14 @@ class TestOracle:
     def test_lossy_truncation_detected(self):
         with pytest.raises(LossyTruncationError):
             enumeration_oracle(ExactQuery(1, 6, 0.5, 1, Geometric(0.5)), 2)
+
+    @pytest.mark.parametrize("q, farthest", [
+        (ExactQuery(1, 4, 0.5, 2, Geometric(0.5)), 3),
+        (ExactQuery(1, 3, 0.5, 2, Geometric(0.5), include_initiators=True), 4),
+        (ExactQuery(2, (2, 3), 0.4, 2, Geometric(0.5)), 2),
+    ])
+    def test_default_cap_is_the_farthest_displacement(self, q, farthest):
+        assert enumeration_oracle(q) == enumeration_oracle(q, farthest)
 
     def test_truncation_harmless_when_cap_reaches(self):
         # geometric tails never vanish, but cap >= farthest displacement is lossless
