@@ -36,6 +36,13 @@ EXIT_IO = 4
 
 DIVERGENCE_TOL = 1e-9
 
+# a diagnose run peaks at ~740 bytes per site (ru_maxrss at --imax 1e5 and
+# 3e5 with --json): the series arrays, one row of Python scalars per site
+# and the rendered text; 800 leaves a margin, and larger runs are refused
+# before any work
+_DIAGNOSE_BYTES_PER_SITE = 800
+_MAX_DIAGNOSE_BYTES = 2**31
+
 
 class CliError(Exception):
     """Validation problem mapped to exit code 2."""
@@ -286,6 +293,10 @@ def run_scan(spec: ExperimentSpec):
 
 def run_diagnose(spec: ExperimentSpec):
     dist = parse_distribution(spec.dist)
+    need = spec.i_max * _DIAGNOSE_BYTES_PER_SITE
+    if need > _MAX_DIAGNOSE_BYTES:
+        raise CliError(f"--imax {spec.i_max} needs ~{need} bytes of series arrays, rows and "
+                       f"rendered text (> {_MAX_DIAGNOSE_BYTES})")
     diag = exact.series_diagnostics(spec.p, dist, spec.k, spec.i_min, spec.i_max)
     # clean_row in bulk: tolist() gives plain ints and floats; NaN (s != s) -> None
     growth = clean_value(diag.growth_ratio)

@@ -267,6 +267,15 @@ def _candidate_sources(q: ExactQuery) -> list[tuple[float, int]]:
     return [(q.p, max(i - a, j - b)) for a in range(1, i + 1) for b in range(1, j + 1)]
 
 
+def _source_extent(q: ExactQuery) -> tuple[int, int]:
+    """len(_candidate_sources(q)) and its farthest displacement, without the list."""
+    if q.dimension == 1:
+        if q.include_initiators:
+            return q.site + 2, q.site + 1
+        return q.site, q.site - 1
+    return q.site[0] * q.site[1], max(q.site) - 1
+
+
 def enumeration_oracle(q: ExactQuery, radius_cap: int | None = None) -> float:
     """Ground truth by exhaustive enumeration of cover patterns.
 
@@ -279,9 +288,8 @@ def enumeration_oracle(q: ExactQuery, radius_cap: int | None = None) -> float:
     count stays below k.  Deliberately naive: no DP recursion, no log-space
     products, so it is an independent check of the closed forms.
     """
-    sources = _candidate_sources(q)
-    n = len(sources)
-    max_disp = max((t for _, t in sources), default=0)
+    # checked before the source list is built, so an oversized query allocates nothing
+    n, max_disp = _source_extent(q)
     if radius_cap is None:
         radius_cap = max_disp
     if radius_cap < 0:
@@ -298,7 +306,7 @@ def enumeration_oracle(q: ExactQuery, radius_cap: int | None = None) -> float:
 
     trunc = Truncated(q.dist, radius_cap)
     cover = []
-    for act, t in sources:
+    for act, t in _candidate_sources(q):
         pmf_tail = math.fsum(
             trunc.survival(r) - trunc.survival(r + 1) for r in range(t, radius_cap + 1)
         )

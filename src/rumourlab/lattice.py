@@ -30,6 +30,16 @@ straight into the prefix grid, and computes radii only for open sites that
 can reach the reported window or clamp.  Its memory is ~4 bytes per extent
 cell (the prefix grid) plus fixed chunk buffers, and its field is
 bit-identical to reverse_membership(realize(config), config.k).
+
+Firework trials on windows of at most _BATCH_MAX_CELLS cells run in
+batches (_batch_summary): stats.uniforms draws the window streams of all
+the batch's trials at once, exactly the uniforms each trial's own
+make_rng generator gives, and one box_counts call with a leading trial
+axis counts every field, so each trial's summary is bit-identical to the
+one-trial path of _trial_summary, which larger windows and the reverse
+model keep.  NumPy's NEP 19 does not freeze its generator streams; the
+tests pin uniforms to Generator(PCG64(seed)) so that a NumPy release
+that changes them fails loudly.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ import multiprocessing
 import numpy as np
 
 from rumourlab.distributions import TailDistribution
-from rumourlab.stats import mix64, make_rng, wilson_interval
+from rumourlab.stats import mix64, make_rng, uniforms, wilson_interval
 
 # cells drawn per RNG chunk; fixed so the draw pattern is reproducible
 _CHUNK_CELLS = 1 << 22
@@ -62,8 +72,14 @@ _MAX_RESULT_BYTES = 2**31
 # 5x slower at 2001)
 _ACCUMULATE_MAX_WIDTH = 512
 
-# largest 2D mask where one np.nonzero beats row reductions (even near 40x40)
-_NONZERO_MAX_CELLS = 1024
+# firework windows of at most this many cells run their trials in batches;
+# a batched trial costs ~0.3x (2D) to ~0.6x (1D) of a one-at-a-time trial
+# at 256 cells, 1.1x at 512 cells in 1D and 1024 in 2D (2-vCPU Xeon)
+_BATCH_MAX_CELLS = 256
+
+# window cells (of all its trials) per batch; a batch peaks at ~120 bytes
+# per cell (tracemalloc), so its buffers stay near 1 MiB
+_BATCH_CELLS = 1 << 13
 
 # sub-stream tags hanging off the configured seed
 _STREAM_WINDOW = 1
@@ -227,47 +243,54 @@ def _initiator_radii(config: LatticeConfig):
     return config.dist.quantile_from_uniform(u)
 
 
-def box_counts(m: int, d: int, batches) -> np.ndarray:
+def box_counts(m: int, d: int, batches, trials: int | None = None) -> np.ndarray:
     """Per-cell counts over [0, m)^d of boxes prod [lo[axis], stop[axis]).
 
     batches yields (lo, stop), one index array per axis each, 0 <= lo <= stop
     <= m.  Boxes add their 2^d signed corners to the flat view of one int32
     grid of (m+1)^d cells (int32 signs keep np.add.at on its fast path);
     in-place prefix sums then leave the counts, exact below 2^31 per cell.
+    With trials, the grid gets a leading axis of that many trials' grids,
+    batches yield (lo, stop, trial) with each box's trial index, and the
+    prefix sums run along the window axes only, so no count crosses trials.
     """
-    grid = np.zeros((m + 1,) * d, dtype=np.int32)
+    lead = () if trials is None else (trials,)
+    grid = np.zeros(lead + (m + 1,) * d, dtype=np.int32)
     flat = grid.reshape(-1)
-    for lo, stop in batches:
-        for sign, idx in _corners(lo, stop, m + 1):
+    for lo, stop, *trial in batches:
+        # a trial index is one more leading coordinate of each corner
+        base = trial[0] * (m + 1) if trial else 0
+        for sign, idx in _corners(lo, stop, m + 1, base):
             np.add.at(flat, idx, sign)
     np.add.accumulate(grid, axis=-1, out=grid)
     if d == 2:
         _add_down(grid)
-    return grid[(slice(0, m),) * d]
+    return grid[(...,) + (slice(0, m),) * d]
 
 
-def _corners(lo, stop, w: int):
+def _corners(lo, stop, w: int, base=0):
     """(sign, flat index into a grid of side w) of the boxes' 2^d corners.
 
-    One corner at a time, so at most one index array per axis is alive.
+    base, if given, is the boxes' leading coordinate times w.  One corner at
+    a time, so at most one index array per axis is alive.
     """
     if len(lo) == 1:
-        yield np.int32(1), lo[0]
-        yield np.int32(-1), stop[0]
+        yield np.int32(1), base + lo[0]
+        yield np.int32(-1), base + stop[0]
         return
-    for sign, idx in _corners(lo[:-1], stop[:-1], w):
-        base = idx * w
-        yield sign, base + lo[-1]
-        yield -sign, base + stop[-1]
+    for sign, idx in _corners(lo[:-1], stop[:-1], w, base):
+        base_row = idx * w
+        yield sign, base_row + lo[-1]
+        yield -sign, base_row + stop[-1]
 
 
 def _add_down(block: np.ndarray) -> None:
-    """Prefix sums down the rows of a 1D or 2D block, in place."""
-    if block.ndim == 1 or block.shape[1] <= _ACCUMULATE_MAX_WIDTH:
-        np.add.accumulate(block, axis=0, out=block)
+    """Prefix sums down the rows (axis -2, or a 1D block's one axis), in place."""
+    if block.ndim == 1 or block.shape[-1] <= _ACCUMULATE_MAX_WIDTH:
+        np.add.accumulate(block, axis=max(0, block.ndim - 2), out=block)
         return
-    for i in range(1, block.shape[0]):
-        np.add(block[i - 1], block[i], out=block[i])
+    for i in range(1, block.shape[-2]):
+        np.add(block[..., i - 1, :], block[..., i, :], out=block[..., i, :])
 
 
 def firework_counts(realization: Realization) -> CoverageField:
@@ -279,19 +302,32 @@ def firework_counts(realization: Realization) -> CoverageField:
     starts = np.nonzero(realization.activation)  # 0-based: site - 1 per axis
     radii = realization.radii
     if realization.initiator_radii is not None:
-        # 1D sites -1 and 0 cover sites 1..site+r: blocks from index 0 with
-        # radius max(site+r, 0) - 1 (-1 for an empty one)
-        starts = (np.concatenate([starts[0], [0, 0]]),)
-        init_radii = np.maximum(_INITIATOR_SITES + realization.initiator_radii, 0) - 1
-        radii = np.concatenate([radii, init_radii])
+        starts, radii = _with_initiators(starts, radii, realization.initiator_radii)
+    stops, over = _firework_stops(n, starts, radii)
+    counts = box_counts(n, cfg.dimension, [(starts, stops)])
+    return CoverageField("counts", cfg.dimension, 1, n, counts, int(np.count_nonzero(over)))
+
+
+def _with_initiators(starts, radii, initiator_radii):
+    """1D starts and radii with the initiator blocks appended, a pair per row of initiator_radii.
+
+    Sites -1 and 0 cover sites 1..site+r: blocks from index 0 with radius
+    max(site+r, 0) - 1 (-1 for an empty one).
+    """
+    init = np.maximum(_INITIATOR_SITES + initiator_radii, 0).reshape(-1) - 1
+    return ((np.concatenate([starts[0], np.zeros(init.size, dtype=np.int64)]),),
+            np.concatenate([radii, init]))
+
+
+def _firework_stops(n: int, starts, radii):
+    """Per-axis block stops min(start + radius + 1, n), and which blocks were clamped."""
     stops = [x + radii + 1 for x in starts]
     over = stops[0] > n
     for stop in stops[1:]:
         over |= stop > n
     for stop in stops:
         np.minimum(stop, n, out=stop)
-    counts = box_counts(n, cfg.dimension, [(starts, stops)])
-    return CoverageField("counts", cfg.dimension, 1, n, counts, int(np.count_nonzero(over)))
+    return stops, over
 
 
 def reverse_membership(realization: Realization, k: int) -> CoverageField:
@@ -467,16 +503,12 @@ def last_under_covered(fld: CoverageField, k: int, mask: np.ndarray | None = Non
         if idx.size == 0:
             return None
         return int(fld.origin + idx[-1])
-    # worst = the largest min(row, col) over under-covered cells, -1 if none
-    if mask.size <= _NONZERO_MAX_CELLS:
-        rows, cols = np.nonzero(mask)
-        worst = int(np.minimum(rows, cols).max()) if rows.size else -1
-    else:
-        # each row's largest min(row, col) is at its last under-covered column
-        m = mask.shape[0]
-        last = (m - 1) - mask[:, ::-1].argmax(axis=1)
-        np.minimum(last, np.arange(m), out=last)
-        worst = int(np.max(last, where=mask.any(axis=1), initial=-1))
+    # worst = the largest min(row, col) over under-covered cells, -1 if none;
+    # each row's largest min(row, col) is at its last under-covered column
+    m = mask.shape[0]
+    last = (m - 1) - mask[:, ::-1].argmax(axis=1)
+    np.minimum(last, np.arange(m), out=last)
+    worst = int(np.max(last, where=mask.any(axis=1), initial=-1))
     n0 = worst + 1 + fld.origin
     max_site = fld.origin + fld.window - 1
     return None if n0 > max_site else n0
@@ -528,11 +560,6 @@ def _trial_field(config: LatticeConfig) -> CoverageField:
     return coverage_field(realize(config))
 
 
-def _trial_under(config: LatticeConfig, idx):
-    """One trial's under-covered bits at the site indices idx, as a one-field record."""
-    return (_trial_field(config).under_mask(config.k)[idx],)
-
-
 def _trial_summary(config: LatticeConfig, idx):
     """One trial's site bits, window fraction, normalized last under-covered site and clamps."""
     fld = _trial_field(config)
@@ -546,6 +573,56 @@ def _trial_summary(config: LatticeConfig, idx):
         # None = even the far corner fails (worst case)
         norm = 1.0 if last is None else (last - fld.origin) / fld.window
     return mask[idx], mask.mean(), norm, fld.clamp_count
+
+
+def _summary_dtype(sites: int) -> np.dtype:
+    """Record of one trial's summary: site bits, window fraction, normalized last site, clamps."""
+    return np.dtype([("bits", bool, (sites,)), ("fraction", np.float64),
+                     ("last", np.float64), ("clamp", np.int64)])
+
+
+def _batched(config: LatticeConfig) -> bool:
+    """Whether the trials of config run in batches: small firework windows in one RNG chunk."""
+    return (config.model == FIREWORK and config.n ** config.dimension <= _BATCH_MAX_CELLS
+            and len(_row_blocks(config.n, config.dimension)) == 1)
+
+
+def _batch_summary(config: LatticeConfig, seeds: np.ndarray, idx) -> np.ndarray:
+    """_trial_summary's records for the trials on seeds (a uint64 array), all at once.
+
+    A batched window fits one RNG chunk, so a trial's window stream is 2*n^d
+    uniforms: the activation uniforms, then the radius uniforms, as _draws
+    takes them.  uniforms draws every trial's stream at once, the law's
+    quantile runs on all open uniforms together, one box_counts call with a
+    leading trial axis counts every field, and the reductions run along the
+    window axes.  Each step is elementwise or per trial, so each record is
+    bit for bit the one _trial_summary gives for its seed.
+    """
+    n, d, dist = config.n, config.dimension, config.dist
+    cells, b = n ** d, len(seeds)
+    shape = (b,) + (n,) * d
+    draws = uniforms(mix64(seeds, _STREAM_WINDOW), 2 * cells)
+    act = (draws[:, :cells] < config.p).reshape(shape)
+    u = np.subtract(1.0, draws[:, cells:]).reshape(shape)
+    trial, *starts = np.nonzero(act)
+    radii = dist.quantile_from_uniform(u[act])
+    if config.include_initiators:
+        init_u = np.subtract(1.0, uniforms(mix64(seeds, _STREAM_INITIATORS), 2))
+        starts, radii = _with_initiators(starts, radii, dist.quantile_from_uniform(init_u))
+        trial = np.concatenate([trial, np.repeat(np.arange(b), 2)])
+    stops, over = _firework_stops(n, starts, radii)
+    mask = box_counts(n, d, [(starts, stops, trial)], trials=b) < config.k
+    window = tuple(range(1, d + 1))
+    # the largest under-covered site (1D) or min(row, col) (2D), -1 if none,
+    # gives _trial_summary's normalized last site as (worst + 1) / n
+    depth = np.arange(n) if d == 1 else np.minimum.outer(np.arange(n), np.arange(n))
+    worst = np.where(mask, depth, -1).max(axis=window)
+    out = np.empty(b, _summary_dtype(len(idx[0])))
+    out["bits"] = mask[(slice(None),) + idx]
+    out["fraction"] = mask.mean(axis=window)
+    out["last"] = (worst + 1) / n
+    out["clamp"] = np.bincount(trial[over], minlength=b)
+    return out
 
 
 def run_trials(fn, jobs, trials: int, workers: int, dtype=object) -> list[np.ndarray]:
@@ -581,9 +658,18 @@ def run_trials(fn, jobs, trials: int, workers: int, dtype=object) -> list[np.nda
 
 
 def _trial_range(fn, job, t0: int, t1: int, dtype) -> np.ndarray:
+    """Results of trials t0..t1-1 of one job; _trial_summary on a small firework
+    window runs in batches of ~_BATCH_CELLS window cells."""
     config, key, extra = job
-    return np.fromiter((fn(replace(config, seed=mix64(config.seed, *key, t)), *extra)
-                        for t in range(t0, t1)), dtype, count=t1 - t0)
+    seeds = mix64(config.seed, *key, np.arange(t0, t1, dtype=np.uint64))
+    if fn is _trial_summary and _batched(config):
+        out = np.empty(t1 - t0, dtype)
+        step = max(1, _BATCH_CELLS // config.n ** config.dimension)
+        for i in range(0, t1 - t0, step):
+            out[i:i + step] = _batch_summary(config, seeds[i:i + step], *extra)
+        return out
+    return np.fromiter((fn(replace(config, seed=s), *extra) for s in seeds.tolist()),
+                       dtype, count=t1 - t0)
 
 
 def estimate_under_coverage(
@@ -599,8 +685,8 @@ def estimate_under_coverage(
     """
     sites = list(sites)
     idx = _site_indices(config, sites)  # validates before any work
-    dtype = [("bits", bool, (len(sites),))]
-    [results] = run_trials(_trial_under, [(config, (), (idx,))], trials, workers, dtype)
+    [results] = run_trials(_trial_summary, [(config, (), (idx,))], trials, workers,
+                           _summary_dtype(len(sites)))
     return _site_estimates(sites, results["bits"], trials)
 
 
@@ -615,9 +701,8 @@ def simulate_window(
     """
     site_list = [] if sites is None else list(sites)
     idx = _site_indices(config, site_list)  # validates before any work
-    dtype = [("bits", bool, (len(site_list),)), ("fraction", np.float64),
-             ("last", np.float64), ("clamp", np.int64)]
-    [results] = run_trials(_trial_summary, [(config, (), (idx,))], trials, workers, dtype)
+    [results] = run_trials(_trial_summary, [(config, (), (idx,))], trials, workers,
+                           _summary_dtype(len(site_list)))
     estimates = None if sites is None else _site_estimates(site_list, results["bits"], trials)
     return WindowStats(results["fraction"], results["last"], int(results["clamp"].sum()),
                        estimates)

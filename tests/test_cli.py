@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rumourlab import continuum, exact, lattice
@@ -306,6 +306,27 @@ class TestOversizedRequests:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "series arrays" in err
 
+    def test_diagnose_rows_and_text(self, capsys, monkeypatch):
+        # admitted by the library's own 40 bytes per site, ~40 GB as CLI rows and text
+        def no_series(*args):
+            raise AssertionError("ran the series")
+
+        monkeypatch.setattr(exact, "series_diagnostics", no_series)
+        assert main(["diagnose", "--dist", "pareto:alpha=4", "--p", "0.5",
+                     "--imax", "50000000", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "rendered text" in err
+
+    def test_oracle_sources(self, capsys, monkeypatch):
+        def no_list(q):
+            raise AssertionError("built the source list")
+
+        monkeypatch.setattr(exact, "_candidate_sources", no_list)
+        assert main(["exact", "--dim", "2", "--dist", "const:r=1", "--p", "0.5", "--k", "1",
+                     "--sites", "1000,1000", "--method", "oracle", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "enumeration budget" in err
+
     def test_simulate_trials(self, capsys, monkeypatch):
         def no_trials(*args):
             raise AssertionError("allocated the trial results")
@@ -395,7 +416,10 @@ class TestGoldenBytes:
     # the other branches), the rest before the radius-law table and the one
     # continuum trial path (the criterion 10 specs, the 1D continuum with its
     # float witness, and a 1D lambda scan), the exact_* and diagnose_k* specs
-    # before the one shell list and count DP of the exact layer
+    # before the one shell list and count DP of the exact layer, and the small
+    # firework windows (the seven benchmark tiny specs, initiators, trunc:, p
+    # at 0 and 1, windows at and just over the batch cap) before their trials
+    # ran in batches
     SPECS = {
         "p2d": (["scan", "--dim", "2", "--dist", "pareto:alpha=4", "--p-grid", "0.05,0.2",
                  "--n", "600", "--trials", "3", "--seed", "11"],
@@ -474,7 +498,56 @@ class TestGoldenBytes:
         "diagnose_k3": (["diagnose", "--dist", "power:beta=1.5", "--p", "0.4", "--k", "3",
                          "--imin", "1", "--imax", "300", "--seed", "31"],
                         "b4723d5aaea507b27bd7b1e02084f2862a4f65dcfb6fa467206e67c3c6fd269d"),
+        "tiny0": (["simulate", "--dim", "1", "--dist", "const:r=2", "--p", "0.2", "--k", "2",
+                   "--n", "8", "--sites", "2,5,8", "--trials", "500", "--seed", "40"],
+                  "3894f6e742eaa02be7490fae28e8ce21117b15abec37f80d93ff471f7aecacf3"),
+        "tiny1": (["simulate", "--dim", "1", "--dist", "const:r=2", "--p", "0.5", "--k", "2",
+                   "--n", "8", "--sites", "2,5,8", "--trials", "500", "--seed", "41"],
+                  "1bd32991101c8a3e88a3e9b7d933125423c0c7cb72aa225e85ff6e3644765c77"),
+        "tiny2": (["simulate", "--dim", "1", "--dist", "const:r=2", "--p", "0.8", "--k", "2",
+                   "--n", "8", "--sites", "2,5,8", "--trials", "500", "--seed", "42"],
+                  "c0d782f2c6dea3665c6906e6b73bfe393812dd27709ecc01eb7d91452143b723"),
+        "tiny3": (["simulate", "--dim", "1", "--dist", "geom:q=0.5", "--p", "0.6", "--k", "1",
+                   "--n", "10", "--sites", "3,7,10", "--trials", "500", "--seed", "43"],
+                  "1d856626e9438dbdb82373cc8774ce64573aa2b4f4078bd0e696599598292e8e"),
+        "tiny4": (["simulate", "--dim", "2", "--dist", "const:r=1", "--p", "0.3", "--k", "2",
+                   "--n", "4", "--sites", "2,2;3,2;4,4", "--trials", "500", "--seed", "44"],
+                  "ef540728a247d9c0124936e513c18e6d9d3e42f00fb476d9403e68f8ae9310d8"),
+        "tiny5": (["simulate", "--dim", "2", "--dist", "const:r=1", "--p", "0.6", "--k", "2",
+                   "--n", "4", "--sites", "2,2;3,2;4,4", "--trials", "500", "--seed", "45"],
+                  "5f7bab2aac07324bcc1e3ff0fdd4631d68a757ed9e40a4492abcfc3a5ce85828"),
+        "tiny6": (["simulate", "--dim", "2", "--dist", "geom:q=0.5", "--p", "0.5", "--k", "2",
+                   "--n", "3", "--sites", "2,3;3,3", "--trials", "500", "--seed", "46"],
+                  "52847d0e14d52fd9826289f6303865d54a7991bb1c61a1d168383445405585f8"),
+        "fire_init_pareto": (["simulate", "--dim", "1", "--dist", "pareto:alpha=4", "--p",
+                              "0.3", "--k", "2", "--n", "20", "--initiators", "--sites",
+                              "1,5,20", "--trials", "300", "--seed", "50"],
+                             "c6057974d051e4a87a816b6fca3a6f8099d222989ef58ec4bed556542ec55822"),
+        "fire_trunc": (["simulate", "--dim", "1", "--dist", "trunc:pareto:alpha=2:cap=3",
+                        "--p", "0.5", "--k", "2", "--n", "30", "--sites", "2,30", "--trials",
+                        "300", "--seed", "51"],
+                       "90f51af5bc1bc87e7aa771ad723073939ea4a9c3fb899ba40687008fed63e28a"),
+        "fire_p_edges": (["scan", "--dim", "1", "--dist", "const:r=0", "--p-grid", "0,0.5,1",
+                          "--k", "1", "--n", "10", "--trials", "30", "--seed", "52"],
+                         "4f690fbc82b9ae091d32e0886e144e8c281a7479b30d60c24c93aa9a793955db"),
+        "cap_1d": (["simulate", "--dim", "1", "--dist", "geom:q=0.5", "--p", "0.6", "--k", "2",
+                    "--n", "256", "--sites", "1,256", "--trials", "60", "--seed", "53"],
+                   "ca9e3ee1a1da1ee5e0fb57e01c2d62c50e46a95bc49c52ca9830e5fb9b349262"),
+        "over_cap_1d": (["simulate", "--dim", "1", "--dist", "geom:q=0.5", "--p", "0.6", "--k",
+                         "2", "--n", "257", "--sites", "1,257", "--trials", "60", "--seed",
+                         "54"],
+                        "53c65d3a62dbb5ed73d2b5b74d06acee744a2cfba3648d1c891c1970e5269590"),
+        "cap_2d": (["simulate", "--dim", "2", "--dist", "power:beta=1.5", "--p", "0.4", "--k",
+                    "1", "--n", "16", "--sites", "1,1;16,16", "--trials", "40", "--seed", "55"],
+                   "fd86bdea3372d20e664ba8620e583dca81bec3cd7e8cb5f34e3ded2fbc64720e"),
+        "over_cap_2d": (["simulate", "--dim", "2", "--dist", "power:beta=1.5", "--p", "0.4",
+                         "--k", "1", "--n", "17", "--sites", "1,1;17,17", "--trials", "40",
+                         "--seed", "56"],
+                        "0538519b8006ebda0523fb3c88fd3f2baac643511c00210b28b9b564050f23a2"),
     }
+
+    SMALL_WINDOWS = [*(f"tiny{i}" for i in range(7)), "fire_init_pareto", "fire_trunc",
+                     "fire_p_edges", "cap_1d", "over_cap_1d", "cap_2d", "over_cap_2d"]
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_scan_2d_bytes(self, name, tmp_path):
@@ -483,6 +556,11 @@ class TestGoldenBytes:
     # the continuum trials run on the shared trial engine: same bytes in a pool
     @pytest.mark.parametrize("name", ["continuum_1d", "continuum_2d", "l1d", "l2d"])
     def test_continuum_bytes_at_two_workers(self, name, tmp_path):
+        self.check(name, tmp_path, ["--workers", "2"])
+
+    # small firework windows run their trials in batches, chunked per worker
+    @pytest.mark.parametrize("name", SMALL_WINDOWS)
+    def test_small_windows_at_two_workers(self, name, tmp_path):
         self.check(name, tmp_path, ["--workers", "2"])
 
     def check(self, name, tmp_path, extra):
@@ -614,5 +692,47 @@ class TestExactAndDiagnoseProperty:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + ["--seed", "1"])
         assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("error:") <= 1
+
+
+@st.composite
+def simulate_argv(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    # 1D windows around the batch cap of 256 cells; 2D ones around 16x16
+    n = draw(st.one_of(st.integers(1, 20), st.integers(250, 260))) if dim == 1 else \
+        draw(st.integers(1, 18))
+    argv = ["--dim", str(dim), "--model", draw(st.sampled_from(["firework", "reverse"])),
+            "--dist", draw(st.sampled_from(_LAWS)), "--k", str(draw(st.integers(1, 4))),
+            "--n", str(n), "--cushion", str(draw(st.integers(1, 3))),
+            "--trials", str(draw(st.integers(-1, 12))),
+            "--workers", str(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        argv.append("--initiators")
+    if draw(st.booleans()):
+        grid = ",".join(draw(st.lists(_P, min_size=1, max_size=3)))
+        return ["scan", *argv, f"--p-grid={grid}"]
+    argv = ["simulate", *argv, "--p", draw(_P)]
+    if draw(st.booleans()):
+        coords = st.integers(0, n + 1)
+        sites = [draw(coords) if dim == 1 else f"{draw(coords)},{draw(coords)}"
+                 for _ in range(draw(st.integers(1, 3)))]
+        argv += ["--sites", (",", ";")[dim - 1].join(map(str, sites))]
+    return argv
+
+
+class TestSimulateAndScanProperty:
+    """Any small simulate or p-grid scan request, batched or per trial and at any
+    --workers (pools run inline), ends in a documented exit code with at most
+    one error line and no traceback."""
+
+    @given(simulate_argv())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_codes_and_one_error_line(self, inline_pools, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--seed", "1"])
+        assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
         assert err.getvalue().count("error:") <= 1

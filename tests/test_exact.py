@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rumourlab import exact
 from rumourlab.distributions import Constant, Geometric, ParetoTail, PowerTail, Truncated
 from rumourlab.exact import (
     EnumerationBoundError,
@@ -237,6 +238,23 @@ class TestOracle:
     ])
     def test_default_cap_is_the_farthest_displacement(self, q, farthest):
         assert enumeration_oracle(q) == enumeration_oracle(q, farthest)
+
+    @pytest.mark.parametrize("dim, site, initiators", [
+        (1, 1, False), (1, 1, True), (1, 7, False), (1, 7, True),
+        (2, (1, 1), False), (2, (2, 5), False), (2, (4, 3), False), (2, (6, 6), False),
+    ])
+    def test_source_extent_matches_the_source_list(self, dim, site, initiators):
+        q = ExactQuery(dim, site, 0.5, 2, C1, include_initiators=initiators)
+        sources = exact._candidate_sources(q)
+        assert exact._source_extent(q) == (len(sources), max(t for _, t in sources))
+
+    def test_budget_checked_before_the_source_list(self, monkeypatch):
+        def no_list(q):
+            raise AssertionError("built the source list")
+
+        monkeypatch.setattr(exact, "_candidate_sources", no_list)
+        with pytest.raises(EnumerationBoundError):
+            enumeration_oracle(ExactQuery(2, (1000, 1000), 0.5, 1, C1))
 
     def test_truncation_harmless_when_cap_reaches(self):
         # geometric tails never vanish, but cap >= farthest displacement is lossless

@@ -208,6 +208,28 @@ class TestBoxCounts:
         assert counts.dtype == np.int32 and counts.shape == (m,) * d
         np.testing.assert_array_equal(counts, brute_box_counts(m, d, boxes))
 
+    @given(st.data(), st.sampled_from([1, 2]), st.integers(1, 9), st.integers(1, 5),
+           st.sampled_from([0, 512]))
+    @settings(max_examples=200)
+    def test_trial_axis_keeps_trials_apart(self, data, d, m, trials, width):
+        # boxes of several trials in one batch, each touching its grid's far
+        # edges often, so a prefix sum running across trials would show
+        edge = st.integers(0, m) | st.sampled_from([0, m])
+        axis = st.tuples(edge, edge).map(sorted)
+        boxes = data.draw(st.lists(st.tuples(st.integers(0, trials - 1), *[axis] * d),
+                                   max_size=15))
+        batch = (tuple(np.array([b[1 + ax][0] for b in boxes], dtype=np.int64)
+                       for ax in range(d)),
+                 tuple(np.array([b[1 + ax][1] for b in boxes], dtype=np.int64)
+                       for ax in range(d)),
+                 np.array([b[0] for b in boxes], dtype=np.int64))
+        with patch.object(lat, "_ACCUMULATE_MAX_WIDTH", width):
+            counts = lat.box_counts(m, d, [batch], trials=trials)
+        assert counts.dtype == np.int32 and counts.shape == (trials,) + (m,) * d
+        for t in range(trials):
+            np.testing.assert_array_equal(
+                counts[t], brute_box_counts(m, d, [b[1:] for b in boxes if b[0] == t]))
+
     def test_firework_rows_row_by_row(self, monkeypatch):
         monkeypatch.setattr(lat, "_ACCUMULATE_MAX_WIDTH", 0)
         r = realize(cfg(dim=2, n=9, p=0.4, seed=4, dist=GEO))
@@ -342,7 +364,7 @@ def nonzero_last_under_covered(fld, k):
 
 
 class TestLastUnderCovered2D:
-    # 32x32 masks take the nonzero path, 33x33 and up the row reductions
+    # the row reductions against the nonzero formula, on small and large masks
     @pytest.mark.parametrize("n", [1, 2, 5, 32, 33, 47, 120])
     @pytest.mark.parametrize("kind", ["random", "sparse", "false", "true", "corner", "edge"])
     def test_matches_nonzero_formula(self, n, kind):
@@ -589,3 +611,67 @@ class TestOnePassSimulate:
                             base.with_suffix(".json").read_bytes()))
         assert outputs[0] == outputs[1]
         assert outputs[0][0].decode().splitlines()[1].startswith("0:0,")
+
+
+class TestBatchedTrials:
+    """Small firework windows run their trials in batches; each batched record
+    must equal the per-trial _trial_summary record of its seed, bit for bit."""
+
+    CAP_N = {1: lat._BATCH_MAX_CELLS, 2: math.isqrt(lat._BATCH_MAX_CELLS)}
+
+    @staticmethod
+    def per_trial(config, seeds, idx):
+        return np.fromiter((lat._trial_summary(replace(config, seed=s), idx)
+                            for s in seeds.tolist()),
+                           lat._summary_dtype(len(idx[0])), count=len(seeds))
+
+    @staticmethod
+    def assert_same_records(got, want):
+        assert got.dtype == want.dtype
+        for name in want.dtype.names:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dist", TRIAL_LAWS, ids=repr)
+    @pytest.mark.parametrize("dim, initiators", [(1, False), (1, True), (2, False)])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_records_equal_per_trial_records(self, dist, dim, initiators, p):
+        cap = self.CAP_N[dim]
+        for n, trials in ((1, 20), (3, 40), (cap - 1, 8), (cap, 8)):
+            c = cfg(dim=dim, p=p, k=2, n=n, dist=dist, seed=n + 17, initiators=initiators)
+            assert lat._batched(c)
+            sites = [1, n] if dim == 1 else [(1, 1), (n, 1), (n, n)]
+            idx = lat._site_indices(c, sites)
+            seeds = mix64(c.seed, np.arange(trials, dtype=np.uint64))
+            self.assert_same_records(lat._batch_summary(c, seeds, idx),
+                                     self.per_trial(c, seeds, idx))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_batches_of_any_size(self, monkeypatch, dim):
+        c = cfg(dim=dim, p=0.4, k=2, n=5, dist=PowerTail(1.5), seed=3)
+        idx = lat._site_indices(c, [2, 5] if dim == 1 else [(2, 3)])
+        seeds = mix64(c.seed, np.arange(3, 20, dtype=np.uint64))
+        want = self.per_trial(c, seeds, idx)
+        dtype = lat._summary_dtype(len(idx[0]))
+        for step in (1, 3, 16, 1000):
+            monkeypatch.setattr(lat, "_BATCH_CELLS", step * 5 ** dim)
+            got = lat._trial_range(lat._trial_summary, (c, (), (idx,)), 3, 20, dtype)
+            self.assert_same_records(got, want)
+
+    def test_which_trials_batch(self, monkeypatch):
+        cap = lat._BATCH_MAX_CELLS
+        assert lat._batched(cfg(dim=1, n=cap)) and not lat._batched(cfg(dim=1, n=cap + 1))
+        side = math.isqrt(cap)
+        assert lat._batched(cfg(dim=2, n=side)) and not lat._batched(cfg(dim=2, n=side + 1))
+        # the p-grid golden spec p2d_small falls under the cap
+        assert lat._batched(cfg(dim=2, n=12))
+        assert not lat._batched(cfg(model=REVERSE, dim=1, n=4, cushion=2))
+        # a window drawn in several RNG chunks keeps the per-trial path
+        monkeypatch.setattr(lat, "_CHUNK_CELLS", 7)
+        assert not lat._batched(cfg(dim=2, n=3)) and not lat._batched(cfg(dim=1, n=8))
+
+    def test_estimates_read_the_summary_bits(self):
+        c = cfg(dim=2, p=0.5, k=2, n=4, dist=C1, seed=9)
+        sites = [(2, 2), (4, 4)]
+        stats = simulate_window(c, 300, sites=sites)
+        assert estimate_under_coverage(c, sites, 300) == stats.sites
