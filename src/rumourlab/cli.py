@@ -313,13 +313,14 @@ def run_continuum(spec: ExperimentSpec):
     base = cont.ContinuumConfig(
         spec.dim, spec.lam, spec.window_t, law, spec.k, spec.seed, spec.resolution
     )
-    [results] = lattice.run_trials(cont.trial_statistic, [(base, (), ())], spec.trials,
-                                   spec.workers)
+    [results] = lattice.run_trials(cont.trial_records, [(base, (), ())], spec.trials,
+                                   spec.workers, cont.record_dtype(spec.dim))
     rows = []
-    for t, (stat, witness) in enumerate(results):
-        if spec.dim == 2 and witness is not None:
-            witness = f"{witness[0]:g}:{witness[1]:g}"
-        rows.append(clean_row([t, stat, witness]))
+    for t, (stat, witness) in enumerate(zip(results["statistic"].tolist(),
+                                            results["witness"].tolist())):
+        if spec.dim == 2 and witness[0] == witness[0]:  # NaN: covered, an empty cell
+            witness = [f"{witness[0]:g}:{witness[1]:g}"]
+        rows.append(clean_row([t, stat, witness[0]]))
     return rows, 0, EXIT_OK
 
 

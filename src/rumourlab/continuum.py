@@ -160,6 +160,20 @@ def trial_statistic(config: ContinuumConfig) -> tuple[float, object]:
     return k_cover_deficit_2d(points, config.k, config.window_t, config.resolution)
 
 
+def record_dtype(dimension: int) -> np.dtype:
+    """One continuum trial's record: its statistic and its witness point, NaN when covered."""
+    return np.dtype([("statistic", np.float64), ("witness", np.float64, (dimension,))])
+
+
+def trial_records(config: ContinuumConfig, seeds: np.ndarray) -> np.ndarray:
+    """trial_statistic's (statistic, witness) of the trials on seeds (a uint64 array), as records."""
+    out = np.empty(len(seeds), record_dtype(config.dimension))
+    for i, seed in enumerate(seeds.tolist()):
+        stat, witness = trial_statistic(replace(config, seed=seed))
+        out[i] = stat, np.nan if witness is None else witness
+    return out
+
+
 def scan_lambda(config: ContinuumConfig, lambdas, trials: int,
                 workers: int = 1) -> list[LambdaSummary]:
     """Per-intensity deficiency summaries for bracketing the covered phase.
@@ -174,8 +188,9 @@ def scan_lambda(config: ContinuumConfig, lambdas, trials: int,
     # every intensity is validated here, before any trial
     jobs = [(replace(config, lam=lam), (li,), ()) for li, lam in enumerate(lambdas)]
     out = []
-    for lam, results in zip(lambdas, run_trials(trial_statistic, jobs, trials, workers)):
-        vals = np.array([stat for stat, _ in results])
+    results = run_trials(trial_records, jobs, trials, workers, record_dtype(config.dimension))
+    for lam, records in zip(lambdas, results):
+        vals = records["statistic"]
         mean, lo, hi = mean_interval(vals)
         out.append(LambdaSummary(lam, trials, mean, lo, hi, vals))
     return out

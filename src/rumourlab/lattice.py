@@ -22,24 +22,23 @@ count is the signed sum of that grid at the block's 2^d corners, and the
 qualifying blocks are marked through box_counts.
 
 One trial engine, run_trials, seeds, chunks and pools the trials of the
-lattice (estimate_under_coverage, simulate_window) and of the continuum
-(scan_lambda, the continuum command).  Lattice trials build their field
-with _trial_field.  Only a reverse-2D trial streams: it draws the same
-uniforms in the same order as realize, writes each chunk's open bits
-straight into the prefix grid, and computes radii only for open sites that
-can reach the reported window or clamp.  Its memory is ~4 bytes per extent
-cell (the prefix grid) plus fixed chunk buffers, and its field is
-bit-identical to reverse_membership(realize(config), config.k).
-
-Firework trials on windows of at most _BATCH_MAX_CELLS cells run in
-batches (_batch_summary): stats.uniforms draws the window streams of all
-the batch's trials at once, exactly the uniforms each trial's own
-make_rng generator gives, and one box_counts call with a leading trial
-axis counts every field, so each trial's summary is bit-identical to the
-one-trial path of _trial_summary, which larger windows and the reverse
-model keep.  NumPy's NEP 19 does not freeze its generator streams; the
-tests pin uniforms to Generator(PCG64(seed)) so that a NumPy release
-that changes them fails loudly.
+lattice (simulate_window) and of the continuum (scan_lambda, the continuum
+command): fn(config, seeds, *extra) returns numeric records for a chunk of
+trial seeds.  A lattice trial's summary comes from _summaries, and every
+under-covered mask goes through one reduction, _records.  Firework trials
+on windows of at most _BATCH_MAX_CELLS cells run in batches: stats.uniforms
+draws all the batch's window streams at once, exactly the uniforms each
+trial's own make_rng generator gives, and one box_counts call with a
+leading trial axis counts every field, so each record is bit-identical to
+the one-trial path, firework_counts(realize(config)).  Every reverse trial
+streams (_stream_reverse): it draws the same uniforms in the same order as
+realize, writes each chunk's open bits straight into the prefix grid, and
+computes radii only for open sites that can reach the reported window or
+clamp, so it needs ~4 bytes per extent cell and its field is bit-identical
+to reverse_membership(realize(config), config.k).  NumPy's NEP 19 does not
+freeze its generator streams; the tests pin uniforms to
+Generator(PCG64(seed)) so that a NumPy release that changes them fails
+loudly.
 """
 
 from __future__ import annotations
@@ -77,8 +76,9 @@ _ACCUMULATE_MAX_WIDTH = 512
 # at 256 cells, 1.1x at 512 cells in 1D and 1024 in 2D (2-vCPU Xeon)
 _BATCH_MAX_CELLS = 256
 
-# window cells (of all its trials) per batch; a batch peaks at ~120 bytes
-# per cell (tracemalloc), so its buffers stay near 1 MiB
+# window cells (of all its trials) per batch or group of trials reduced
+# together; a batch peaks at ~120 bytes per cell (tracemalloc), so its
+# buffers stay near 1 MiB
 _BATCH_CELLS = 1 << 13
 
 # sub-stream tags hanging off the configured seed
@@ -202,12 +202,7 @@ def realize(config: LatticeConfig) -> Realization:
         activation[r0:r0 + act.shape[0]] = act
         if act.any():
             radii_parts.append(config.dist.quantile_from_uniform(u[act]))
-
-    if radii_parts:
-        radii = np.concatenate(radii_parts)
-    else:
-        radii = np.empty(0, dtype=np.int64)
-
+    radii = np.concatenate(radii_parts) if radii_parts else np.empty(0, dtype=np.int64)
     return Realization(config, activation, radii, _initiator_radii(config))
 
 
@@ -363,40 +358,47 @@ def reverse_membership(realization: Realization, k: int) -> CoverageField:
     return _membership(n, k, S, sources(), realization.initiator_radii)
 
 
-def _stream_reverse_2d(cfg: LatticeConfig) -> CoverageField:
-    """reverse_membership(realize(cfg), cfg.k) without realizing the window.
+def _survival_bounds(cfg: LatticeConfig):
+    """Per-axis survival bounds over sites [1..extent], a function of the config's law and window.
+
+    A source at x reaches the window when rad >= max(x) - n + 1 and clamps
+    when rad >= min(x) + 2; G is non-increasing, so its uniform then lies
+    below min over axes of G(x - n + 1) or below max over axes of G(x + 2).
+    """
+    sites = np.arange(1, cfg.extent() + 1, dtype=np.int64)
+    return (_SURVIVAL_SLACK * cfg.dist.survival_vec(sites - cfg.n + 1),
+            _SURVIVAL_SLACK * cfg.dist.survival_vec(sites + 2))
+
+
+def _stream_reverse(cfg: LatticeConfig, bounds) -> CoverageField:
+    """reverse_membership(realize(cfg), cfg.k) without realizing the window, in 1D or 2D.
 
     Consumes the window stream of realize chunk by chunk and keeps no
     activation bitmap and no per-site radii: the open bits go straight into
-    the prefix grid, and radii are computed only for candidates, the open
-    sites whose uniform lies below the survival bound of reaching the
-    window or of clamping.  Since G is non-increasing, that bound at (r, c)
-    is max(min(G(r-n+1), G(c-n+1)), max(G(r+2), G(c+2))), built from one
-    survival vector per axis.  The exact reach and clamp tests then run on
-    the candidates alone.
+    the prefix grid, and only candidates, open sites whose uniform lies
+    below bounds = _survival_bounds(cfg), get radii and the exact tests.
     """
-    n, m, dist = cfg.n, cfg.extent(), cfg.dist
+    n, d, dist = cfg.n, cfg.dimension, cfg.dist
+    reach_g, clamp_g = bounds
     initiator_radii = _initiator_radii(cfg)
-    S = _prefix_grid(m, 2, initiator_radii is not None)
-    sites = np.arange(1, m + 1, dtype=np.int64)
-    reach_g = _SURVIVAL_SLACK * dist.survival_vec(sites - n + 1)
-    clamp_g = _SURVIVAL_SLACK * dist.survival_vec(sites + 2)
+    S = _prefix_grid(cfg.extent(), d, initiator_radii is not None)
 
     def sources():
         for r0, act, u in _draws(cfg):
             _prefix_rows(S, r0, act)
-            # u below a min of the two axis bounds or below a max of them,
+            # u below a min of the axis bounds or below a max of them,
             # compared per axis so no chunk-sized bound is built
-            rows = slice(r0, r0 + act.shape[0])
-            cand = u < reach_g[rows, None]
-            cand &= u < reach_g
-            clamps = u < clamp_g[rows, None]
-            clamps |= u < clamp_g
+            rows = (slice(r0, r0 + act.shape[0]),) + (None,) * (d - 1)
+            cand = u < reach_g[rows]
+            clamps = u < clamp_g[rows]
+            if d == 2:
+                cand &= u < reach_g
+                clamps |= u < clamp_g
             cand |= clamps
             cand &= act
-            rows0, cols0 = np.nonzero(cand)
-            rad = dist.quantile_from_uniform(u[rows0, cols0])
-            yield _reaching(n, (rows0 + (r0 + 1), cols0 + 1), rad)
+            x = [c + 1 for c in np.nonzero(cand)]  # 1-based sites, rows from r0
+            x[0] += r0
+            yield _reaching(n, x, dist.quantile_from_uniform(u[cand]))
 
     return _membership(n, cfg.k, S, sources(), initiator_radii)
 
@@ -478,14 +480,7 @@ def _membership(n: int, k: int, S: np.ndarray, sources, initiator_radii) -> Cove
     return CoverageField("membership", d, 0, n, values, clamp, threshold=k)
 
 
-def coverage_field(realization: Realization) -> CoverageField:
-    """Model-appropriate field: firework counts or reverse membership at config.k."""
-    if realization.config.model == FIREWORK:
-        return firework_counts(realization)
-    return reverse_membership(realization, realization.config.k)
-
-
-def last_under_covered(fld: CoverageField, k: int, mask: np.ndarray | None = None):
+def last_under_covered(fld: CoverageField, k: int):
     """Rightmost under-covered site (1D) or smallest clean corner start (2D).
 
     1D: the largest reported site with fewer than k covers, or None when
@@ -494,24 +489,25 @@ def last_under_covered(fld: CoverageField, k: int, mask: np.ndarray | None = Non
     when even the top corner fails.  A non-None value only witnesses a
     lower bound: sites beyond the window are never inspected.  Membership
     fields should be queried with k=1 (their values are 0/1 indicators).
-    mask, if given, is fld.under_mask(k) built by the caller.
     """
-    if mask is None:
-        mask = fld.under_mask(k)
+    worst = int(_worst(fld.under_mask(k)[None])[0])
     if fld.dimension == 1:
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return None
-        return int(fld.origin + idx[-1])
-    # worst = the largest min(row, col) over under-covered cells, -1 if none;
-    # each row's largest min(row, col) is at its last under-covered column
-    m = mask.shape[0]
-    last = (m - 1) - mask[:, ::-1].argmax(axis=1)
-    np.minimum(last, np.arange(m), out=last)
-    worst = int(np.max(last, where=mask.any(axis=1), initial=-1))
+        return None if worst < 0 else fld.origin + worst
     n0 = worst + 1 + fld.origin
-    max_site = fld.origin + fld.window - 1
-    return None if n0 > max_site else n0
+    return None if n0 > fld.origin + fld.window - 1 else n0
+
+
+def _worst(mask: np.ndarray) -> np.ndarray:
+    """Per trial of a (trials, n, ...) mask: its largest under-covered index (1D)
+    or min(row, col) (2D), -1 if none.  A row's largest min(row, col) is at its
+    last under-covered column, a per-row argmax, so no (n, n) depth array is built.
+    """
+    n = mask.shape[1]
+    last = (n - 1) - mask[..., ::-1].argmax(axis=-1)
+    if mask.ndim == 2:
+        return np.where(mask.any(axis=1), last, -1)
+    np.minimum(last, np.arange(n), out=last)
+    return np.max(last, axis=1, where=mask.any(axis=2), initial=-1)
 
 
 @dataclass
@@ -553,28 +549,6 @@ def _site_indices(config: LatticeConfig, sites) -> tuple:
     return tuple(np.array(idx, dtype=np.int64).reshape(-1, d).T)
 
 
-def _trial_field(config: LatticeConfig) -> CoverageField:
-    """Coverage field of one trial; reverse-2D trials stream instead of realizing."""
-    if config.model == REVERSE and config.dimension == 2:
-        return _stream_reverse_2d(config)
-    return coverage_field(realize(config))
-
-
-def _trial_summary(config: LatticeConfig, idx):
-    """One trial's site bits, window fraction, normalized last under-covered site and clamps."""
-    fld = _trial_field(config)
-    mask = fld.under_mask(config.k)
-    # a membership field's under_mask ignores k, so mask serves k=1 too
-    last = last_under_covered(fld, 1 if fld.kind == "membership" else config.k, mask)
-    if fld.dimension == 1:
-        # None = fully covered; otherwise scale the witness site into (0, 1]
-        norm = 0.0 if last is None else (last - fld.origin + 1) / fld.window
-    else:
-        # None = even the far corner fails (worst case)
-        norm = 1.0 if last is None else (last - fld.origin) / fld.window
-    return mask[idx], mask.mean(), norm, fld.clamp_count
-
-
 def _summary_dtype(sites: int) -> np.dtype:
     """Record of one trial's summary: site bits, window fraction, normalized last site, clamps."""
     return np.dtype([("bits", bool, (sites,)), ("fraction", np.float64),
@@ -587,16 +561,41 @@ def _batched(config: LatticeConfig) -> bool:
             and len(_row_blocks(config.n, config.dimension)) == 1)
 
 
-def _batch_summary(config: LatticeConfig, seeds: np.ndarray, idx) -> np.ndarray:
-    """_trial_summary's records for the trials on seeds (a uint64 array), all at once.
+def _summaries(config: LatticeConfig, seeds: np.ndarray, idx) -> np.ndarray:
+    """Summary records of the trials on seeds (a uint64 array), in seed order.
+
+    Trials go ~_BATCH_CELLS window cells at a time through one reduction,
+    _records, so a record does not depend on its mask's source: _batch_masks
+    for small firework windows, one field per trial (_trial_masks) otherwise.
+    """
+    out = np.empty(len(seeds), _summary_dtype(len(idx[0])))
+    bounds = _survival_bounds(config) if config.model == REVERSE else None
+    step = max(1, _BATCH_CELLS // config.n ** config.dimension)
+    for i in range(0, len(seeds), step):
+        part = seeds[i:i + step]
+        masks = _batch_masks(config, part) if _batched(config) else \
+            _trial_masks(config, part, bounds)
+        out[i:i + step] = _records(*masks, idx)
+    return out
+
+
+def _trial_masks(config: LatticeConfig, seeds: np.ndarray, bounds):
+    """Under-covered masks (trials, n, ...) and clamp counts of the trials on seeds, one
+    field each: a firework trial realizes its window, a reverse trial streams with bounds."""
+    flds = [firework_counts(realize(c)) if bounds is None else _stream_reverse(c, bounds)
+            for c in (replace(config, seed=seed) for seed in seeds.tolist())]
+    return np.stack([f.under_mask(config.k) for f in flds]), [f.clamp_count for f in flds]
+
+
+def _batch_masks(config: LatticeConfig, seeds: np.ndarray):
+    """Under-covered masks (trials, n, ...) and clamp counts of the firework trials on seeds.
 
     A batched window fits one RNG chunk, so a trial's window stream is 2*n^d
     uniforms: the activation uniforms, then the radius uniforms, as _draws
     takes them.  uniforms draws every trial's stream at once, the law's
-    quantile runs on all open uniforms together, one box_counts call with a
-    leading trial axis counts every field, and the reductions run along the
-    window axes.  Each step is elementwise or per trial, so each record is
-    bit for bit the one _trial_summary gives for its seed.
+    quantile runs on all open uniforms together, and one box_counts call
+    with a leading trial axis counts every field.  Each step is elementwise
+    or per trial, so each mask is bit for bit firework_counts(realize(c))'s.
     """
     n, d, dist = config.n, config.dimension, config.dist
     cells, b = n ** d, len(seeds)
@@ -612,28 +611,33 @@ def _batch_summary(config: LatticeConfig, seeds: np.ndarray, idx) -> np.ndarray:
         trial = np.concatenate([trial, np.repeat(np.arange(b), 2)])
     stops, over = _firework_stops(n, starts, radii)
     mask = box_counts(n, d, [(starts, stops, trial)], trials=b) < config.k
-    window = tuple(range(1, d + 1))
-    # the largest under-covered site (1D) or min(row, col) (2D), -1 if none,
-    # gives _trial_summary's normalized last site as (worst + 1) / n
-    depth = np.arange(n) if d == 1 else np.minimum.outer(np.arange(n), np.arange(n))
-    worst = np.where(mask, depth, -1).max(axis=window)
-    out = np.empty(b, _summary_dtype(len(idx[0])))
+    return mask, np.bincount(trial[over], minlength=b)
+
+
+def _records(mask: np.ndarray, clamps, idx) -> np.ndarray:
+    """Summary records of (trials, n, ...) under-covered masks and their clamp counts.
+
+    last is (worst + 1) / n: 0 when a 1D window is fully covered, 1 when
+    even a 2D window's far corner fails.
+    """
+    window = tuple(range(1, mask.ndim))
+    out = np.empty(len(mask), _summary_dtype(len(idx[0])))
     out["bits"] = mask[(slice(None),) + idx]
     out["fraction"] = mask.mean(axis=window)
-    out["last"] = (worst + 1) / n
-    out["clamp"] = np.bincount(trial[over], minlength=b)
+    out["last"] = (_worst(mask) + 1) / mask.shape[1]
+    out["clamp"] = clamps
     return out
 
 
-def run_trials(fn, jobs, trials: int, workers: int, dtype=object) -> list[np.ndarray]:
+def run_trials(fn, jobs, trials: int, workers: int, dtype) -> list[np.ndarray]:
     """Per-trial results of fn for each job, as arrays of dtype in trial order.
 
-    A job is (config, key, extra); its trial t returns
-    fn(replace(config, seed=mix64(config.seed, *key, t)), *extra), so each
-    result depends on the job and t alone, not on chunking or workers.  Each
+    A job is (config, key, extra); fn(config, seeds, *extra) returns the
+    records (an array of dtype) of the trials on seeds, a uint64 array
+    holding mix64(config.seed, *key, t) for a range of trials t, so each
+    record depends on the job and t alone, not on chunking or workers.  Each
     job's trials are cut into chunks, and the chunks of all jobs share one
-    fork pool of min(workers, chunks, usable CPUs) processes.  Results are
-    packed as they come: a numeric dtype keeps no Python object per trial.
+    fork pool of min(workers, chunks, usable CPUs) processes.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -647,53 +651,33 @@ def run_trials(fn, jobs, trials: int, workers: int, dtype=object) -> list[np.nda
     chunks = [(job, t0, min(trials, t0 + per)) for job in jobs for t0 in range(0, trials, per)]
     workers = min(workers, len(chunks))
     if workers <= 1:
-        parts = [_trial_range(fn, *chunk, dtype) for chunk in chunks]
+        parts = [_trial_range(fn, *chunk) for chunk in chunks]
     else:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            futures = [pool.submit(_trial_range, fn, *chunk, dtype) for chunk in chunks]
+            futures = [pool.submit(_trial_range, fn, *chunk) for chunk in chunks]
             parts = [f.result() for f in futures]
     flat = np.concatenate([np.empty(0, dtype), *parts])  # each job's trials, in order
     return [flat[i:i + trials] for i in range(0, len(flat), trials)]
 
 
-def _trial_range(fn, job, t0: int, t1: int, dtype) -> np.ndarray:
-    """Results of trials t0..t1-1 of one job; _trial_summary on a small firework
-    window runs in batches of ~_BATCH_CELLS window cells."""
+def _trial_range(fn, job, t0: int, t1: int) -> np.ndarray:
+    """Results of trials t0..t1-1 of one job."""
     config, key, extra = job
     seeds = mix64(config.seed, *key, np.arange(t0, t1, dtype=np.uint64))
-    if fn is _trial_summary and _batched(config):
-        out = np.empty(t1 - t0, dtype)
-        step = max(1, _BATCH_CELLS // config.n ** config.dimension)
-        for i in range(0, t1 - t0, step):
-            out[i:i + step] = _batch_summary(config, seeds[i:i + step], *extra)
-        return out
-    return np.fromiter((fn(replace(config, seed=s), *extra) for s in seeds.tolist()),
-                       dtype, count=t1 - t0)
+    return fn(config, seeds, *extra)
 
 
-def estimate_under_coverage(
-    config: LatticeConfig,
-    sites,
-    trials: int,
-    workers: int = 1,
-) -> list[SiteEstimate]:
-    """Monte Carlo under-coverage frequency per site with 99% Wilson intervals.
-
-    Trial t runs on seed mix64(config.seed, t), so the estimate is
-    independent of chunking and worker count.
-    """
-    sites = list(sites)
-    idx = _site_indices(config, sites)  # validates before any work
-    [results] = run_trials(_trial_summary, [(config, (), (idx,))], trials, workers,
-                           _summary_dtype(len(sites)))
-    return _site_estimates(sites, results["bits"], trials)
+def estimate_under_coverage(config: LatticeConfig, sites, trials: int,
+                            workers: int = 1) -> list[SiteEstimate]:
+    """Monte Carlo under-coverage frequency per site with 99% Wilson intervals,
+    from the trials of simulate_window, so independent of chunking and workers."""
+    return simulate_window(config, trials, workers, list(sites)).sites
 
 
-def simulate_window(
-    config: LatticeConfig, trials: int, workers: int = 1, sites=None
-) -> WindowStats:
-    """Whole-window under-coverage summaries per trial (same seeding contract).
+def simulate_window(config: LatticeConfig, trials: int, workers: int = 1,
+                    sites=None) -> WindowStats:
+    """Whole-window under-coverage summaries per trial; trial t runs on mix64(config.seed, t).
 
     With sites, the same trials also give the per-site estimates of
     estimate_under_coverage (in WindowStats.sites), so each trial's field is
@@ -701,7 +685,7 @@ def simulate_window(
     """
     site_list = [] if sites is None else list(sites)
     idx = _site_indices(config, site_list)  # validates before any work
-    [results] = run_trials(_trial_summary, [(config, (), (idx,))], trials, workers,
+    [results] = run_trials(_summaries, [(config, (), (idx,))], trials, workers,
                            _summary_dtype(len(site_list)))
     estimates = None if sites is None else _site_estimates(site_list, results["bits"], trials)
     return WindowStats(results["fraction"], results["last"], int(results["clamp"].sum()),

@@ -226,6 +226,15 @@ class TestContinuumCmd:
         assert out[0] == "trial,statistic,witness"
         assert len(out) == 5
 
+    @pytest.mark.parametrize("dim", ["1", "2"])
+    def test_covered_trials_have_an_empty_witness(self, dim, capsys, monkeypatch):
+        # points at the origin with long radii cover the whole window
+        monkeypatch.setattr(continuum, "sample_ppp", lambda config: continuum.PointSet(
+            np.zeros((2, config.dimension)), np.array([300.0, 300.0])))
+        assert main(["continuum", "--dim", dim, "--dist", "pareto:alpha=4", "--lambda", "1.0",
+                     "--T", "20", "--trials", "2", "--seed", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["0,0.0,", "1,0.0,"]
+
     def test_const_radius_takes_a_float(self, capsys):
         code = main(["continuum", "--dist", "const:r=2.5", "--lambda", "1.0", "--T", "20",
                      "--trials", "2", "--seed", "5"])
@@ -334,6 +343,21 @@ class TestOversizedRequests:
         monkeypatch.setattr(lattice, "_trial_range", no_trials)
         assert main(["simulate", "--dist", "const:r=1", "--p", "0.5", "--n", "3",
                      "--trials", "1000000000000", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "bytes of results" in err
+
+    @pytest.mark.parametrize("argv", [
+        # 16 bytes per 1D trial: 3.2e9 bytes, past 2^31 at 8 bytes a trial it was not
+        ["continuum", "--dim", "1", "--lambda", "1.0", "--T", "20", "--trials", "200000000"],
+        ["continuum", "--dim", "2", "--lambda", "1.0", "--T", "20", "--trials", "100000000"],
+        ["scan", "--dim", "1", "--lambda-grid", "0.5,1", "--T", "20", "--trials", "100000000"],
+    ])
+    def test_continuum_trials(self, argv, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("allocated the trial results")
+
+        monkeypatch.setattr(lattice, "_trial_range", no_trials)
+        assert main(argv + ["--dist", "pareto:alpha=4", "--seed", "1"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "bytes of results" in err
 
@@ -727,6 +751,66 @@ class TestSimulateAndScanProperty:
     one error line and no traceback."""
 
     @given(simulate_argv())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_codes_and_one_error_line(self, inline_pools, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--seed", "1"])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("error:") <= 1
+
+
+_CONT_LAWS = ["const:r=0.5", "const:r=3", "pareto:alpha=4", "pareto:alpha=0.5", "power:beta=1.5",
+              "geom:q=0.5"]
+
+
+def _mostly_positive(lo, hi):
+    """Positive floats up to hi, with a bad value one draw in five."""
+    good = st.floats(lo, hi).map(repr)
+    return st.one_of(good, good, good, good, st.sampled_from(["0", "-1", "inf", "nan"]))
+
+
+_POSITIVE = _mostly_positive(1e-3, 30.0)
+
+
+@st.composite
+def continuum_argv(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    argv = ["--dim", str(dim), "--dist", draw(st.sampled_from(_CONT_LAWS)),
+            "--T", draw(_POSITIVE), "--k", str(draw(st.integers(0, 4))),
+            "--trials", str(draw(st.integers(0, 6))), "--workers", str(draw(st.integers(1, 4)))]
+    if dim == 2:
+        argv += ["--resolution", draw(_mostly_positive(0.25, 4.0))]
+    if draw(st.booleans()):
+        return ["continuum", *argv, "--lambda", draw(_POSITIVE)]
+    grid = ",".join(draw(st.lists(_POSITIVE, min_size=1, max_size=3)))
+    return ["scan", *argv, f"--lambda-grid={grid}"]
+
+
+@st.composite
+def beta_scan_argv(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 40)) if dim == 1 else draw(st.integers(1, 8))
+    betas = _mostly_positive(0.05, 5.0)
+    argv = ["scan", "--dim", str(dim), "--model", draw(st.sampled_from(["firework", "reverse"])),
+            "--p", draw(st.one_of(_P, st.floats(0.0, 1.0).map(repr))),
+            "--k", str(draw(st.integers(1, 4))), "--n", str(n),
+            "--cushion", str(draw(st.integers(1, 3))), "--trials", str(draw(st.integers(0, 6))),
+            "--workers", str(draw(st.integers(1, 4))),
+            f"--beta-grid={','.join(draw(st.lists(betas, min_size=1, max_size=3)))}"]
+    if draw(st.booleans()):
+        argv.append("--initiators")
+    return argv
+
+
+class TestContinuumAndGridScanProperty:
+    """Any small continuum request or lambda/beta-grid scan, at any --workers
+    (pools run inline), ends in a documented exit code with at most one error
+    line and no traceback."""
+
+    @given(st.one_of(continuum_argv(), beta_scan_argv()))
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_exit_codes_and_one_error_line(self, inline_pools, argv):

@@ -11,6 +11,7 @@ from rumourlab.continuum import (
     k_cover_last_gap_1d,
     sample_ppp,
     scan_lambda,
+    trial_records,
     trial_statistic,
 )
 from rumourlab.distributions import (
@@ -245,6 +246,24 @@ class TestScanLambda:
         covering = PointSet(np.array([[0.0], [0.0]]), np.array([300.0, 300.0]))
         monkeypatch.setattr(continuum, "sample_ppp", lambda config: covering)
         assert trial_statistic(c) == (0.0, None)
+
+    @pytest.mark.parametrize("dim, lam, T", [(1, 0.3, 200.0), (1, 3.0, 20.0), (2, 3.0, 20.0)])
+    def test_trial_records_hold_trial_statistic(self, dim, lam, T, monkeypatch):
+        # 16 (1D) or 24 (2D) bytes per trial
+        c = cfg(dim=dim, lam=lam, T=T, seed=8)
+        seeds = mix64(c.seed, np.arange(20, dtype=np.uint64))
+        records = trial_records(c, seeds)
+        assert records.dtype.itemsize == 8 * (1 + dim)
+        for seed, stat, witness in zip(seeds.tolist(), records["statistic"].tolist(),
+                                       records["witness"].tolist()):
+            want_stat, want_witness = trial_statistic(cfg(dim=dim, lam=lam, T=T, seed=seed))
+            assert stat == want_stat
+            assert witness == ([want_witness] if dim == 1 else list(want_witness))
+        # a covered window's witness coordinates are NaN
+        covering = PointSet(np.zeros((2, dim)), np.array([300.0, 300.0]))
+        monkeypatch.setattr(continuum, "sample_ppp", lambda config: covering)
+        [(stat, witness)] = trial_records(c, seeds[:1]).tolist()
+        assert stat == 0.0 and len(witness) == dim and all(math.isnan(w) for w in witness)
 
 
 class TestContinuousLawParsing:

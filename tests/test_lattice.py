@@ -289,8 +289,7 @@ class TestReverseMembership:
             for k in (1, 2):
                 want = brute_reverse_membership(r, k)
                 np.testing.assert_array_equal(reverse_membership(r, k).values, want)
-                c = replace(r.config, k=k)
-                np.testing.assert_array_equal(lat._trial_field(c).values, want)
+                np.testing.assert_array_equal(streamed(replace(r.config, k=k)).values, want)
 
     def test_nesting_in_k(self):
         for seed in range(5):
@@ -387,7 +386,6 @@ class TestLastUnderCovered2D:
                 k = fill if origin == 1 else 1
                 want = nonzero_last_under_covered(fld, k)
                 assert last_under_covered(fld, k) == want
-                assert last_under_covered(fld, k, fld.under_mask(k)) == want
 
 
 class TestEstimate:
@@ -464,8 +462,13 @@ class TestSimulateWindow:
         assert np.all(stats.last_normalized == 0.0)
 
 
-def seed_and_extra(config, *extra):
-    return config.seed, extra
+SEED_AND_JOB = np.dtype([("seed", np.uint64), ("job", np.int64)])
+
+
+def seed_and_job(config, seeds, job):
+    out = np.empty(len(seeds), SEED_AND_JOB)
+    out["seed"], out["job"] = seeds, job
+    return out
 
 
 class TestRunTrials:
@@ -479,12 +482,13 @@ class TestRunTrials:
     def test_equals_serial_loop_with_one_clamped_pool(self, inline_pools, trials, workers,
                                                       cpus, keys):
         inline_pools.clear()
-        jobs = [(cfg(seed=j), key, (j, "x")) for j, key in enumerate(keys)]
+        jobs = [(cfg(seed=j), key, (j,)) for j, key in enumerate(keys)]
         with patch.object(lat.os, "sched_getaffinity", lambda pid: set(range(cpus))):
-            got = lat.run_trials(seed_and_extra, jobs, trials, workers)
-        want = [[(mix64(c.seed, *key, t), extra) for t in range(trials)]
-                for c, key, extra in jobs]
-        assert [list(results) for results in got] == want
+            got = lat.run_trials(seed_and_job, jobs, trials, workers, SEED_AND_JOB)
+        want = [[(mix64(c.seed, *key, t), j) for t in range(trials)]
+                for c, key, (j,) in jobs]
+        assert all(results.dtype == SEED_AND_JOB for results in got)
+        assert [results.tolist() for results in got] == want
         # each job's trials cut into chunks of ceil(trials / min(workers, cpus))
         per = math.ceil(trials / min(workers, cpus))
         chunks = len(jobs) * math.ceil(trials / per)
@@ -495,7 +499,7 @@ class TestRunTrials:
     def test_trials_checked_once(self, inline_pools):
         for jobs in ([], [(cfg(), (), ())]):
             with pytest.raises(ValueError, match="trials must be >= 1"):
-                lat.run_trials(seed_and_extra, jobs, 0, 2)
+                lat.run_trials(seed_and_job, jobs, 0, 2, SEED_AND_JOB)
         assert inline_pools == []
 
 
@@ -520,39 +524,78 @@ def assert_same_field(a: CoverageField, b: CoverageField):
     assert a.clamp_count == b.clamp_count
 
 
-class TestStreamedReverse2D:
-    """_trial_field streams reverse-2D trials; it must equal the realized path."""
+def streamed(c: LatticeConfig) -> CoverageField:
+    return lat._stream_reverse(c, lat._survival_bounds(c))
+
+
+def public_records(c: LatticeConfig, seeds, idx) -> np.ndarray:
+    """Summary records from the public API, one realized field per seed."""
+    out = np.empty(len(seeds), lat._summary_dtype(len(idx[0])))
+    for i, seed in enumerate(seeds.tolist()):
+        r = realize(replace(c, seed=seed))
+        fld = firework_counts(r) if c.model == FIREWORK else reverse_membership(r, c.k)
+        mask = fld.under_mask(c.k)
+        last = last_under_covered(fld, c.k if c.model == FIREWORK else 1)
+        if fld.dimension == 1:  # None = fully covered
+            norm = 0.0 if last is None else (last - fld.origin + 1) / fld.window
+        else:  # None = even the far corner fails
+            norm = 1.0 if last is None else (last - fld.origin) / fld.window
+        out[i] = mask[idx], mask.mean(), norm, fld.clamp_count
+    return out
+
+
+class TestStreamedReverse:
+    """Every reverse trial streams; its field must equal the realized path's."""
 
     @pytest.mark.parametrize("dist", TRIAL_LAWS, ids=lambda d: d.spec_string())
-    def test_matches_realized_membership(self, dist):
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_realized_membership(self, dist, dim):
         for n, p, k, initiators in [(1, 0.5, 1, True), (1, 1.0, 2, False), (4, 0.0, 1, True),
-                                    (5, 0.5, 2, False), (6, 0.7, 3, True), (9, 1.0, 2, True)]:
+                                    (5, 0.5, 2, False), (6, 0.7, 3, True), (9, 1.0, 2, True),
+                                    (40, 0.3, 2, True)]:
             for seed in range(2):
-                c = cfg(model=REVERSE, dim=2, n=n, cushion=3, p=p, k=k, dist=dist,
+                c = cfg(model=REVERSE, dim=dim, n=n, cushion=3, p=p, k=k, dist=dist,
                         seed=seed, initiators=initiators)
-                assert_same_field(lat._trial_field(c), reverse_membership(realize(c), k))
+                assert_same_field(streamed(c), reverse_membership(realize(c), k))
 
     @pytest.mark.parametrize("chunk_cells", [1, 7, 64])
-    def test_several_row_blocks(self, monkeypatch, chunk_cells):
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_several_row_blocks(self, monkeypatch, chunk_cells, dim):
         # a tiny chunk splits the extent into many row blocks, down to one row
         monkeypatch.setattr(lat, "_CHUNK_CELLS", chunk_cells)
         for dist in (PowerTail(1.5), Geometric(0.5), ParetoTail(2.0)):
             for initiators in (False, True):
-                c = cfg(model=REVERSE, dim=2, n=7, cushion=4, p=0.5, k=2, dist=dist,
-                        seed=13, initiators=initiators)
-                assert len(lat._row_blocks(c.extent(), 2)) > 1
-                assert_same_field(lat._trial_field(c), reverse_membership(realize(c), 2))
+                c = cfg(model=REVERSE, dim=dim, n=7 if dim == 2 else 40, cushion=4, p=0.5,
+                        k=2, dist=dist, seed=13, initiators=initiators)
+                assert len(lat._row_blocks(c.extent(), dim)) > 1
+                assert_same_field(streamed(c), reverse_membership(realize(c), 2))
 
-    def test_several_real_chunks(self):
-        c = cfg(model=REVERSE, dim=2, n=700, cushion=3, p=0.5, k=2, dist=PowerTail(1.5),
-                seed=4, initiators=True)
-        assert len(lat._row_blocks(c.extent(), 2)) > 1
-        assert_same_field(lat._trial_field(c), reverse_membership(realize(c), 2))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_several_real_chunks(self, dim):
+        c = cfg(model=REVERSE, dim=dim, n=700 if dim == 2 else 1_500_000, cushion=3, p=0.5,
+                k=2, dist=PowerTail(1.5), seed=4, initiators=True)
+        assert len(lat._row_blocks(c.extent(), dim)) > 1
+        assert_same_field(streamed(c), reverse_membership(realize(c), 2))
 
-    def test_other_models_unchanged(self):
-        for model, dim in ((FIREWORK, 1), (FIREWORK, 2), (REVERSE, 1)):
-            c = cfg(model=model, dim=dim, n=9, cushion=2, p=0.5, seed=8)
-            assert_same_field(lat._trial_field(c), lat.coverage_field(realize(c)))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_trials_never_realize(self, monkeypatch, dim):
+        # a reverse trial reads the window stream itself; the summaries equal
+        # the records of the realized fields
+        c = cfg(model=REVERSE, dim=dim, n=6, cushion=3, p=0.5, k=2, dist=PowerTail(1.5),
+                seed=19, initiators=True)
+        sites = [0, 5] if dim == 1 else [(0, 0), (5, 2)]
+        seeds = mix64(c.seed, np.arange(12, dtype=np.uint64))
+        want = public_records(c, seeds, lat._site_indices(c, sites))
+
+        def no_realize(config):
+            raise AssertionError("a reverse trial realized its window")
+
+        monkeypatch.setattr(lat, "realize", no_realize)
+        stats = simulate_window(c, 12, sites=sites)
+        np.testing.assert_array_equal(stats.fractions, want["fraction"])
+        np.testing.assert_array_equal(stats.last_normalized, want["last"])
+        assert stats.clamp_count == want["clamp"].sum()
+        assert [e.under_count for e in stats.sites] == want["bits"].sum(axis=0).tolist()
 
     @given(
         st.one_of(
@@ -615,15 +658,16 @@ class TestOnePassSimulate:
 
 class TestBatchedTrials:
     """Small firework windows run their trials in batches; each batched record
-    must equal the per-trial _trial_summary record of its seed, bit for bit."""
+    must equal the record of its seed on the forced per-trial path, bit for bit."""
 
     CAP_N = {1: lat._BATCH_MAX_CELLS, 2: math.isqrt(lat._BATCH_MAX_CELLS)}
 
     @staticmethod
     def per_trial(config, seeds, idx):
-        return np.fromiter((lat._trial_summary(replace(config, seed=s), idx)
-                            for s in seeds.tolist()),
-                           lat._summary_dtype(len(idx[0])), count=len(seeds))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(lat, "_BATCH_MAX_CELLS", 0)
+            assert not lat._batched(config)
+            return lat._summaries(config, seeds, idx)
 
     @staticmethod
     def assert_same_records(got, want):
@@ -643,7 +687,7 @@ class TestBatchedTrials:
             sites = [1, n] if dim == 1 else [(1, 1), (n, 1), (n, n)]
             idx = lat._site_indices(c, sites)
             seeds = mix64(c.seed, np.arange(trials, dtype=np.uint64))
-            self.assert_same_records(lat._batch_summary(c, seeds, idx),
+            self.assert_same_records(lat._summaries(c, seeds, idx),
                                      self.per_trial(c, seeds, idx))
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -652,11 +696,20 @@ class TestBatchedTrials:
         idx = lat._site_indices(c, [2, 5] if dim == 1 else [(2, 3)])
         seeds = mix64(c.seed, np.arange(3, 20, dtype=np.uint64))
         want = self.per_trial(c, seeds, idx)
-        dtype = lat._summary_dtype(len(idx[0]))
         for step in (1, 3, 16, 1000):
             monkeypatch.setattr(lat, "_BATCH_CELLS", step * 5 ** dim)
-            got = lat._trial_range(lat._trial_summary, (c, (), (idx,)), 3, 20, dtype)
+            got = lat._trial_range(lat._summaries, (c, (), (idx,)), 3, 20)
             self.assert_same_records(got, want)
+
+    @pytest.mark.parametrize("dim, n, initiators", [(1, 9, True), (1, 300, False),
+                                                    (2, 5, False), (2, 20, False)])
+    def test_both_paths_equal_the_public_api(self, dim, n, initiators):
+        # batched (n^d <= 256) and per-trial (n^d > 256) records against
+        # firework_counts(realize(c)) and last_under_covered, trial by trial
+        c = cfg(dim=dim, p=0.3, k=2, n=n, dist=PowerTail(1.5), seed=n, initiators=initiators)
+        idx = lat._site_indices(c, [1, n] if dim == 1 else [(1, 1), (n, 2)])
+        seeds = mix64(c.seed, np.arange(30, dtype=np.uint64))
+        self.assert_same_records(lat._summaries(c, seeds, idx), public_records(c, seeds, idx))
 
     def test_which_trials_batch(self, monkeypatch):
         cap = lat._BATCH_MAX_CELLS
