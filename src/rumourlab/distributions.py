@@ -102,7 +102,8 @@ class ParetoTail(TailDistribution):
         return np.where(j <= 0, 1.0, g)
 
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        q = np.minimum(np.ceil(self.alpha / u) - 1.0, RADIUS_CAP)
+        with np.errstate(over="ignore"):  # inf is the right tail; it clips to the cap
+            q = np.minimum(np.ceil(self.alpha / u) - 1.0, RADIUS_CAP)
         return np.maximum(q, 0.0).astype(np.int64)
 
     def functionals(self) -> TailFunctionals:
@@ -135,7 +136,8 @@ class PowerTail(TailDistribution):
         return np.where(j <= 0, 1.0, g)
 
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        q = np.minimum(np.ceil(u ** (-1.0 / self.beta)) - 1.0, RADIUS_CAP)
+        with np.errstate(over="ignore"):  # inf is the right tail; it clips to the cap
+            q = np.minimum(np.ceil(u ** (-1.0 / self.beta)) - 1.0, RADIUS_CAP)
         return np.maximum(q, 0.0).astype(np.int64)
 
     def functionals(self) -> TailFunctionals:
@@ -264,8 +266,9 @@ class ParetoCont:
         return self.alpha / x
 
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """rho with P(rho > quantile(u)) = u; u in (0, 1]."""
-        return self.alpha / u
+        """rho with P(rho > quantile(u)) = u; u in (0, 1], inf past the float range."""
+        with np.errstate(over="ignore"):
+            return self.alpha / u
 
     def spec_string(self) -> str:
         return f"pareto:alpha={self.alpha:g}"
@@ -287,7 +290,8 @@ class PowerCont:
         return x ** (-self.beta)
 
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        return u ** (-1.0 / self.beta)
+        with np.errstate(over="ignore"):  # inf past the float range
+            return u ** (-1.0 / self.beta)
 
     def spec_string(self) -> str:
         return f"power:beta={self.beta:g}"

@@ -16,35 +16,37 @@ prefix sums in place turn it into per-cell counts, so the cost is
 O(window + boxes) regardless of the radii.  Firework counts, the reverse
 membership marks and the continuum's 2D pixel counts all use it.
 
-The reverse model has one body for 1D and 2D: chunk by chunk, the open
-bits fill an int32 prefix grid over sites [-1..m]^d, each source's block
-count is the signed sum of that grid at the block's 2^d corners, and the
-qualifying blocks are marked through box_counts.
+Each model has one counting body fed by row chunks, in the row order of
+the window stream.  _firework counts the fields of many trials in one
+box_counts call with a leading trial axis, from chunks (first trial, first
+row, open bits, radii of the open sites).  _membership takes chunks (first
+row, open bits, sources, radii): the open bits fill an int32 prefix grid
+over sites [-1..m]^d, each source's block count is the signed sum of that
+grid at the block's 2^d corners, and the qualifying blocks are marked
+through box_counts.  A realization feeds either body in the row blocks of
+realize (firework_counts, reverse_membership).
 
 One trial engine, run_trials, seeds, chunks and pools the trials of the
 lattice (simulate_window) and of the continuum (scan_lambda, the continuum
 command): fn(config, seeds, *extra) returns numeric records for a chunk of
-trial seeds.  A lattice trial's summary comes from _summaries, and every
-under-covered mask goes through one reduction, _records.  Firework trials
-on windows of at most _BATCH_MAX_CELLS cells run in batches: stats.uniforms
-draws all the batch's window streams at once, exactly the uniforms each
-trial's own make_rng generator gives, and one box_counts call with a
-leading trial axis counts every field, so each record is bit-identical to
-the one-trial path, firework_counts(realize(config)).  Every reverse trial
-streams (_stream_reverse): it draws the same uniforms in the same order as
-realize, writes each chunk's open bits straight into the prefix grid, and
-computes radii only for open sites that can reach the reported window or
-clamp, so it needs ~4 bytes per extent cell and its field is bit-identical
-to reverse_membership(realize(config), config.k).  NumPy's NEP 19 does not
-freeze its generator streams; the tests pin uniforms to
-Generator(PCG64(seed)) so that a NumPy release that changes them fails
-loudly.
+trial seeds.  A lattice trial's summary comes from _summaries and one
+reduction, _records.  The trials of a firework window of at most
+_BATCH_MAX_CELLS cells come as one chunk, whose window streams
+stats.uniforms draws at once, exactly the uniforms each trial's own
+make_rng generator gives; a larger window is realized trial by trial.
+stats.uniforms draws every initiator radius too.  A reverse trial streams
+(_stream_reverse): its chunks come straight from the window stream, and
+only open sites that can reach the reported window or clamp are sources
+and get radii, so it needs ~4 bytes per extent cell.  Each record is thus
+bit-identical to the one-trial path, firework_counts or reverse_membership
+of realize(config).  NumPy's NEP 19 does not freeze its generator streams;
+the tests pin uniforms to Generator(PCG64(seed)) so that a NumPy release
+that changes them fails loudly.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -203,7 +205,9 @@ def realize(config: LatticeConfig) -> Realization:
         if act.any():
             radii_parts.append(config.dist.quantile_from_uniform(u[act]))
     radii = np.concatenate(radii_parts) if radii_parts else np.empty(0, dtype=np.int64)
-    return Realization(config, activation, radii, _initiator_radii(config))
+    seed = np.array([config.seed % 2**64], dtype=np.uint64)  # masked as make_rng masks it
+    init = _initiator_radii(config.dist, seed)[0] if config.include_initiators else None
+    return Realization(config, activation, radii, init)
 
 
 def _row_blocks(m: int, dimension: int) -> list:
@@ -229,13 +233,20 @@ def _draws(config: LatticeConfig):
         yield r0, act, u
 
 
-def _initiator_radii(config: LatticeConfig):
-    """Radii of sites -1 and 0 from their own stream, or None without initiators."""
-    if not config.include_initiators:
-        return None
-    rng_init = make_rng(config.seed, _STREAM_INITIATORS)
-    u = 1.0 - rng_init.random(2)
-    return config.dist.quantile_from_uniform(u)
+def _realized_chunks(realization: Realization):
+    """(r0, open bits, radii of the open sites) of a realization, in the row blocks of realize."""
+    act, off = realization.activation, 0
+    for r0, r1 in _row_blocks(act.shape[0], act.ndim):
+        count = int(np.count_nonzero(act[r0:r1]))
+        yield r0, act[r0:r1], realization.radii[off:off + count]
+        off += count
+
+
+def _initiator_radii(dist: TailDistribution, seeds: np.ndarray) -> np.ndarray:
+    """(trials, 2) radii of sites -1 and 0 of the trials on seeds (uint64), each
+    from its trial's own initiator stream, as make_rng(seed, 2) draws it."""
+    u = np.subtract(1.0, uniforms(mix64(seeds, _STREAM_INITIATORS), 2))
+    return dist.quantile_from_uniform(u)
 
 
 def box_counts(m: int, d: int, batches, trials: int | None = None) -> np.ndarray:
@@ -246,8 +257,9 @@ def box_counts(m: int, d: int, batches, trials: int | None = None) -> np.ndarray
     grid of (m+1)^d cells (int32 signs keep np.add.at on its fast path);
     in-place prefix sums then leave the counts, exact below 2^31 per cell.
     With trials, the grid gets a leading axis of that many trials' grids,
-    batches yield (lo, stop, trial) with each box's trial index, and the
-    prefix sums run along the window axes only, so no count crosses trials.
+    batches yield (lo, stop, trial) with each box's trial index (or one int
+    for all of a batch's boxes), and the prefix sums run along the window
+    axes only, so no count crosses trials.
     """
     lead = () if trials is None else (trials,)
     grid = np.zeros(lead + (m + 1,) * d, dtype=np.int32)
@@ -293,36 +305,44 @@ def firework_counts(realization: Realization) -> CoverageField:
     cfg = realization.config
     if cfg.model != FIREWORK:
         raise ValueError("firework_counts needs a firework-model realization")
-    n = cfg.n
-    starts = np.nonzero(realization.activation)  # 0-based: site - 1 per axis
-    radii = realization.radii
-    if realization.initiator_radii is not None:
-        starts, radii = _with_initiators(starts, radii, realization.initiator_radii)
-    stops, over = _firework_stops(n, starts, radii)
-    counts = box_counts(n, cfg.dimension, [(starts, stops)])
-    return CoverageField("counts", cfg.dimension, 1, n, counts, int(np.count_nonzero(over)))
+    init = realization.initiator_radii
+    chunks = ((0, r0, act[None], radii) for r0, act, radii in _realized_chunks(realization))
+    counts, clamps = _firework(cfg, 1, chunks, None if init is None else init[None])
+    return CoverageField("counts", cfg.dimension, 1, cfg.n, counts[0], int(clamps[0]))
 
 
-def _with_initiators(starts, radii, initiator_radii):
-    """1D starts and radii with the initiator blocks appended, a pair per row of initiator_radii.
+def _firework(config: LatticeConfig, trials: int, chunks, initiator_radii):
+    """Cover counts (trials, n, ...) and clamp counts (trials,) of firework fields.
 
-    Sites -1 and 0 cover sites 1..site+r: blocks from index 0 with radius
-    max(site+r, 0) - 1 (-1 for an empty one).
+    chunks yields (t0, r0, open bits, radii): the open bits of trials t0.. over
+    window rows r0.. (0-based) as a (trials, rows, ...) array, and the radii
+    of its open sites in row-major order.  initiator_radii is None or the
+    (trials, 2) radii of sites -1 and 0 (1D), which cover sites 1..site+r:
+    blocks from index 0 with radius max(site+r, 0) - 1 (-1 for an empty one).
+    Every block stops at min(start + radius + 1, n), and one box_counts call
+    with a leading trial axis counts every field.
     """
-    init = np.maximum(_INITIATOR_SITES + initiator_radii, 0).reshape(-1) - 1
-    return ((np.concatenate([starts[0], np.zeros(init.size, dtype=np.int64)]),),
-            np.concatenate([radii, init]))
+    n, clamps = config.n, np.zeros(trials, dtype=np.int64)
 
+    def boxes(trial, starts, radii):
+        stops = [x + radii + 1 for x in starts]
+        over = functools.reduce(np.logical_or, [stop > n for stop in stops])
+        clamps[:] += np.bincount(np.broadcast_to(trial, over.shape)[over], minlength=trials)
+        return starts, [np.minimum(stop, n, out=stop) for stop in stops], trial
 
-def _firework_stops(n: int, starts, radii):
-    """Per-axis block stops min(start + radius + 1, n), and which blocks were clamped."""
-    stops = [x + radii + 1 for x in starts]
-    over = stops[0] > n
-    for stop in stops[1:]:
-        over |= stop > n
-    for stop in stops:
-        np.minimum(stop, n, out=stop)
-    return stops, over
+    def batches():
+        for t0, r0, bits, radii in chunks:
+            # a one-trial chunk keeps a scalar trial index: no index array per box
+            flat = np.flatnonzero(bits)
+            trial, flat = divmod(flat, bits[0].size) if len(bits) > 1 else (0, flat)
+            starts = list(divmod(flat, bits.shape[-1])) if bits.ndim > 2 else [flat]
+            starts[0] += r0
+            yield boxes(trial + t0, starts, radii)
+        if initiator_radii is not None:
+            init = np.maximum(_INITIATOR_SITES + initiator_radii, 0).reshape(-1) - 1
+            yield boxes(np.repeat(np.arange(trials), 2), [np.zeros_like(init)], init)
+
+    return box_counts(n, config.dimension, batches(), trials), clamps
 
 
 def reverse_membership(realization: Realization, k: int) -> CoverageField:
@@ -332,30 +352,16 @@ def reverse_membership(realization: Realization, k: int) -> CoverageField:
     i + [-radius_i, 0]^d together with at least k open sites other than i
     (initiators count as open).  k=0 degenerates to plain reverse
     coverage.  Sources beyond the cushioned window are missing, so the
-    indicator is a lower bound on the true region.  One body serves 1D and
-    2D: the bitmap is read in the chunks of realize, whose rows fill the
-    prefix grid and whose sources reaching the window go to _membership.
+    indicator is a lower bound on the true region.  The bitmap goes to
+    _membership in the row blocks of realize, every open site a source.
     """
     cfg = realization.config
     if cfg.model != REVERSE:
         raise ValueError("reverse_membership needs a reverse-model realization")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    n, m, d = cfg.n, cfg.extent(), cfg.dimension
-    S = _prefix_grid(m, d, realization.initiator_radii is not None)
-
-    def sources():
-        off = 0
-        for r0, r1 in _row_blocks(m, d):
-            act = realization.activation[r0:r1]
-            _prefix_rows(S, r0, act)
-            x = [c + 1 for c in np.nonzero(act)]  # 1-based sites, rows from r0
-            x[0] += r0
-            rad = realization.radii[off:off + x[0].size]
-            off += x[0].size
-            yield _reaching(n, x, rad)
-
-    return _membership(n, k, S, sources(), realization.initiator_radii)
+    chunks = ((r0, act, act, radii) for r0, act, radii in _realized_chunks(realization))
+    return _membership(cfg, k, chunks, realization.initiator_radii)
 
 
 def _survival_bounds(cfg: LatticeConfig):
@@ -370,53 +376,32 @@ def _survival_bounds(cfg: LatticeConfig):
             _SURVIVAL_SLACK * cfg.dist.survival_vec(sites + 2))
 
 
-def _stream_reverse(cfg: LatticeConfig, bounds) -> CoverageField:
+def _stream_reverse(cfg: LatticeConfig, bounds, initiator_radii) -> CoverageField:
     """reverse_membership(realize(cfg), cfg.k) without realizing the window, in 1D or 2D.
 
     Consumes the window stream of realize chunk by chunk and keeps no
     activation bitmap and no per-site radii: the open bits go straight into
     the prefix grid, and only candidates, open sites whose uniform lies
     below bounds = _survival_bounds(cfg), get radii and the exact tests.
+    initiator_radii are realize(cfg)'s.
     """
-    n, d, dist = cfg.n, cfg.dimension, cfg.dist
     reach_g, clamp_g = bounds
-    initiator_radii = _initiator_radii(cfg)
-    S = _prefix_grid(cfg.extent(), d, initiator_radii is not None)
 
-    def sources():
+    def chunks():
         for r0, act, u in _draws(cfg):
-            _prefix_rows(S, r0, act)
             # u below a min of the axis bounds or below a max of them,
             # compared per axis so no chunk-sized bound is built
-            rows = (slice(r0, r0 + act.shape[0]),) + (None,) * (d - 1)
+            rows = (slice(r0, r0 + act.shape[0]),) + (None,) * (cfg.dimension - 1)
             cand = u < reach_g[rows]
             clamps = u < clamp_g[rows]
-            if d == 2:
+            if cfg.dimension == 2:
                 cand &= u < reach_g
                 clamps |= u < clamp_g
             cand |= clamps
             cand &= act
-            x = [c + 1 for c in np.nonzero(cand)]  # 1-based sites, rows from r0
-            x[0] += r0
-            yield _reaching(n, x, dist.quantile_from_uniform(u[cand]))
+            yield r0, act, cand, cfg.dist.quantile_from_uniform(u[cand])
 
-    return _membership(n, cfg.k, S, sources(), initiator_radii)
-
-
-def _prefix_grid(m: int, d: int, initiators: bool) -> np.ndarray:
-    """Open-site prefix grid over sites [-1..m]^d with only the initiator rows set.
-
-    S[a+2] (1D) or S[a+2, b+2] (2D) will hold the number of open sites in
-    [-1..a] or [-1..a] x [-1..b]; _prefix_rows fills the window rows in
-    order.  The initiators sit on the diagonal at (-1,..,-1) and (0,..,0) and
-    count from index 1 and 2 on every axis; only their rows 1 and 2 are set
-    here, and _prefix_rows adds them down into the window rows.
-    """
-    S = np.zeros((m + 3,) * d, dtype=np.int32)
-    if initiators:
-        for i in (1, 2):
-            S[(slice(i, 3),) + (slice(i, None),) * (d - 1)] += 1
-    return S
+    return _membership(cfg, cfg.k, chunks(), initiator_radii)
 
 
 def _prefix_rows(S: np.ndarray, r0: int, act: np.ndarray) -> None:
@@ -433,48 +418,61 @@ def _prefix_rows(S: np.ndarray, r0: int, act: np.ndarray) -> None:
     _add_down(block)
 
 
-def _reaching(n: int, x, rad):
-    """(x, rad) of the sources whose blocks reach [0, n-1]^d, and the clamp count of all.
+def _membership(cfg: LatticeConfig, k: int, chunks, initiator_radii) -> CoverageField:
+    """Reverse k-sceptic indicator over [0, n-1]^d, from row chunks of the extent.
 
-    x holds one array of site coordinates per axis.
+    chunks yields (r0, open bits, sources, radii) in row order: the open
+    bits of extent rows r0.. (0-based), the mask of the open sites to test
+    as sources, and their radii in row-major order.  The open bits fill an
+    int32 prefix grid S, so a source's block count is the signed sum of S at
+    the block's 2^d corners.  A source qualifies when its block prod [x - rad, x]
+    holds at least k other open sites; the initiators count as sources.
+    Every clamped source is counted, reaching the window or not.
     """
-    clamp = int(np.count_nonzero(rad > functools.reduce(np.minimum, x) + 1))
-    reach = rad >= functools.reduce(np.maximum, x) - n + 1
-    return tuple(c[reach] for c in x), rad[reach], clamp
-
-
-def _membership(n: int, k: int, S: np.ndarray, sources, initiator_radii) -> CoverageField:
-    """Reverse k-sceptic indicator over [0, n-1]^d.
-
-    sources yields (x, rad, clamp) chunks as _reaching returns them, in
-    site coordinates; S must be final through row max(x[0]) when a chunk is
-    yielded.  A source qualifies when its block prod [x - rad, x] holds at
-    least k other open sites; the initiators count as sources.
-    """
-    d = S.ndim
+    n, d = cfg.n, cfg.dimension
+    # S[a+2] (1D) or S[a+2, b+2] (2D) will hold the number of open sites in
+    # [-1..a] or [-1..a] x [-1..b]; _prefix_rows fills the extent rows in
+    # order.  The initiators sit on the diagonal at (-1,..,-1) and (0,..,0)
+    # and count from index 1 and 2 on every axis; only their rows 1 and 2
+    # are set here, and _prefix_rows adds them down into the extent rows.
+    S = np.zeros((cfg.extent() + 3,) * d, dtype=np.int32)
     if initiator_radii is not None:
-        sources = itertools.chain(
-            sources, [_reaching(n, (_INITIATOR_SITES,) * d, initiator_radii)]
-        )
+        for i in (1, 2):
+            S[(slice(i, 3),) + (slice(i, None),) * (d - 1)] += 1
     flat = S.reshape(-1)
     clamp = 0
 
-    def blocks():
+    def qualifying(x, rad):
+        """Qualifying blocks of the sources at site coordinates x, clipped to the window."""
         nonlocal clamp
-        for x, rad, chunk_clamp in sources:
-            clamp += chunk_clamp
-            lo = [np.maximum(c - rad, -1) for c in x]
-            # open sites in the block: the prefix grid's signed corner sum,
-            # with the top corner x+2 in _corners' lo slot and lo+1 in stop;
-            # int32 wraps in between, so the sum is exact as S's entries are
-            corners = _corners([c + 2 for c in x], [c + 1 for c in lo], S.shape[0])
-            in_block = sum(sign * flat[idx] for sign, idx in corners)
-            qualify = in_block - 1 >= k
-            # qualifying blocks clipped to the report window, empty ones dropped
-            a = [np.maximum(c[qualify], 0) for c in lo]
-            s = [np.minimum(c[qualify] + 1, n) for c in x]
-            keep = functools.reduce(np.logical_and, map(np.less, a, s))
-            yield tuple(c[keep] for c in a), tuple(c[keep] for c in s)
+        clamp += int(np.count_nonzero(rad > functools.reduce(np.minimum, x) + 1))
+        reach = rad >= functools.reduce(np.maximum, x) - n + 1
+        x, rad = [c[reach] for c in x], rad[reach]
+        lo = [np.maximum(c - rad, -1) for c in x]
+        # open sites in the block: the prefix grid's signed corner sum,
+        # with the top corner x+2 in _corners' lo slot and lo+1 in stop;
+        # int32 wraps in between, so the sum is exact as S's entries are
+        corners = _corners([c + 2 for c in x], [c + 1 for c in lo], S.shape[0])
+        in_block = sum(sign * flat[idx] for sign, idx in corners)
+        qualify = in_block - 1 >= k
+        # qualifying blocks clipped to the report window, empty ones dropped
+        a = [np.maximum(c[qualify], 0) for c in lo]
+        s = [np.minimum(c[qualify] + 1, n) for c in x]
+        keep = functools.reduce(np.logical_and, map(np.less, a, s))
+        return tuple(c[keep] for c in a), tuple(c[keep] for c in s)
+
+    def blocks():
+        for r0, act, sources, radii in chunks:
+            _prefix_rows(S, r0, act)  # S is final through the chunk's rows
+            x = [c + 1 for c in np.nonzero(sources)]  # 1-based sites, rows from r0
+            x[0] += r0
+            out = qualifying(x, radii)
+            # holding no chunk while its blocks are counted saves ~15 MB of
+            # peak RSS on a 10^8-cell 2D extent
+            del act, sources, radii, x
+            yield out
+        if initiator_radii is not None:
+            yield qualifying((_INITIATOR_SITES,) * d, initiator_radii)
 
     values = (box_counts(n, d, blocks()) > 0).view(np.uint8)
     return CoverageField("membership", d, 0, n, values, clamp, threshold=k)
@@ -565,53 +563,51 @@ def _summaries(config: LatticeConfig, seeds: np.ndarray, idx) -> np.ndarray:
     """Summary records of the trials on seeds (a uint64 array), in seed order.
 
     Trials go ~_BATCH_CELLS window cells at a time through one reduction,
-    _records, so a record does not depend on its mask's source: _batch_masks
-    for small firework windows, one field per trial (_trial_masks) otherwise.
+    _records, so a record does not depend on its mask's source: a firework
+    group counts through _firework, a reverse trial streams on its own.
+    Every trial's initiator radii come from one _initiator_radii call.
     """
     out = np.empty(len(seeds), _summary_dtype(len(idx[0])))
+    init = _initiator_radii(config.dist, seeds) if config.include_initiators else None
     bounds = _survival_bounds(config) if config.model == REVERSE else None
     step = max(1, _BATCH_CELLS // config.n ** config.dimension)
     for i in range(0, len(seeds), step):
         part = seeds[i:i + step]
-        masks = _batch_masks(config, part) if _batched(config) else \
-            _trial_masks(config, part, bounds)
-        out[i:i + step] = _records(*masks, idx)
+        if bounds is None:
+            counts, clamps = _firework(config, len(part), _firework_chunks(config, part),
+                                       None if init is None else init[i:i + step])
+            mask = counts < config.k
+            del counts  # not held while the next group draws
+        else:
+            flds = [_stream_reverse(replace(config, seed=seed), bounds,
+                                    None if init is None else init[i + j])
+                    for j, seed in enumerate(part.tolist())]
+            mask = np.stack([f.under_mask(config.k) for f in flds])
+            clamps = [f.clamp_count for f in flds]
+        out[i:i + step] = _records(mask, clamps, idx)
     return out
 
 
-def _trial_masks(config: LatticeConfig, seeds: np.ndarray, bounds):
-    """Under-covered masks (trials, n, ...) and clamp counts of the trials on seeds, one
-    field each: a firework trial realizes its window, a reverse trial streams with bounds."""
-    flds = [firework_counts(realize(c)) if bounds is None else _stream_reverse(c, bounds)
-            for c in (replace(config, seed=seed) for seed in seeds.tolist())]
-    return np.stack([f.under_mask(config.k) for f in flds]), [f.clamp_count for f in flds]
-
-
-def _batch_masks(config: LatticeConfig, seeds: np.ndarray):
-    """Under-covered masks (trials, n, ...) and clamp counts of the firework trials on seeds.
+def _firework_chunks(config: LatticeConfig, seeds: np.ndarray):
+    """_firework's chunks of the firework trials on seeds, without initiators.
 
     A batched window fits one RNG chunk, so a trial's window stream is 2*n^d
     uniforms: the activation uniforms, then the radius uniforms, as _draws
-    takes them.  uniforms draws every trial's stream at once, the law's
-    quantile runs on all open uniforms together, and one box_counts call
-    with a leading trial axis counts every field.  Each step is elementwise
-    or per trial, so each mask is bit for bit firework_counts(realize(c))'s.
+    takes them.  uniforms draws every trial's stream at once into one chunk
+    and the law's quantile runs on all open uniforms together; each step is
+    elementwise, so each trial's bits and radii are realize's, bit for bit.
+    A larger window is realized trial by trial.
     """
-    n, d, dist = config.n, config.dimension, config.dist
-    cells, b = n ** d, len(seeds)
-    shape = (b,) + (n,) * d
+    if not _batched(config):
+        rs = [realize(replace(config, seed=seed, include_initiators=False))
+              for seed in seeds.tolist()]
+        return ((t, r0, act[None], radii) for t, r in enumerate(rs)
+                for r0, act, radii in _realized_chunks(r))
+    cells, shape = config.n ** config.dimension, (len(seeds),) + (config.n,) * config.dimension
     draws = uniforms(mix64(seeds, _STREAM_WINDOW), 2 * cells)
     act = (draws[:, :cells] < config.p).reshape(shape)
     u = np.subtract(1.0, draws[:, cells:]).reshape(shape)
-    trial, *starts = np.nonzero(act)
-    radii = dist.quantile_from_uniform(u[act])
-    if config.include_initiators:
-        init_u = np.subtract(1.0, uniforms(mix64(seeds, _STREAM_INITIATORS), 2))
-        starts, radii = _with_initiators(starts, radii, dist.quantile_from_uniform(init_u))
-        trial = np.concatenate([trial, np.repeat(np.arange(b), 2)])
-    stops, over = _firework_stops(n, starts, radii)
-    mask = box_counts(n, d, [(starts, stops, trial)], trials=b) < config.k
-    return mask, np.bincount(trial[over], minlength=b)
+    return [(0, 0, act, config.dist.quantile_from_uniform(u[act]))]
 
 
 def _records(mask: np.ndarray, clamps, idx) -> np.ndarray:

@@ -568,6 +568,19 @@ class TestGoldenBytes:
                          "--k", "1", "--n", "17", "--sites", "1,1;17,17", "--trials", "40",
                          "--seed", "56"],
                         "0538519b8006ebda0523fb3c88fd3f2baac643511c00210b28b9b564050f23a2"),
+        # the per-trial firework path (windows over the batch cap): initiators,
+        # a beta grid, and a window drawn in two RNG chunks
+        "fire_init_big": (["simulate", "--dim", "1", "--dist", "pareto:alpha=4", "--p", "0.3",
+                           "--k", "2", "--n", "300", "--initiators", "--sites", "1,300",
+                           "--trials", "40", "--seed", "58"],
+                          "c084e3de11a8b37d022b997adc101fa3a84adbc61572de99d214e289199ee245"),
+        "beta_grid_1d": (["scan", "--dim", "1", "--beta-grid", "0.8,1.5", "--p", "0.4", "--n",
+                          "300", "--trials", "6", "--seed", "57"],
+                         "fef9d18c7b2a8fb292d21b6950853fe2322bb5fc2e1fbca8a6bc91199e43a882"),
+        "fire_two_chunks": (["simulate", "--dim", "1", "--dist", "geom:q=0.5", "--p", "0.5",
+                             "--k", "2", "--n", "4500000", "--sites", "1,4500000", "--trials",
+                             "2", "--seed", "59"],
+                            "0e3827fc524c17e629994426bf309ac0536525615f5a8842d1f8e8aba8755c85"),
     }
 
     SMALL_WINDOWS = [*(f"tiny{i}" for i in range(7)), "fire_init_pareto", "fire_trunc",
@@ -587,12 +600,30 @@ class TestGoldenBytes:
     def test_small_windows_at_two_workers(self, name, tmp_path):
         self.check(name, tmp_path, ["--workers", "2"])
 
+    # larger firework windows count each realized trial through the same body
+    @pytest.mark.parametrize("name", ["fire_init_big", "beta_grid_1d", "fire_two_chunks"])
+    def test_per_trial_windows_at_two_workers(self, name, tmp_path):
+        self.check(name, tmp_path, ["--workers", "2"])
+
     def check(self, name, tmp_path, extra):
         args, digest = self.SPECS[name]
         base = tmp_path / name
         assert main([*args, *extra, "--csv", "--json", "--out", str(base)]) == 0
         data = base.with_suffix(".csv").read_bytes() + base.with_suffix(".json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+class TestHeavyTails:
+    # u^(-1/beta) overflows for the smallest uniforms; inf is the right value,
+    # so the run must not warn (pytest turns a RuntimeWarning into an error)
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--dist", "power:beta=0.01", "--p", "0.9", "--n", "300", "--trials", "20"],
+        ["continuum", "--dim", "1", "--dist", "power:beta=0.001", "--lambda", "0.5", "--T", "50",
+         "--trials", "3"],
+    ])
+    def test_no_overflow_warning(self, args, capsys):
+        assert main([*args, "--seed", "3"]) == 0
+        assert "Warning" not in capsys.readouterr().err
 
 
 class TestErrors:

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from rumourlab.distributions import (
     Constant,
     DistParseError,
+    RADIUS_CAP,
     Geometric,
+    ParetoCont,
     ParetoTail,
+    PowerCont,
     PowerTail,
     Truncated,
     TruncatedLawError,
@@ -178,6 +181,22 @@ class TestSampler:
         expected = np.array([(d.survival(j) - d.survival(j + 1)) * n for j in range(7)])
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 < 16.812  # chi-square 0.99 quantile, 6 degrees of freedom
+
+    def test_heavy_tails_overflow_quietly(self):
+        # the smallest uniform, 2^-53, sends u^(-1/beta) and alpha/u past the
+        # float range: lattice laws clip the inf to RADIUS_CAP, continuum laws
+        # return it, and none of them warns (here a warning is an error)
+        u = np.array([2.0**-53, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            power, pareto = PowerTail(0.001), ParetoTail(1e300)
+            np.testing.assert_array_equal(power.quantile_from_uniform(u),
+                                          [RADIUS_CAP, RADIUS_CAP, 0])
+            np.testing.assert_array_equal(pareto.quantile_from_uniform(u), [RADIUS_CAP] * 3)
+            np.testing.assert_array_equal(PowerCont(0.001).quantile_from_uniform(u),
+                                          [math.inf, 2.0**1000, 1.0])
+            np.testing.assert_array_equal(ParetoCont(1e300).quantile_from_uniform(u),
+                                          [math.inf, 2e300, 1e300])
 
     def test_stream_advances_deterministically(self):
         a = ParetoTail(4).quantile_from_uniform(1.0 - make_rng(5).random(1000))

@@ -24,7 +24,7 @@ from rumourlab.lattice import (
     reverse_membership,
     simulate_window,
 )
-from rumourlab.stats import mix64
+from rumourlab.stats import make_rng, mix64
 
 C1 = Constant(1)
 GEO = Geometric(0.5)
@@ -139,6 +139,17 @@ class TestRealize:
         np.testing.assert_array_equal(with_init.activation, without.activation)
         np.testing.assert_array_equal(with_init.radii, without.radii)
         assert with_init.initiator_radii is not None and without.initiator_radii is None
+
+    @pytest.mark.parametrize("seed", [-1, 0, 2**63, 2**64 - 1])
+    def test_initiator_radii_are_the_make_rng_draws(self, seed):
+        # one helper draws every initiator radius; a negative CLI seed is
+        # masked to 64 bits before it becomes a uint64 array
+        dist = ParetoTail(2.0**40)  # radii far apart for distinct uniforms
+        want = dist.quantile_from_uniform(1.0 - make_rng(seed, 2).random(2))
+        got = realize(cfg(p=0.0, n=4, dist=dist, seed=seed, initiators=True)).initiator_radii
+        np.testing.assert_array_equal(got, want)
+        seeds = np.array([seed % 2**64, 7], dtype=np.uint64)
+        np.testing.assert_array_equal(lat._initiator_radii(dist, seeds)[0], want)
 
     def test_window_overflow(self):
         with pytest.raises(WindowOverflowError):
@@ -525,7 +536,8 @@ def assert_same_field(a: CoverageField, b: CoverageField):
 
 
 def streamed(c: LatticeConfig) -> CoverageField:
-    return lat._stream_reverse(c, lat._survival_bounds(c))
+    init = lat._initiator_radii(c.dist, np.array([c.seed], dtype=np.uint64))[0]
+    return lat._stream_reverse(c, lat._survival_bounds(c), init if c.include_initiators else None)
 
 
 def public_records(c: LatticeConfig, seeds, idx) -> np.ndarray:
@@ -722,6 +734,22 @@ class TestBatchedTrials:
         # a window drawn in several RNG chunks keeps the per-trial path
         monkeypatch.setattr(lat, "_CHUNK_CELLS", 7)
         assert not lat._batched(cfg(dim=2, n=3)) and not lat._batched(cfg(dim=1, n=8))
+
+    @pytest.mark.parametrize("chunk_cells", [1, 7, 64])
+    @pytest.mark.parametrize("dim, initiators", [(1, False), (1, True), (2, False)])
+    def test_several_row_blocks(self, monkeypatch, chunk_cells, dim, initiators):
+        # a tiny chunk splits each realized window into many row blocks, down
+        # to one row, and the chunks of every trial go to one _firework call
+        monkeypatch.setattr(lat, "_CHUNK_CELLS", chunk_cells)
+        n = 9 if dim == 2 else 100
+        for dist in (PowerTail(1.5), Geometric(0.5), ParetoTail(2.0)):
+            c = cfg(dim=dim, p=0.5, k=2, n=n, dist=dist, seed=13, initiators=initiators)
+            assert len(lat._row_blocks(n, dim)) > 1 and not lat._batched(c)
+            idx = lat._site_indices(c, [1, 50, n] if dim == 1 else [(1, 1), (n, 4)])
+            seeds = mix64(c.seed, np.arange(6, dtype=np.uint64))
+            self.assert_same_records(lat._summaries(c, seeds, idx), public_records(c, seeds, idx))
+            r = realize(c)
+            np.testing.assert_array_equal(firework_counts(r).values, brute_firework_counts(r))
 
     def test_estimates_read_the_summary_bits(self):
         c = cfg(dim=2, p=0.5, k=2, n=4, dist=C1, seed=9)
