@@ -467,8 +467,8 @@ def _membership(cfg: LatticeConfig, k: int, chunks, initiator_radii) -> Coverage
             x = [c + 1 for c in np.nonzero(sources)]  # 1-based sites, rows from r0
             x[0] += r0
             out = qualifying(x, radii)
-            # holding no chunk while its blocks are counted saves ~15 MB of
-            # peak RSS on a 10^8-cell 2D extent
+            # a chunk held while its blocks are counted costs ~29 MB of peak
+            # RSS on a 10^8-cell 2D extent
             del act, sources, radii, x
             yield out
         if initiator_radii is not None:

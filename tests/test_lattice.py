@@ -735,6 +735,17 @@ class TestBatchedTrials:
         monkeypatch.setattr(lat, "_CHUNK_CELLS", 7)
         assert not lat._batched(cfg(dim=2, n=3)) and not lat._batched(cfg(dim=1, n=8))
 
+    def test_estimates_read_the_summary_bits(self):
+        c = cfg(dim=2, p=0.5, k=2, n=4, dist=C1, seed=9)
+        sites = [(2, 2), (4, 4)]
+        stats = simulate_window(c, 300, sites=sites)
+        assert estimate_under_coverage(c, sites, 300) == stats.sites
+
+
+class TestFireworkRowChunks:
+    """Every firework field is counted from row chunks; a chunk boundary
+    anywhere in a window must not change a field or a record."""
+
     @pytest.mark.parametrize("chunk_cells", [1, 7, 64])
     @pytest.mark.parametrize("dim, initiators", [(1, False), (1, True), (2, False)])
     def test_several_row_blocks(self, monkeypatch, chunk_cells, dim, initiators):
@@ -747,12 +758,7 @@ class TestBatchedTrials:
             assert len(lat._row_blocks(n, dim)) > 1 and not lat._batched(c)
             idx = lat._site_indices(c, [1, 50, n] if dim == 1 else [(1, 1), (n, 4)])
             seeds = mix64(c.seed, np.arange(6, dtype=np.uint64))
-            self.assert_same_records(lat._summaries(c, seeds, idx), public_records(c, seeds, idx))
+            TestBatchedTrials.assert_same_records(
+                lat._summaries(c, seeds, idx), public_records(c, seeds, idx))
             r = realize(c)
             np.testing.assert_array_equal(firework_counts(r).values, brute_firework_counts(r))
-
-    def test_estimates_read_the_summary_bits(self):
-        c = cfg(dim=2, p=0.5, k=2, n=4, dist=C1, seed=9)
-        sites = [(2, 2), (4, 4)]
-        stats = simulate_window(c, 300, sites=sites)
-        assert estimate_under_coverage(c, sites, 300) == stats.sites
