@@ -76,10 +76,6 @@ class ExactQuery:
                 raise ValueError("initiators are a 1D setup; 2D exact queries do not take them")
 
 
-def _miss_prob(dist: TailDistribution, p: float, t: int) -> float:
-    return 1.0 - p * dist.survival(t)
-
-
 def shell_multiplicity_2d(i: int, j: int, t: int) -> int:
     """Number of candidate sources for (i,j), i >= j >= 1, at max displacement t."""
     if i < j or j < 1:

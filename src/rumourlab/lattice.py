@@ -26,31 +26,33 @@ grid at the block's 2^d corners, and the qualifying blocks are marked
 through box_counts.  A realization feeds either body in the row blocks of
 realize (firework_counts, reverse_membership).
 
+One producer, _draws(config, seeds), lays out the window stream: chunks
+(first trial, first row, open bits, radius uniforms) of the trials on
+seeds, the trials of a firework window of at most _BATCH_MAX_CELLS cells
+in one chunk drawn at once by stats.uniforms, any other window trial by
+trial.  realize reads it, and so does every trial, which never realizes.
 One trial engine, run_trials, seeds, chunks and pools the trials of the
 lattice (simulate_window) and of the continuum (scan_lambda, the continuum
 command): fn(config, seeds, *extra) returns numeric records for a chunk of
 trial seeds.  A lattice trial's summary comes from _summaries and one
-reduction, _records.  The trials of a firework window of at most
-_BATCH_MAX_CELLS cells come as one chunk, whose window streams
-stats.uniforms draws at once, exactly the uniforms each trial's own
-make_rng generator gives; a larger window is realized trial by trial.
-stats.uniforms draws every initiator radius too.  A reverse trial streams
-(_stream_reverse): its chunks come straight from the window stream, and
-only open sites that can reach the reported window or clamp are sources
-and get radii, so it needs ~4 bytes per extent cell.  Each record is thus
-bit-identical to the one-trial path, firework_counts or reverse_membership
-of realize(config).  NumPy's NEP 19 does not freeze its generator streams;
-the tests pin uniforms to Generator(PCG64(seed)) so that a NumPy release
-that changes them fails loudly.
+reduction, _records: a firework group is counted by _firework, and a
+reverse trial streams (_stream_reverse): only open sites that can reach
+the reported window or clamp are sources and get radii, so it needs ~4
+bytes per extent cell.  stats.uniforms draws every initiator radius too.
+Each record is thus bit-identical to the one-trial path, firework_counts
+or reverse_membership of realize(config).  NumPy's NEP 19 does not freeze
+its generator streams; the tests pin uniforms to Generator(PCG64(seed)) so
+that a NumPy release that changes them fails loudly.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import multiprocessing
 import numpy as np
@@ -200,12 +202,12 @@ def realize(config: LatticeConfig) -> Realization:
     """
     activation = np.empty((config.extent(),) * config.dimension, dtype=bool)
     radii_parts = []
-    for r0, act, u in _draws(config):
-        activation[r0:r0 + act.shape[0]] = act
-        if act.any():
-            radii_parts.append(config.dist.quantile_from_uniform(u[act]))
-    radii = np.concatenate(radii_parts) if radii_parts else np.empty(0, dtype=np.int64)
     seed = np.array([config.seed % 2**64], dtype=np.uint64)  # masked as make_rng masks it
+    for _, r0, (act,), (u,) in _draws(config, seed):
+        activation[r0:r0 + len(act)] = act
+        radii_parts.append(config.dist.quantile_from_uniform(u[act]))
+        del act, u  # not held while the next chunk draws
+    radii = np.concatenate(radii_parts)
     init = _initiator_radii(config.dist, seed)[0] if config.include_initiators else None
     return Realization(config, activation, radii, init)
 
@@ -216,21 +218,34 @@ def _row_blocks(m: int, dimension: int) -> list:
     return [(r0, min(m, r0 + step)) for r0 in range(0, m, step)]
 
 
-def _draws(config: LatticeConfig):
-    """The window stream, chunk by chunk: (r0, open bits, radius uniforms in (0, 1]).
+def _draws(config: LatticeConfig, seeds: np.ndarray):
+    """The window stream of the trials on seeds (uint64), chunk by chunk.
 
-    A chunk draws all its activation uniforms, then all its radius uniforms;
-    every consumer of the window stream goes through here so the order is
-    defined once.
+    Yields (t0, r0, open bits, radius uniforms in (0, 1]) of trials t0.. over
+    extent rows r0.. (0-based), each a (trials, rows, ...) array.  A trial's
+    stream is make_rng(seed, _STREAM_WINDOW) in the row blocks of _row_blocks,
+    a chunk drawing all its activation uniforms, then all its radius uniforms.
+    A _batched window is one row block, so uniforms draws several trials'
+    2*n^d uniforms at once into one chunk, bit for bit the generators' own;
+    a lone trial (uniforms' fixed cost is ~10x make_rng's) or any other
+    window is drawn trial by trial.  Every consumer of the window stream
+    goes through here, so its layout is defined once.
     """
-    rng = make_rng(config.seed, _STREAM_WINDOW)
-    m = config.extent()
-    for r0, r1 in _row_blocks(m, config.dimension):
-        shape = (r1 - r0,) + (m,) * (config.dimension - 1)
-        act = rng.random(shape) < config.p
-        u = rng.random(shape)
-        np.subtract(1.0, u, out=u)
-        yield r0, act, u
+    m, d = config.extent(), config.dimension
+    if _batched(config) and len(seeds) > 1:
+        draws = uniforms(mix64(seeds, _STREAM_WINDOW), 2 * m**d).reshape((len(seeds), 2) + (m,) * d)
+        yield 0, 0, draws[:, 0] < config.p, np.subtract(1.0, draws[:, 1])
+        return
+    blocks = _row_blocks(m, d)
+    for t, seed in enumerate(seeds.tolist()):
+        rng = make_rng(seed, _STREAM_WINDOW)
+        for r0, r1 in blocks:
+            shape = (1, r1 - r0) + (m,) * (d - 1)
+            act = rng.random(shape) < config.p
+            u = rng.random(shape)
+            np.subtract(1.0, u, out=u)
+            yield t, r0, act, u
+            del act, u  # the consumer is done: not held while the next chunk draws
 
 
 def _realized_chunks(realization: Realization):
@@ -376,19 +391,20 @@ def _survival_bounds(cfg: LatticeConfig):
             _SURVIVAL_SLACK * cfg.dist.survival_vec(sites + 2))
 
 
-def _stream_reverse(cfg: LatticeConfig, bounds, initiator_radii) -> CoverageField:
+def _stream_reverse(cfg: LatticeConfig, seed, bounds, initiator_radii) -> CoverageField:
     """reverse_membership(realize(cfg), cfg.k) without realizing the window, in 1D or 2D.
 
-    Consumes the window stream of realize chunk by chunk and keeps no
-    activation bitmap and no per-site radii: the open bits go straight into
-    the prefix grid, and only candidates, open sites whose uniform lies
-    below bounds = _survival_bounds(cfg), get radii and the exact tests.
-    initiator_radii are realize(cfg)'s.
+    seed, a one-element uint64 array, stands in for cfg.seed.  Consumes the
+    window stream chunk by chunk and keeps no activation bitmap and no
+    per-site radii: the open bits go straight into the prefix grid, and only
+    candidates, open sites whose uniform lies below bounds =
+    _survival_bounds(cfg), get radii and the exact tests.  initiator_radii
+    are the trial's.
     """
     reach_g, clamp_g = bounds
 
     def chunks():
-        for r0, act, u in _draws(cfg):
+        for _, r0, (act,), (u,) in _draws(cfg, seed):
             # u below a min of the axis bounds or below a max of them,
             # compared per axis so no chunk-sized bound is built
             rows = (slice(r0, r0 + act.shape[0]),) + (None,) * (cfg.dimension - 1)
@@ -400,6 +416,7 @@ def _stream_reverse(cfg: LatticeConfig, bounds, initiator_radii) -> CoverageFiel
             cand |= clamps
             cand &= act
             yield r0, act, cand, cfg.dist.quantile_from_uniform(u[cand])
+            del act, u, cand, clamps  # counted: freed before the next chunk draws
 
     return _membership(cfg, cfg.k, chunks(), initiator_radii)
 
@@ -533,13 +550,17 @@ class WindowStats:
 
 
 def _site_indices(config: LatticeConfig, sites) -> tuple:
-    """Per-axis index arrays of the sites into the reported window, validated."""
+    """Per-axis index arrays of the sites into the reported window, validated:
+    a 1D site is an integer, a 2D site a pair of integers, each in the window."""
     origin = config.report_origin()
     hi = origin + config.n - 1
     d = config.dimension
     idx = []
     for s in sites:
-        coords = (s,) if d == 1 else tuple(s)
+        coords = tuple(s) if d == 2 and np.iterable(s) else (s,)
+        if len(coords) != d or not all(isinstance(c, numbers.Integral) for c in coords):
+            what = "an integer" if d == 1 else "a pair of integers"
+            raise ValueError(f"site {s!r} is not {what}")
         if not all(origin <= c <= hi for c in coords):
             power = "" if d == 1 else f"^{d}"
             raise ValueError(f"site {s} outside reported window [{origin}, {hi}]{power}")
@@ -554,7 +575,7 @@ def _summary_dtype(sites: int) -> np.dtype:
 
 
 def _batched(config: LatticeConfig) -> bool:
-    """Whether the trials of config run in batches: small firework windows in one RNG chunk."""
+    """Whether _draws draws the trials of config at once: small firework windows in one RNG chunk."""
     return (config.model == FIREWORK and config.n ** config.dimension <= _BATCH_MAX_CELLS
             and len(_row_blocks(config.n, config.dimension)) == 1)
 
@@ -574,40 +595,23 @@ def _summaries(config: LatticeConfig, seeds: np.ndarray, idx) -> np.ndarray:
     for i in range(0, len(seeds), step):
         part = seeds[i:i + step]
         if bounds is None:
-            counts, clamps = _firework(config, len(part), _firework_chunks(config, part),
+            # the group is drawn before _firework allocates its grid, so no
+            # chunk's uniforms are alive while the fields are counted
+            chunks = [(t0, r0, act, config.dist.quantile_from_uniform(u[act]))
+                      for t0, r0, act, u in _draws(config, part)]
+            counts, clamps = _firework(config, len(part), chunks,
                                        None if init is None else init[i:i + step])
             mask = counts < config.k
-            del counts  # not held while the next group draws
+            del counts, chunks  # not held while the next group draws
         else:
-            flds = [_stream_reverse(replace(config, seed=seed), bounds,
+            flds = [_stream_reverse(config, part[j:j + 1], bounds,
                                     None if init is None else init[i + j])
-                    for j, seed in enumerate(part.tolist())]
+                    for j in range(len(part))]
             mask = np.stack([f.under_mask(config.k) for f in flds])
             clamps = [f.clamp_count for f in flds]
         out[i:i + step] = _records(mask, clamps, idx)
+        del mask  # nor is the mask: held, it put the 2D n=2000 p-scan's peak 12% higher
     return out
-
-
-def _firework_chunks(config: LatticeConfig, seeds: np.ndarray):
-    """_firework's chunks of the firework trials on seeds, without initiators.
-
-    A batched window fits one RNG chunk, so a trial's window stream is 2*n^d
-    uniforms: the activation uniforms, then the radius uniforms, as _draws
-    takes them.  uniforms draws every trial's stream at once into one chunk
-    and the law's quantile runs on all open uniforms together; each step is
-    elementwise, so each trial's bits and radii are realize's, bit for bit.
-    A larger window is realized trial by trial.
-    """
-    if not _batched(config):
-        rs = [realize(replace(config, seed=seed, include_initiators=False))
-              for seed in seeds.tolist()]
-        return ((t, r0, act[None], radii) for t, r in enumerate(rs)
-                for r0, act, radii in _realized_chunks(r))
-    cells, shape = config.n ** config.dimension, (len(seeds),) + (config.n,) * config.dimension
-    draws = uniforms(mix64(seeds, _STREAM_WINDOW), 2 * cells)
-    act = (draws[:, :cells] < config.p).reshape(shape)
-    u = np.subtract(1.0, draws[:, cells:]).reshape(shape)
-    return [(0, 0, act, config.dist.quantile_from_uniform(u[act]))]
 
 
 def _records(mask: np.ndarray, clamps, idx) -> np.ndarray:

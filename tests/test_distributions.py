@@ -19,7 +19,6 @@ from rumourlab.distributions import (
     TruncatedLawError,
     parse_distribution,
 )
-from rumourlab.exact import _miss_prob
 from rumourlab.stats import make_rng
 
 
@@ -56,16 +55,6 @@ class TestTail:
         g0, g1 = d.survival(j), d.survival(j + 1)
         assert 0.0 <= g1 <= g0 <= 1.0
         assert d.survival(0) == 1.0
-
-    @given(dist_strategy(), st.floats(0.0, 1.0), st.integers(0, 1000))
-    def test_survival_complement_identity(self, d, p, j):
-        # complement + p*G == 1 up to one rounding unit
-        assert _miss_prob(d, p, j) + p * d.survival(j) == pytest.approx(1.0, abs=1e-15)
-
-    def test_survival_complement_examples(self):
-        assert _miss_prob(ParetoTail(4), 0.5, 8) == 0.75
-        assert _miss_prob(Geometric(0.3), 0.0, 17) == 1.0
-        assert _miss_prob(Constant(1), 1.0, 2) == 1.0
 
     def test_vectorized_matches_scalar(self):
         js = np.arange(0, 50)

@@ -413,6 +413,22 @@ class TestEstimate:
                            match=r"^site \(2, 0\) outside reported window \[1, 6\]\^2$"):
             estimate_under_coverage(cfg(dim=2, n=6), [(1, 1), (2, 0)], 10)
 
+    def test_site_shape_and_integrality(self, monkeypatch):
+        # rejected before any trial runs, not truncated or failed on afterwards
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(lat, "run_trials", no_trials)
+        with pytest.raises(ValueError, match=r"^site 2\.5 is not an integer$"):
+            estimate_under_coverage(cfg(n=6), [2.5, 2], 500)
+        with pytest.raises(ValueError, match=r"^site \(1, 2, 3\) is not a pair of integers$"):
+            simulate_window(cfg(dim=2, n=6), 50, sites=[(1, 2, 3), (4, 5, 6)])
+        for sites in ([3], [(1, 2.0)], [(4,)]):
+            with pytest.raises(ValueError, match="is not a pair of integers"):
+                simulate_window(cfg(dim=2, n=6), 50, sites=sites)
+        with pytest.raises(ValueError, match="is not an integer"):
+            simulate_window(cfg(n=6), 50, sites=[(3,)])
+
     def test_interval_covers_exact(self):
         c = cfg(p=0.5, k=2, n=5, dist=C1, seed=77)
         est = estimate_under_coverage(c, [3], 40_000)[0]
@@ -536,8 +552,9 @@ def assert_same_field(a: CoverageField, b: CoverageField):
 
 
 def streamed(c: LatticeConfig) -> CoverageField:
-    init = lat._initiator_radii(c.dist, np.array([c.seed], dtype=np.uint64))[0]
-    return lat._stream_reverse(c, lat._survival_bounds(c), init if c.include_initiators else None)
+    seed = np.array([c.seed], dtype=np.uint64)
+    init = lat._initiator_radii(c.dist, seed)[0] if c.include_initiators else None
+    return lat._stream_reverse(c, seed, lat._survival_bounds(c), init)
 
 
 def public_records(c: LatticeConfig, seeds, idx) -> np.ndarray:
@@ -557,7 +574,8 @@ def public_records(c: LatticeConfig, seeds, idx) -> np.ndarray:
 
 
 class TestStreamedReverse:
-    """Every reverse trial streams; its field must equal the realized path's."""
+    """Every reverse trial streams; its field must equal the realized path's.
+    No trial of either model realizes its window."""
 
     @pytest.mark.parametrize("dist", TRIAL_LAWS, ids=lambda d: d.spec_string())
     @pytest.mark.parametrize("dim", [1, 2])
@@ -589,20 +607,27 @@ class TestStreamedReverse:
         assert len(lat._row_blocks(c.extent(), dim)) > 1
         assert_same_field(streamed(c), reverse_membership(realize(c), 2))
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_trials_never_realize(self, monkeypatch, dim):
-        # a reverse trial reads the window stream itself; the summaries equal
-        # the records of the realized fields
-        c = cfg(model=REVERSE, dim=dim, n=6, cushion=3, p=0.5, k=2, dist=PowerTail(1.5),
-                seed=19, initiators=True)
-        sites = [0, 5] if dim == 1 else [(0, 0), (5, 2)]
+    @pytest.mark.parametrize("model, dim, n, initiators", [
+        (REVERSE, 1, 6, True), (REVERSE, 2, 6, True),
+        # firework windows batched and, over _BATCH_MAX_CELLS, per trial
+        (FIREWORK, 1, 9, True), (FIREWORK, 1, 300, True),
+        (FIREWORK, 2, 5, False), (FIREWORK, 2, 20, False)])
+    def test_trials_never_realize(self, monkeypatch, model, dim, n, initiators):
+        # a trial reads the window stream itself and builds no config; the
+        # summaries equal the records of the realized fields
+        c = cfg(model=model, dim=dim, n=n, cushion=3, p=0.5, k=2, dist=PowerTail(1.5),
+                seed=19, initiators=initiators)
+        assert lat._batched(c) == (model == FIREWORK and n ** dim <= lat._BATCH_MAX_CELLS)
+        o = c.report_origin()
+        sites = [o, 5] if dim == 1 else [(o, o), (5, 2)]
         seeds = mix64(c.seed, np.arange(12, dtype=np.uint64))
         want = public_records(c, seeds, lat._site_indices(c, sites))
 
-        def no_realize(config):
-            raise AssertionError("a reverse trial realized its window")
+        def fail(*args):
+            raise AssertionError("a trial realized its window or rebuilt its config")
 
-        monkeypatch.setattr(lat, "realize", no_realize)
+        monkeypatch.setattr(lat, "realize", fail)
+        monkeypatch.setattr(LatticeConfig, "__post_init__", fail)
         stats = simulate_window(c, 12, sites=sites)
         np.testing.assert_array_equal(stats.fractions, want["fraction"])
         np.testing.assert_array_equal(stats.last_normalized, want["last"])
@@ -722,6 +747,25 @@ class TestBatchedTrials:
         idx = lat._site_indices(c, [1, n] if dim == 1 else [(1, 1), (n, 2)])
         seeds = mix64(c.seed, np.arange(30, dtype=np.uint64))
         self.assert_same_records(lat._summaries(c, seeds, idx), public_records(c, seeds, idx))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_batched_chunk_is_the_stacked_per_trial_chunks(self, dim, p):
+        # the window stream itself, before any reduction, bit for bit
+        seeds = np.array([0, 1, 7, 2**63, 2**64 - 1], dtype=np.uint64)
+        for n in (1, 3, self.CAP_N[dim]):
+            c = cfg(dim=dim, p=p, n=n, dist=PowerTail(1.5))
+            [(t0, r0, act, u)] = lat._draws(c, seeds)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(lat, "_BATCH_MAX_CELLS", 0)
+                per = list(lat._draws(c, seeds))
+            assert (t0, r0) == (0, 0)
+            assert [chunk[:2] for chunk in per] == [(t, 0) for t in range(len(seeds))]
+            want_act = np.concatenate([chunk[2] for chunk in per])
+            want_u = np.concatenate([chunk[3] for chunk in per])
+            assert act.shape == u.shape == (len(seeds),) + (n,) * dim
+            assert act.dtype == want_act.dtype and u.dtype == want_u.dtype
+            assert act.tobytes() == want_act.tobytes() and u.tobytes() == want_u.tobytes()
 
     def test_which_trials_batch(self, monkeypatch):
         cap = lat._BATCH_MAX_CELLS
