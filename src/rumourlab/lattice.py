@@ -26,11 +26,16 @@ grid at the block's 2^d corners, and the qualifying blocks are marked
 through box_counts.  A realization feeds either body in the row blocks of
 realize (firework_counts, reverse_membership).
 
-One producer, _draws(config, seeds), lays out the window stream: chunks
-(first trial, first row, open bits, radius uniforms) of the trials on
-seeds, the trials of a firework window of at most _BATCH_MAX_CELLS cells
-in one chunk drawn at once by stats.uniforms, any other window trial by
-trial.  realize reads it, and so does every trial, which never realizes.
+One producer, _draws(config, seeds, select), lays out the window stream:
+chunks (first trial, first row, open bits, selected open sites, their
+radii) of the trials on seeds, the trials of a firework window of at most
+_BATCH_MAX_CELLS cells in one chunk drawn at once by stats.uniforms, any
+other window trial by trial, each chunk's uniforms in row pieces through
+one reused buffer.  realize reads it, and so does every trial, which never
+realizes.  A streamed reverse trial of several row blocks draws its next
+chunk on one helper thread while it counts the current one; the helper
+draws every chunk in order from the one generator, so no value depends on
+timing, and it is joined before the trial returns.
 One trial engine, run_trials, seeds, chunks and pools the trials of the
 lattice (simulate_window) and of the continuum (scan_lambda, the continuum
 command): fn(config, seeds, *extra) returns numeric records for a chunk of
@@ -48,10 +53,11 @@ that a NumPy release that changes them fails loudly.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import multiprocessing
@@ -62,6 +68,10 @@ from rumourlab.stats import mix64, make_rng, uniforms, wilson_interval
 
 # cells drawn per RNG chunk; fixed so the draw pattern is reproducible
 _CHUNK_CELLS = 1 << 22
+
+# cells per row piece of a chunk's uniforms, drawn into one reused float64
+# buffer; any size draws the same stream
+_PIECE_CELLS = 1 << 18
 
 # addressable simulation size (cells)
 _MAX_CELLS = 2**31
@@ -203,10 +213,9 @@ def realize(config: LatticeConfig) -> Realization:
     activation = np.empty((config.extent(),) * config.dimension, dtype=bool)
     radii_parts = []
     seed = np.array([config.seed % 2**64], dtype=np.uint64)  # masked as make_rng masks it
-    for _, r0, (act,), (u,) in _draws(config, seed):
+    for _, r0, (act,), _, radii in _draws(config, seed):
         activation[r0:r0 + len(act)] = act
-        radii_parts.append(config.dist.quantile_from_uniform(u[act]))
-        del act, u  # not held while the next chunk draws
+        radii_parts.append(radii)
     radii = np.concatenate(radii_parts)
     init = _initiator_radii(config.dist, seed)[0] if config.include_initiators else None
     return Realization(config, activation, radii, init)
@@ -218,13 +227,23 @@ def _row_blocks(m: int, dimension: int) -> list:
     return [(r0, min(m, r0 + step)) for r0 in range(0, m, step)]
 
 
-def _draws(config: LatticeConfig, seeds: np.ndarray):
+def _draws(config: LatticeConfig, seeds: np.ndarray, select=None, buffers=None):
     """The window stream of the trials on seeds (uint64), chunk by chunk.
 
-    Yields (t0, r0, open bits, radius uniforms in (0, 1]) of trials t0.. over
-    extent rows r0.. (0-based), each a (trials, rows, ...) array.  A trial's
-    stream is make_rng(seed, _STREAM_WINDOW) in the row blocks of _row_blocks,
-    a chunk drawing all its activation uniforms, then all its radius uniforms.
+    Yields (t0, r0, open bits, selected, radii) of trials t0.. over extent
+    rows r0.. (0-based): the open bits and the mask of the selected open
+    sites, each a (trials, rows, ...) array, and the radii of the selected
+    sites in row-major order.  Every open site is selected unless select is
+    given (per-trial windows only): select(r, u) is the mask of the sites of
+    extent rows r.. to keep, from their radius uniforms u in (0, 1].
+
+    A trial's stream is make_rng(seed, _STREAM_WINDOW) in the row blocks of
+    _row_blocks, a chunk drawing all its activation uniforms, then all its
+    radius uniforms.  Both are drawn in row pieces of ~_PIECE_CELLS cells
+    into one reused float64 buffer, so no chunk-sized float array exists.
+    buffers, if given, is a list of (open bits, selected) pairs shaped as a
+    whole row block, which the chunks fill in turn; a consumer may pass it
+    only if it is done with a chunk before it asks for len(buffers) more.
     A _batched window is one row block, so uniforms draws several trials'
     2*n^d uniforms at once into one chunk, bit for bit the generators' own;
     a lone trial (uniforms' fixed cost is ~10x make_rng's) or any other
@@ -234,18 +253,42 @@ def _draws(config: LatticeConfig, seeds: np.ndarray):
     m, d = config.extent(), config.dimension
     if _batched(config) and len(seeds) > 1:
         draws = uniforms(mix64(seeds, _STREAM_WINDOW), 2 * m**d).reshape((len(seeds), 2) + (m,) * d)
-        yield 0, 0, draws[:, 0] < config.p, np.subtract(1.0, draws[:, 1])
+        act = draws[:, 0] < config.p
+        yield 0, 0, act, act, config.dist.quantile_from_uniform(np.subtract(1.0, draws[:, 1][act]))
         return
     blocks = _row_blocks(m, d)
+    row = (m,) * (d - 1)
+    piece = max(1, _PIECE_CELLS // m ** (d - 1))  # rows
+    buf = np.empty((min(piece, blocks[0][1]),) + row)
+    pairs = itertools.cycle(buffers or ())
     for t, seed in enumerate(seeds.tolist()):
         rng = make_rng(seed, _STREAM_WINDOW)
         for r0, r1 in blocks:
-            shape = (1, r1 - r0) + (m,) * (d - 1)
-            act = rng.random(shape) < config.p
-            u = rng.random(shape)
-            np.subtract(1.0, u, out=u)
-            yield t, r0, act, u
-            del act, u  # the consumer is done: not held while the next chunk draws
+            if buffers is None:
+                act = np.empty((1, r1 - r0) + row, bool)
+                sel = act if select is None else np.empty_like(act)
+            else:
+                act, sel = (b[:, :r1 - r0] for b in next(pairs))
+            pieces = [(a, min(a + piece, r1 - r0)) for a in range(0, r1 - r0, piece)]
+            for a, b in pieces:
+                np.less(rng.random(out=buf[:b - a]), config.p, out=act[0, a:b])
+            radii = []
+            for a, b in pieces:
+                u = np.subtract(1.0, rng.random(out=buf[:b - a]), out=buf[:b - a])
+                if select is not None:
+                    np.logical_and(select(r0 + a, u), act[0, a:b], out=sel[0, a:b])
+                radii.append(config.dist.quantile_from_uniform(u[sel[0, a:b]]))
+            yield t, r0, act, sel, radii[0] if len(radii) == 1 else np.concatenate(radii)
+
+
+def _ahead(helper, chunks):
+    """The items of chunks, each drawn on the helper executor while the caller
+    consumes the one before; the caller draws the first itself."""
+    nxt = next(chunks, None)
+    while nxt is not None:
+        pending = helper.submit(next, chunks, None)
+        yield nxt
+        nxt = pending.result()
 
 
 def _realized_chunks(realization: Realization):
@@ -402,23 +445,33 @@ def _stream_reverse(cfg: LatticeConfig, seed, bounds, initiator_radii) -> Covera
     are the trial's.
     """
     reach_g, clamp_g = bounds
+    m, d = cfg.extent(), cfg.dimension
 
-    def chunks():
-        for _, r0, (act,), (u,) in _draws(cfg, seed):
-            # u below a min of the axis bounds or below a max of them,
-            # compared per axis so no chunk-sized bound is built
-            rows = (slice(r0, r0 + act.shape[0]),) + (None,) * (cfg.dimension - 1)
-            cand = u < reach_g[rows]
-            clamps = u < clamp_g[rows]
-            if cfg.dimension == 2:
-                cand &= u < reach_g
-                clamps |= u < clamp_g
-            cand |= clamps
-            cand &= act
-            yield r0, act, cand, cfg.dist.quantile_from_uniform(u[cand])
-            del act, u, cand, clamps  # counted: freed before the next chunk draws
+    def candidates(r0, u):
+        # u below a min of the axis bounds or below a max of them,
+        # compared per axis so no piece-sized bound is built
+        rows = (slice(r0, r0 + len(u)),) + (None,) * (d - 1)
+        cand = u < reach_g[rows]
+        clamps = u < clamp_g[rows]
+        if d == 2:
+            cand &= u < reach_g
+            clamps |= u < clamp_g
+        return cand | clamps
 
-    return _membership(cfg, cfg.k, chunks(), initiator_radii)
+    def counted(chunks):
+        return _membership(cfg, cfg.k, ((r0, act, cand, radii)
+                                        for _, r0, (act,), (cand,), radii in chunks),
+                           initiator_radii)
+
+    blocks = _row_blocks(m, d)
+    if len(blocks) == 1:
+        return counted(_draws(cfg, seed, candidates))
+    # the helper draws chunk i+1 into one pair while _membership counts
+    # chunk i from the other; it is joined before the trial returns
+    shape = (1, blocks[0][1]) + (m,) * (d - 1)
+    pairs = [(np.empty(shape, bool), np.empty(shape, bool)) for _ in range(2)]
+    with ThreadPoolExecutor(1) as helper:
+        return counted(_ahead(helper, _draws(cfg, seed, candidates, pairs)))
 
 
 def _prefix_rows(S: np.ndarray, r0: int, act: np.ndarray) -> None:
@@ -484,8 +537,8 @@ def _membership(cfg: LatticeConfig, k: int, chunks, initiator_radii) -> Coverage
             x = [c + 1 for c in np.nonzero(sources)]  # 1-based sites, rows from r0
             x[0] += r0
             out = qualifying(x, radii)
-            # a chunk held while its blocks are counted costs ~29 MB of peak
-            # RSS on a 10^8-cell 2D extent
+            # the sources' coordinates and radii are not held while the
+            # next chunk is drawn or counted
             del act, sources, radii, x
             yield out
         if initiator_radii is not None:
@@ -551,14 +604,16 @@ class WindowStats:
 
 def _site_indices(config: LatticeConfig, sites) -> tuple:
     """Per-axis index arrays of the sites into the reported window, validated:
-    a 1D site is an integer, a 2D site a pair of integers, each in the window."""
+    a 1D site is an integer, a 2D site a pair of integers, each in the window.
+    A bool is no integer here, though it is a numbers.Integral."""
     origin = config.report_origin()
     hi = origin + config.n - 1
     d = config.dimension
     idx = []
     for s in sites:
         coords = tuple(s) if d == 2 and np.iterable(s) else (s,)
-        if len(coords) != d or not all(isinstance(c, numbers.Integral) for c in coords):
+        if len(coords) != d or not all(isinstance(c, numbers.Integral)
+                                       and not isinstance(c, bool) for c in coords):
             what = "an integer" if d == 1 else "a pair of integers"
             raise ValueError(f"site {s!r} is not {what}")
         if not all(origin <= c <= hi for c in coords):
@@ -596,9 +651,8 @@ def _summaries(config: LatticeConfig, seeds: np.ndarray, idx) -> np.ndarray:
         part = seeds[i:i + step]
         if bounds is None:
             # the group is drawn before _firework allocates its grid, so no
-            # chunk's uniforms are alive while the fields are counted
-            chunks = [(t0, r0, act, config.dist.quantile_from_uniform(u[act]))
-                      for t0, r0, act, u in _draws(config, part)]
+            # draw buffer is alive while the fields are counted
+            chunks = [(t0, r0, act, radii) for t0, r0, act, _, radii in _draws(config, part)]
             counts, clamps = _firework(config, len(part), chunks,
                                        None if init is None else init[i:i + step])
             mask = counts < config.k

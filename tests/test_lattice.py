@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -429,6 +430,17 @@ class TestEstimate:
         with pytest.raises(ValueError, match="is not an integer"):
             simulate_window(cfg(n=6), 50, sites=[(3,)])
 
+    def test_bool_site_rejected(self, monkeypatch):
+        # bool is a numbers.Integral, but True is no site 1
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(lat, "run_trials", no_trials)
+        with pytest.raises(ValueError, match=r"^site True is not an integer$"):
+            simulate_window(cfg(n=6), 5, sites=[True])
+        with pytest.raises(ValueError, match=r"^site \(1, False\) is not a pair of integers$"):
+            estimate_under_coverage(cfg(dim=2, n=6), [(2, 2), (1, False)], 5)
+
     def test_interval_covers_exact(self):
         c = cfg(p=0.5, k=2, n=5, dist=C1, seed=77)
         est = estimate_under_coverage(c, [3], 40_000)[0]
@@ -755,17 +767,19 @@ class TestBatchedTrials:
         seeds = np.array([0, 1, 7, 2**63, 2**64 - 1], dtype=np.uint64)
         for n in (1, 3, self.CAP_N[dim]):
             c = cfg(dim=dim, p=p, n=n, dist=PowerTail(1.5))
-            [(t0, r0, act, u)] = lat._draws(c, seeds)
+            [(t0, r0, act, sel, radii)] = lat._draws(c, seeds)
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(lat, "_BATCH_MAX_CELLS", 0)
                 per = list(lat._draws(c, seeds))
             assert (t0, r0) == (0, 0)
             assert [chunk[:2] for chunk in per] == [(t, 0) for t in range(len(seeds))]
             want_act = np.concatenate([chunk[2] for chunk in per])
-            want_u = np.concatenate([chunk[3] for chunk in per])
-            assert act.shape == u.shape == (len(seeds),) + (n,) * dim
-            assert act.dtype == want_act.dtype and u.dtype == want_u.dtype
-            assert act.tobytes() == want_act.tobytes() and u.tobytes() == want_u.tobytes()
+            want_radii = np.concatenate([chunk[4] for chunk in per])
+            assert act.shape == (len(seeds),) + (n,) * dim
+            assert sel is act and all(chunk[3] is chunk[2] for chunk in per)
+            assert act.dtype == want_act.dtype and radii.dtype == want_radii.dtype
+            assert act.tobytes() == want_act.tobytes()
+            assert radii.tobytes() == want_radii.tobytes()
 
     def test_which_trials_batch(self, monkeypatch):
         cap = lat._BATCH_MAX_CELLS
@@ -806,3 +820,198 @@ class TestFireworkRowChunks:
                 lat._summaries(c, seeds, idx), public_records(c, seeds, idx))
             r = realize(c)
             np.testing.assert_array_equal(firework_counts(r).values, brute_firework_counts(r))
+
+    def test_chunk_list_holds_no_reused_buffer(self, monkeypatch):
+        # several chunks, and several pieces per chunk, per trial: a consumer
+        # that keeps every chunk of a group must get arrays of its own
+        monkeypatch.setattr(lat, "_CHUNK_CELLS", 64)
+        monkeypatch.setattr(lat, "_PIECE_CELLS", 20)
+        c = cfg(dim=2, p=0.5, k=2, n=17, dist=PowerTail(1.5), seed=31)
+        seeds = mix64(c.seed, np.arange(4, dtype=np.uint64))
+        chunks = list(lat._draws(c, seeds))
+        assert len(chunks) == 4 * len(lat._row_blocks(17, 2)) > 8
+        arrays = [a for chunk in chunks for a in (chunk[2], chunk[4])]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+        idx = lat._site_indices(c, [(1, 1), (17, 5)])
+        TestBatchedTrials.assert_same_records(lat._summaries(c, seeds, idx),
+                                              public_records(c, seeds, idx))
+        r = realize(c)
+        np.testing.assert_array_equal(firework_counts(r).values, brute_firework_counts(r))
+
+
+def whole_chunks(c: LatticeConfig, seed: int, select=None):
+    """(r0, open bits, selected, radii) of one trial's window stream, each
+    chunk's uniforms drawn whole by make_rng(seed, 1).random(shape)."""
+    rng, m, d = make_rng(seed, 1), c.extent(), c.dimension
+    out = []
+    for r0, r1 in lat._row_blocks(m, d):
+        shape = (r1 - r0,) + (m,) * (d - 1)
+        act = rng.random(shape) < c.p
+        u = 1.0 - rng.random(shape)
+        sel = act if select is None else act & select(r0, u)
+        out.append((r0, act, sel, c.dist.quantile_from_uniform(u[sel])))
+    return out
+
+
+def reverse_select(c: LatticeConfig):
+    """A selection that keeps some open sites and drops others: u below a per-row bound."""
+    bound = np.linspace(0.2, 0.9, c.extent())
+    return lambda r0, u: u < bound[r0:r0 + len(u)].reshape((-1,) + (1,) * (u.ndim - 1))
+
+
+class TestPiecedDraws:
+    """_draws draws each chunk's uniforms in row pieces into one reused
+    buffer; the stream must be the whole-chunk draw's, bit for bit."""
+
+    @pytest.mark.parametrize("dim, n, chunk_cells, piece_cells", [
+        (1, 600_000, None, None),  # real sizes: one chunk of three pieces
+        (2, 700, None, None),  # 374-row pieces of a 700-row chunk
+        (1, 100, 64, 7),  # 7 does not divide a 64-row chunk
+        (1, 100, 64, 1),  # 1-row pieces
+        (2, 9, 64, 27),  # 3-row pieces of 7-row chunks
+        (2, 9, 64, 1),  # 1-row pieces (a piece is at least one row)
+        (2, 9, 1, 1),  # one row per chunk and per piece
+    ])
+    @pytest.mark.parametrize("selected", ["open", "some"])
+    def test_equal_whole_chunk_draws(self, monkeypatch, dim, n, chunk_cells, piece_cells,
+                                     selected):
+        if chunk_cells is not None:
+            monkeypatch.setattr(lat, "_CHUNK_CELLS", chunk_cells)
+            monkeypatch.setattr(lat, "_PIECE_CELLS", piece_cells)
+        for dist in (PowerTail(1.5), Geometric(0.5)):
+            c = cfg(dim=dim, p=0.4, n=n, dist=dist)
+            select = None if selected == "open" else reverse_select(c)
+            seeds = np.array([3, 2**64 - 1], dtype=np.uint64)
+            got = list(lat._draws(c, seeds, select))
+            want = [(t, *chunk) for t, seed in enumerate(seeds.tolist())
+                    for chunk in whole_chunks(c, seed, select)]
+            assert [g[:2] for g in got] == [w[:2] for w in want]
+            for (_, _, act, sel, radii), (_, _, w_act, w_sel, w_radii) in zip(got, want):
+                assert act.shape == sel.shape == (1,) + w_act.shape
+                assert (sel is act) == (select is None)
+                assert act.tobytes() == w_act.tobytes() and sel.tobytes() == w_sel.tobytes()
+                assert radii.dtype == w_radii.dtype and radii.tobytes() == w_radii.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_reused_buffers_carry_each_chunk(self, monkeypatch, dim):
+        # chunks filled into two alternating pairs, read before the next one
+        monkeypatch.setattr(lat, "_CHUNK_CELLS", 64)
+        monkeypatch.setattr(lat, "_PIECE_CELLS", 5)
+        c = cfg(dim=dim, p=0.5, n=20 if dim == 2 else 150, dist=PowerTail(1.5))
+        select = reverse_select(c)
+        rows = lat._row_blocks(c.extent(), dim)[0][1]
+        shape = (1, rows) + (c.extent(),) * (dim - 1)
+        pairs = [(np.empty(shape, bool), np.empty(shape, bool)) for _ in range(2)]
+        want = whole_chunks(c, 5, select)
+        assert len(want) > 2
+        seed = np.array([5], dtype=np.uint64)
+        for i, (chunk, w) in enumerate(zip(lat._draws(c, seed, select, pairs), want)):
+            _, r0, act, sel, radii = chunk
+            assert np.shares_memory(act, pairs[i % 2][0]) and np.shares_memory(sel, pairs[i % 2][1])
+            assert r0 == w[0] and act[0].tobytes() == w[1].tobytes()
+            assert sel[0].tobytes() == w[2].tobytes() and radii.tobytes() == w[3].tobytes()
+
+    @pytest.mark.parametrize("shape, rows", [((10,), [3, 3, 3, 1]), ((5, 7), [2, 1, 2]),
+                                             ((6, 3), [1] * 6), ((4, 4), [4])])
+    def test_random_out_draws_what_random_draws(self, shape, rows):
+        # the pieced draw rests on this; NEP 19 does not freeze it
+        for seed in (0, 2**64 - 1):
+            whole = make_rng(seed, 1)
+            want = np.concatenate([whole.random(shape), whole.random(shape)]).tobytes()
+            pieced = make_rng(seed, 1)
+            buf = np.empty((max(rows),) + shape[1:])
+            got = []
+            for _ in range(2):
+                for r in rows:
+                    got.append(pieced.random(out=buf[:r]).copy())
+            assert np.concatenate(got).tobytes() == want
+            assert whole.random() == pieced.random()
+
+
+def helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
+
+class TestDrawHelper:
+    """A multi-chunk streamed reverse trial draws the next chunk on one
+    helper thread, which lives only inside the trial."""
+
+    @pytest.fixture
+    def multi_chunk(self, monkeypatch):
+        monkeypatch.setattr(lat, "_CHUNK_CELLS", 64)
+        return cfg(model=REVERSE, dim=2, n=7, cushion=4, p=0.5, k=2, dist=PowerTail(1.5),
+                   seed=13, initiators=True)
+
+    def counting_threads(self, monkeypatch):
+        seen, real = [], lat._prefix_rows
+
+        def prefix_rows(S, r0, act):
+            seen.append(threading.active_count())
+            real(S, r0, act)
+
+        monkeypatch.setattr(lat, "_prefix_rows", prefix_rows)
+        return seen
+
+    def test_helper_alive_only_inside_the_trial(self, monkeypatch, multi_chunk):
+        assert not helper_threads()
+        before = threading.active_count()
+        seen = self.counting_threads(monkeypatch)
+        fld = streamed(multi_chunk)
+        assert len(seen) == len(lat._row_blocks(multi_chunk.extent(), 2)) > 2
+        assert set(seen) == {before + 1}
+        assert threading.active_count() == before and not helper_threads()
+        assert_same_field(fld, reverse_membership(realize(multi_chunk), 2))
+
+    def test_one_chunk_starts_no_helper(self, monkeypatch):
+        c = cfg(model=REVERSE, dim=2, n=40, cushion=3, p=0.5, k=2, dist=PowerTail(1.5))
+        assert len(lat._row_blocks(c.extent(), 2)) == 1
+        before = threading.active_count()
+        seen = self.counting_threads(monkeypatch)
+        streamed(c)
+        assert seen == [before]
+
+    def test_counting_error_propagates_and_joins_helper(self, monkeypatch, multi_chunk):
+        before, calls, real = threading.active_count(), [], lat._prefix_rows
+
+        def third_fails(S, r0, act):
+            calls.append(r0)
+            if len(calls) == 3:
+                raise RuntimeError("third chunk")
+            real(S, r0, act)
+
+        monkeypatch.setattr(lat, "_prefix_rows", third_fails)
+        with pytest.raises(RuntimeError, match="third chunk"):
+            streamed(multi_chunk)
+        assert len(calls) == 3
+        assert threading.active_count() == before and not helper_threads()
+
+    def test_drawing_error_propagates_and_joins_helper(self, monkeypatch, multi_chunk):
+        # the helper draws every chunk after the first; its error reaches the caller
+        before, calls = threading.active_count(), []
+
+        class ThirdDrawFails(PowerTail):
+            def quantile_from_uniform(self, u):
+                calls.append(threading.current_thread().name)
+                if len(calls) == 3:
+                    raise RuntimeError("third draw")
+                return super().quantile_from_uniform(u)
+
+        c = replace(multi_chunk, dist=ThirdDrawFails(1.5))
+        with pytest.raises(RuntimeError, match="third draw"):
+            streamed(c)
+        assert calls[0] == threading.current_thread().name
+        assert calls[2].startswith("ThreadPoolExecutor")
+        assert threading.active_count() == before and not helper_threads()
+
+    def test_records_independent_of_workers(self, multi_chunk):
+        # no helper is alive when run_trials forks its pool
+        sites = [(0, 0), (3, 5), (6, 6)]
+        one = simulate_window(multi_chunk, 6, workers=1, sites=sites)
+        two = simulate_window(multi_chunk, 6, workers=2, sites=sites)
+        np.testing.assert_array_equal(one.fractions, two.fractions)
+        np.testing.assert_array_equal(one.last_normalized, two.last_normalized)
+        assert one.clamp_count == two.clamp_count and one.sites == two.sites
+        seeds = mix64(multi_chunk.seed, np.arange(6, dtype=np.uint64))
+        want = public_records(multi_chunk, seeds, lat._site_indices(multi_chunk, sites))
+        np.testing.assert_array_equal(one.fractions, want["fraction"])
