@@ -12,6 +12,7 @@ import secrets
 import sys
 import time
 from dataclasses import fields
+from itertools import compress, repeat
 
 import rumourlab
 from rumourlab import continuum as cont
@@ -36,10 +37,10 @@ EXIT_IO = 4
 
 DIVERGENCE_TOL = 1e-9
 
-# a diagnose run peaks at ~740 bytes per site (ru_maxrss at --imax 1e5 and
-# 3e5 with --json): the series arrays, one row of Python scalars per site
-# and the rendered text; 800 leaves a margin, and larger runs are refused
-# before any work
+# a diagnose run peaks at ~650 bytes per site (ru_maxrss 187 MB at --imax 3e5
+# with --csv --json --svg, 87 MB at 1e5; ~520 bytes per site between them):
+# the series arrays, one row of Python scalars per site and the rendered
+# text; 800 leaves a margin, and larger runs are refused before any work
 _DIAGNOSE_BYTES_PER_SITE = 800
 _MAX_DIAGNOSE_BYTES = 2**31
 
@@ -361,13 +362,14 @@ def _emit(result: ExperimentResult, spec: ExperimentSpec, out: str | None, forma
             written.append(path)
         if formats["svg"]:
             xi, xlabel, yi, ylabel = _SVG_AXES[spec.subcommand]
-            xs = [row[xi] for row in result.rows] if xi is not None else list(range(len(result.rows)))
             ys = [row[yi] for row in result.rows]
-            pairs = [(x, y) for x, y in zip(xs, ys) if isinstance(y, (int, float)) and y is not None]
+            xs = [row[xi] for row in result.rows] if xi is not None else range(len(ys))
+            # an empty cell (None) or a text cell is not a point
+            keep = list(map(isinstance, ys, repeat((int, float))))
             caption = f"{spec.subcommand}: {ylabel} vs {xlabel} (seed {spec.seed})"
             path = out + ".svg"
             with open(path, "w") as fh:
-                fh.write(render_svg([p[0] for p in pairs], [p[1] for p in pairs],
+                fh.write(render_svg(list(compress(xs, keep)), list(compress(ys, keep)),
                                     xlabel, ylabel, caption))
             written.append(path)
     except OSError as e:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
+from operator import is_, itemgetter
 
 import numpy as np
 
@@ -100,6 +102,8 @@ def clean_value(v):
     """Coerce row cells to plain Python scalars with deterministic repr."""
     if v is None:
         return None
+    if isinstance(v, np.bool_):
+        return bool(v)
     if isinstance(v, (np.floating,)):
         v = float(v)
     if isinstance(v, (np.integer,)):
@@ -124,8 +128,26 @@ def result_to_json_doc(result: ExperimentResult) -> dict:
     }
 
 
+# stands in for the rows while the rest of the document is encoded; "rows"
+# is a key only at the top level, and a key's quotes are never spelled inside
+# a string (there they are escaped), so the split below finds the one place
+_ROWS = "\0rows\0"
+
+
+def _json_cell(v) -> str:
+    if isinstance(v, (list, tuple, dict)):
+        # laid out as json.dumps(..., indent=2) lays out the whole document
+        return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n      ")
+    return json.dumps(v)
+
+
 def render_json(result: ExperimentResult) -> str:
-    return json.dumps(result_to_json_doc(result), indent=2, sort_keys=True) + "\n"
+    rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, _table(result.rows, _json_cell)))
+    rows = f"[\n    [\n      {rows}\n    ]\n  ]" if result.rows else "[]"
+    doc = {**result_to_json_doc(result), "rows": _ROWS}
+    head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition(
+        f'"rows": {json.dumps(_ROWS)}')
+    return f'{head}"rows": {rows}{tail}\n'
 
 
 def parse_result_json(text: str) -> ExperimentResult:
@@ -140,6 +162,32 @@ def parse_result_json(text: str) -> ExperimentResult:
     )
 
 
+def _column(cells: list, spell):
+    """One column's cell strings, as spell(v) would give them, in one pass."""
+    first = cells[0]
+    # identity, not equality: -0.0 == 0.0 and 1 == True, but neither spells alike
+    if all(map(is_, cells, repeat(first))):
+        return repeat(spell(first), len(cells))
+    # exact types: a bool, a numpy scalar or an int subclass spells its own way
+    kinds = set(map(type, cells))
+    if kinds == {float} and all(map(math.isfinite, cells)):
+        return map(float.__repr__, cells)
+    if kinds == {int}:
+        return map(int.__repr__, cells)
+    return map(spell, cells)
+
+
+def _table(rows: list, spell):
+    """Each row's cell strings, encoded a column at a time."""
+    widths = set(map(len, rows))
+    if len(widths) > 1 or 0 in widths:
+        raise ValueError(f"rows must all have the same number of cells, at least one; "
+                         f"got {sorted(widths)}")
+    # one list per column: zip(*rows) would make an iterator per row to get there
+    columns = (list(map(itemgetter(j), rows)) for j in range(max(widths, default=0)))
+    return zip(*(_column(cells, spell) for cells in columns))
+
+
 def _cell(v) -> str:
     if v is None:
         return ""
@@ -149,10 +197,8 @@ def _cell(v) -> str:
 
 
 def render_csv(result: ExperimentResult) -> str:
-    lines = [",".join(result.columns)]
-    for row in result.rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    lines = map(",".join, _table(result.rows, _cell))
+    return "\n".join([",".join(result.columns), *lines]) + "\n"
 
 
 def _svg_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -184,7 +230,11 @@ def render_svg(xs, ys, xlabel: str, ylabel: str, caption: str) -> str:
     def py(y):
         return mt + ph - (y - ylo) / (yhi - ylo) * ph
 
-    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    # px and py on float64 arrays: the same operations in the same order, so
+    # the same doubles (inf - inf is nan here as in Python floats, unwarned)
+    with np.errstate(all="ignore"):
+        X, Y = px(np.array(xs)), py(np.array(ys))
+    pts = " ".join(map("{:.2f},{:.2f}".format, X.tolist(), Y.tolist()))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',

@@ -605,6 +605,22 @@ class TestGoldenBytes:
     def test_per_trial_windows_at_two_workers(self, name, tmp_path):
         self.check(name, tmp_path, ["--workers", "2"])
 
+    # SHA-256 of the SVG as written by rumourlab 0.1.0 before the polyline's
+    # points were computed on float64 arrays
+    SVG = {
+        "diagnose": "c6e52ec1b233708b97b5e5399de7237af5bd14bf60c77a8e2c1581ff1d1a90a6",
+        "p2d": "de7694814efcc3ec585b20ffddb90ab175843ce945d08a4fd1e5b34a129b8661",
+        "simulate_rev1d": "dc98a9f56e8c4671856068a8c2c86924fbd8515909e93b53319818796cf382cf",
+        "exact": "c461b5e46c66fc9158bf4e3fbbd9092e1f203f07de83824341ed8b00cbea5f50",
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(SVG))
+    def test_svg_bytes(self, name, workers, tmp_path):
+        base = tmp_path / name
+        assert main([*self.SPECS[name][0], "--workers", workers, "--svg", "--out", str(base)]) == 0
+        assert hashlib.sha256(base.with_suffix(".svg").read_bytes()).hexdigest() == self.SVG[name]
+
     def check(self, name, tmp_path, extra):
         args, digest = self.SPECS[name]
         base = tmp_path / name
