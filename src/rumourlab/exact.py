@@ -28,6 +28,10 @@ from rumourlab.distributions import TailDistribution, Truncated
 # DP reads the cover probabilities as Python floats, ~32 more bytes per site.
 _SERIES_BYTES_PER_SITE = 40
 _MAX_SERIES_BYTES = 2**31
+# an exact query's methods peak at up to ~152 bytes per shell (tracemalloc,
+# closedForm and paperEq11: the shell tuples plus their float lists); queries
+# whose shells would pass _MAX_SERIES_BYTES are refused before any is built
+_SHELL_BYTES = 160
 # the count DP costs sources * list length updates; more are refused up front
 _MAX_DP_UPDATES = 2**31
 
@@ -74,6 +78,10 @@ class ExactQuery:
                 raise ValueError(f"2D site must be a pair of integers >= 1, got {self.site!r}")
             if self.include_initiators:
                 raise ValueError("initiators are a 1D setup; 2D exact queries do not take them")
+        shells = _source_extent(self)[1] + 1  # one per displacement 0..farthest
+        if shells * _SHELL_BYTES > _MAX_SERIES_BYTES:
+            raise ValueError(f"site {self.site} needs {shells} shells, ~{shells * _SHELL_BYTES} "
+                             f"bytes (> {_MAX_SERIES_BYTES})")
 
 
 def shell_multiplicity_2d(i: int, j: int, t: int) -> int:

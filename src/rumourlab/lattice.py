@@ -16,34 +16,37 @@ prefix sums in place turn it into per-cell counts, so the cost is
 O(window + boxes) regardless of the radii.  Firework counts, the reverse
 membership marks and the continuum's 2D pixel counts all use it.
 
-Each model has one counting body fed by row chunks, in the row order of
-the window stream.  _firework counts the fields of many trials in one
-box_counts call with a leading trial axis, from chunks (first trial, first
-row, open bits, radii of the open sites).  _membership takes chunks (first
-row, open bits, sources, radii): the open bits fill an int32 prefix grid
-over sites [-1..m]^d, each source's block count is the signed sum of that
-grid at the block's 2^d corners, and the qualifying blocks are marked
-through box_counts.  A realization feeds either body in the row blocks of
-realize (firework_counts, reverse_membership).
+Both models share one counting contract: a body takes (..., trials,
+chunks, initiator_radii) and returns a (trials, n, ...) field and (trials,)
+clamp counts, from _draws' chunks in the row order of each trial's window
+stream, and one box_counts call with a leading trial axis counts every
+trial's field.  _firework counts cover blocks.  In _membership the open bits
+fill an int32 prefix grid per trial over sites [-1..m]^d, each source's
+block count is the signed sum of that grid at the block's 2^d corners, and
+the qualifying blocks are marked.  A realization feeds either body as the
+chunks of one trial, in the row blocks of realize (firework_counts,
+reverse_membership).
 
 One producer, _draws(config, seeds, select), lays out the window stream:
 chunks (first trial, first row, open bits, selected open sites, their
-radii) of the trials on seeds, the trials of a firework window of at most
-_BATCH_MAX_CELLS cells in one chunk drawn at once by stats.uniforms, any
-other window trial by trial, each chunk's uniforms in row pieces through
-one reused buffer.  realize reads it, and so does every trial, which never
-realizes.  A streamed reverse trial of several row blocks draws its next
-chunk on one helper thread while it counts the current one; the helper
-draws every chunk in order from the one generator, so no value depends on
-timing, and it is joined before the trial returns.
+radii) of the trials on seeds, the trials of a window of at most
+_BATCH_MAX_CELLS extent cells in one chunk drawn at once by stats.uniforms,
+with every open site selected, any other window trial by trial, each
+chunk's uniforms in row pieces through one reused buffer.  realize reads
+it, and so does every trial, which never realizes.  A streamed reverse
+trial of several row blocks draws its next chunk on one helper thread
+while it counts the current one; the helper draws every chunk in order
+from the one generator, so no value depends on timing, and it is joined
+before the trial returns.
 One trial engine, run_trials, seeds, chunks and pools the trials of the
 lattice (simulate_window) and of the continuum (scan_lambda, the continuum
 command): fn(config, seeds, *extra) returns numeric records for a chunk of
 trial seeds.  A lattice trial's summary comes from _summaries and one
-reduction, _records: a firework group is counted by _firework, and a
-reverse trial streams (_stream_reverse): only open sites that can reach
-the reported window or clamp are sources and get radii, so it needs ~4
-bytes per extent cell.  stats.uniforms draws every initiator radius too.
+reduction, _records, over groups of ~_BATCH_CELLS extent cells: a firework
+group is counted by _firework, and a reverse group streams
+(_stream_reverse): outside a batch, only open sites that can reach the
+reported window or clamp are sources and get radii, so a large trial needs
+~4 bytes per extent cell.  stats.uniforms draws every initiator radius too.
 Each record is thus bit-identical to the one-trial path, firework_counts
 or reverse_membership of realize(config).  NumPy's NEP 19 does not freeze
 its generator streams; the tests pin uniforms to Generator(PCG64(seed)) so
@@ -85,14 +88,15 @@ _MAX_RESULT_BYTES = 2**31
 # 5x slower at 2001)
 _ACCUMULATE_MAX_WIDTH = 512
 
-# firework windows of at most this many cells run their trials in batches;
-# a batched trial costs ~0.3x (2D) to ~0.6x (1D) of a one-at-a-time trial
-# at 256 cells, 1.1x at 512 cells in 1D and 1024 in 2D (2-vCPU Xeon)
+# windows of at most this many extent cells run their trials in batches; at
+# 256 cells a batched trial costs ~0.3x (2D) to ~0.6x (1D) of a one-at-a-time
+# firework trial and ~0.35x of a reverse one, and a firework batch 1.1x at
+# 512 cells in 1D and 1024 in 2D (2-vCPU Xeon)
 _BATCH_MAX_CELLS = 256
 
-# window cells (of all its trials) per batch or group of trials reduced
-# together; a batch peaks at ~120 bytes per cell (tracemalloc), so its
-# buffers stay near 1 MiB
+# extent cells (of all its trials) per batch or group of trials reduced
+# together; a batch of either model peaks at ~120 bytes per cell
+# (tracemalloc), so its buffers stay near 1 MiB
 _BATCH_CELLS = 1 << 13
 
 # sub-stream tags hanging off the configured seed
@@ -234,8 +238,9 @@ def _draws(config: LatticeConfig, seeds: np.ndarray, select=None, buffers=None):
     rows r0.. (0-based): the open bits and the mask of the selected open
     sites, each a (trials, rows, ...) array, and the radii of the selected
     sites in row-major order.  Every open site is selected unless select is
-    given (per-trial windows only): select(r, u) is the mask of the sites of
-    extent rows r.. to keep, from their radius uniforms u in (0, 1].
+    given: select(r, u) is the mask of the sites of extent rows r.. to keep,
+    from their radius uniforms u in (0, 1]; a batch of trials (below) ignores
+    select, as every open site is a source there.
 
     A trial's stream is make_rng(seed, _STREAM_WINDOW) in the row blocks of
     _row_blocks, a chunk drawing all its activation uniforms, then all its
@@ -245,9 +250,9 @@ def _draws(config: LatticeConfig, seeds: np.ndarray, select=None, buffers=None):
     whole row block, which the chunks fill in turn; a consumer may pass it
     only if it is done with a chunk before it asks for len(buffers) more.
     A _batched window is one row block, so uniforms draws several trials'
-    2*n^d uniforms at once into one chunk, bit for bit the generators' own;
-    a lone trial (uniforms' fixed cost is ~10x make_rng's) or any other
-    window is drawn trial by trial.  Every consumer of the window stream
+    2*m^d uniforms (m = extent) at once into one chunk, bit for bit the
+    generators' own; a lone trial (uniforms' fixed cost is ~10x make_rng's)
+    or any other window is drawn trial by trial.  Every consumer of the window stream
     goes through here, so its layout is defined once.
     """
     m, d = config.extent(), config.dimension
@@ -292,12 +297,23 @@ def _ahead(helper, chunks):
 
 
 def _realized_chunks(realization: Realization):
-    """(r0, open bits, radii of the open sites) of a realization, in the row blocks of realize."""
+    """A realization as _draws' chunks of one trial, in the row blocks of realize."""
     act, off = realization.activation, 0
     for r0, r1 in _row_blocks(act.shape[0], act.ndim):
         count = int(np.count_nonzero(act[r0:r1]))
-        yield r0, act[r0:r1], realization.radii[off:off + count]
+        yield 0, r0, act[None, r0:r1], act[None, r0:r1], realization.radii[off:off + count]
         off += count
+
+
+def _sites(t0: int, r0: int, bits: np.ndarray):
+    """(trial, per-axis 0-based extent coordinates) of the set bits of a chunk of
+    trials t0.. over rows r0..; a one-trial chunk keeps a scalar trial index,
+    so no index array per site is built."""
+    flat = np.flatnonzero(bits)
+    trial, flat = divmod(flat, bits[0].size) if len(bits) > 1 else (0, flat)
+    sites = list(divmod(flat, bits.shape[-1])) if bits.ndim > 2 else [flat]
+    sites[0] += r0
+    return trial + t0, sites
 
 
 def _initiator_radii(dist: TailDistribution, seeds: np.ndarray) -> np.ndarray:
@@ -329,7 +345,7 @@ def box_counts(m: int, d: int, batches, trials: int | None = None) -> np.ndarray
             np.add.at(flat, idx, sign)
     np.add.accumulate(grid, axis=-1, out=grid)
     if d == 2:
-        _add_down(grid)
+        _add_down(grid, d)
     return grid[(...,) + (slice(0, m),) * d]
 
 
@@ -349,10 +365,10 @@ def _corners(lo, stop, w: int, base=0):
         yield -sign, base_row + stop[-1]
 
 
-def _add_down(block: np.ndarray) -> None:
-    """Prefix sums down the rows (axis -2, or a 1D block's one axis), in place."""
-    if block.ndim == 1 or block.shape[-1] <= _ACCUMULATE_MAX_WIDTH:
-        np.add.accumulate(block, axis=max(0, block.ndim - 2), out=block)
+def _add_down(block: np.ndarray, d: int) -> None:
+    """Prefix sums down the rows of d-dimensional windows (axis -d), in place."""
+    if d == 1 or block.shape[-1] <= _ACCUMULATE_MAX_WIDTH:
+        np.add.accumulate(block, axis=-d, out=block)
         return
     for i in range(1, block.shape[-2]):
         np.add(block[..., i - 1, :], block[..., i, :], out=block[..., i, :])
@@ -364,19 +380,18 @@ def firework_counts(realization: Realization) -> CoverageField:
     if cfg.model != FIREWORK:
         raise ValueError("firework_counts needs a firework-model realization")
     init = realization.initiator_radii
-    chunks = ((0, r0, act[None], radii) for r0, act, radii in _realized_chunks(realization))
-    counts, clamps = _firework(cfg, 1, chunks, None if init is None else init[None])
+    counts, clamps = _firework(cfg, 1, _realized_chunks(realization),
+                               None if init is None else init[None])
     return CoverageField("counts", cfg.dimension, 1, cfg.n, counts[0], int(clamps[0]))
 
 
 def _firework(config: LatticeConfig, trials: int, chunks, initiator_radii):
     """Cover counts (trials, n, ...) and clamp counts (trials,) of firework fields.
 
-    chunks yields (t0, r0, open bits, radii): the open bits of trials t0.. over
-    window rows r0.. (0-based) as a (trials, rows, ...) array, and the radii
-    of its open sites in row-major order.  initiator_radii is None or the
-    (trials, 2) radii of sites -1 and 0 (1D), which cover sites 1..site+r:
-    blocks from index 0 with radius max(site+r, 0) - 1 (-1 for an empty one).
+    chunks are _draws' (t0, r0, open bits, sources, radii), every open site a
+    source.  initiator_radii is None or the (trials, 2) radii of sites -1 and
+    0 (1D), which cover sites 1..site+r: blocks from index 0 with radius
+    max(site+r, 0) - 1 (-1 for an empty one).
     Every block stops at min(start + radius + 1, n), and one box_counts call
     with a leading trial axis counts every field.
     """
@@ -389,13 +404,8 @@ def _firework(config: LatticeConfig, trials: int, chunks, initiator_radii):
         return starts, [np.minimum(stop, n, out=stop) for stop in stops], trial
 
     def batches():
-        for t0, r0, bits, radii in chunks:
-            # a one-trial chunk keeps a scalar trial index: no index array per box
-            flat = np.flatnonzero(bits)
-            trial, flat = divmod(flat, bits[0].size) if len(bits) > 1 else (0, flat)
-            starts = list(divmod(flat, bits.shape[-1])) if bits.ndim > 2 else [flat]
-            starts[0] += r0
-            yield boxes(trial + t0, starts, radii)
+        for t0, r0, _, sources, radii in chunks:
+            yield boxes(*_sites(t0, r0, sources), radii)
         if initiator_radii is not None:
             init = np.maximum(_INITIATOR_SITES + initiator_radii, 0).reshape(-1) - 1
             yield boxes(np.repeat(np.arange(trials), 2), [np.zeros_like(init)], init)
@@ -418,8 +428,11 @@ def reverse_membership(realization: Realization, k: int) -> CoverageField:
         raise ValueError("reverse_membership needs a reverse-model realization")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    chunks = ((r0, act, act, radii) for r0, act, radii in _realized_chunks(realization))
-    return _membership(cfg, k, chunks, realization.initiator_radii)
+    init = realization.initiator_radii
+    values, clamps = _membership(cfg, k, 1, _realized_chunks(realization),
+                                 None if init is None else init[None])
+    return CoverageField("membership", cfg.dimension, 0, cfg.n, values[0], int(clamps[0]),
+                         threshold=k)
 
 
 def _survival_bounds(cfg: LatticeConfig):
@@ -434,15 +447,14 @@ def _survival_bounds(cfg: LatticeConfig):
             _SURVIVAL_SLACK * cfg.dist.survival_vec(sites + 2))
 
 
-def _stream_reverse(cfg: LatticeConfig, seed, bounds, initiator_radii) -> CoverageField:
-    """reverse_membership(realize(cfg), cfg.k) without realizing the window, in 1D or 2D.
+def _stream_reverse(cfg: LatticeConfig, seeds: np.ndarray, bounds, initiator_radii):
+    """_membership(cfg, cfg.k, ...) of the trials on seeds (uint64), without realizing a window.
 
-    seed, a one-element uint64 array, stands in for cfg.seed.  Consumes the
-    window stream chunk by chunk and keeps no activation bitmap and no
-    per-site radii: the open bits go straight into the prefix grid, and only
-    candidates, open sites whose uniform lies below bounds =
-    _survival_bounds(cfg), get radii and the exact tests.  initiator_radii
-    are the trial's.
+    Consumes the window stream chunk by chunk and keeps no activation bitmap
+    and no per-site radii: the open bits go straight into the prefix grid,
+    and only candidates, open sites whose uniform lies below bounds =
+    _survival_bounds(cfg), get radii and the exact tests (a _batched window
+    tests every open site).  initiator_radii are the trials' or None.
     """
     reach_g, clamp_g = bounds
     m, d = cfg.extent(), cfg.dimension
@@ -458,94 +470,96 @@ def _stream_reverse(cfg: LatticeConfig, seed, bounds, initiator_radii) -> Covera
             clamps |= u < clamp_g
         return cand | clamps
 
-    def counted(chunks):
-        return _membership(cfg, cfg.k, ((r0, act, cand, radii)
-                                        for _, r0, (act,), (cand,), radii in chunks),
-                           initiator_radii)
-
     blocks = _row_blocks(m, d)
     if len(blocks) == 1:
-        return counted(_draws(cfg, seed, candidates))
+        return _membership(cfg, cfg.k, len(seeds), _draws(cfg, seeds, candidates), initiator_radii)
     # the helper draws chunk i+1 into one pair while _membership counts
     # chunk i from the other; it is joined before the trial returns
     shape = (1, blocks[0][1]) + (m,) * (d - 1)
     pairs = [(np.empty(shape, bool), np.empty(shape, bool)) for _ in range(2)]
     with ThreadPoolExecutor(1) as helper:
-        return counted(_ahead(helper, _draws(cfg, seed, candidates, pairs)))
+        chunks = _ahead(helper, _draws(cfg, seeds, candidates, pairs))
+        return _membership(cfg, cfg.k, len(seeds), chunks, initiator_radii)
 
 
 def _prefix_rows(S: np.ndarray, r0: int, act: np.ndarray) -> None:
     """Fill the prefix rows of window rows r0.. (0-based) from their open bits.
 
-    The rows above must be final and these rows still zero; cumulating down
-    from the row above adds its prefix to these rows' own.
+    S and act have the same leading trial axis.  The rows above must be
+    final and these rows still zero; cumulating down from the row above adds
+    its prefix to these rows' own.
     """
-    block = S[r0 + 2:r0 + 3 + act.shape[0]]
-    own = block[(slice(1, None),) + (slice(3, None),) * (act.ndim - 1)]
+    block = S[:, r0 + 2:r0 + 3 + act.shape[1]]
+    own = block[(slice(None), slice(1, None)) + (slice(3, None),) * (act.ndim - 2)]
     own[...] = act
-    for axis in range(1, act.ndim):
+    for axis in range(2, act.ndim):
         np.add.accumulate(own, axis=axis, out=own)
-    _add_down(block)
+    _add_down(block, act.ndim - 1)
 
 
-def _membership(cfg: LatticeConfig, k: int, chunks, initiator_radii) -> CoverageField:
-    """Reverse k-sceptic indicator over [0, n-1]^d, from row chunks of the extent.
+def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii):
+    """Reverse k-sceptic indicators (trials, n, ...) uint8 over [0, n-1]^d and clamps (trials,).
 
-    chunks yields (r0, open bits, sources, radii) in row order: the open
-    bits of extent rows r0.. (0-based), the mask of the open sites to test
-    as sources, and their radii in row-major order.  The open bits fill an
-    int32 prefix grid S, so a source's block count is the signed sum of S at
-    the block's 2^d corners.  A source qualifies when its block prod [x - rad, x]
-    holds at least k other open sites; the initiators count as sources.
-    Every clamped source is counted, reaching the window or not.
+    chunks are _draws' (t0, r0, open bits, sources, radii), each trial's in
+    row order.  The open bits fill an int32 prefix grid S per trial, so a
+    source's block count is the signed sum of S at the block's 2^d corners.
+    A source qualifies when its block prod [x - rad, x] holds at least k
+    other open sites; the initiators count as sources, with initiator_radii
+    None or the trials' (trials, 2) radii.  Every clamped source is counted,
+    reaching the window or not.  One box_counts call with a leading trial
+    axis marks every trial's qualifying blocks.
     """
     n, d = cfg.n, cfg.dimension
-    # S[a+2] (1D) or S[a+2, b+2] (2D) will hold the number of open sites in
-    # [-1..a] or [-1..a] x [-1..b]; _prefix_rows fills the extent rows in
-    # order.  The initiators sit on the diagonal at (-1,..,-1) and (0,..,0)
-    # and count from index 1 and 2 on every axis; only their rows 1 and 2
-    # are set here, and _prefix_rows adds them down into the extent rows.
-    S = np.zeros((cfg.extent() + 3,) * d, dtype=np.int32)
+    # S[t, a+2] (1D) or S[t, a+2, b+2] (2D) will hold the number of open
+    # sites of trial t in [-1..a] or [-1..a] x [-1..b]; _prefix_rows fills
+    # the extent rows in order.  The initiators sit on the diagonal at
+    # (-1,..,-1) and (0,..,0) and count from index 1 and 2 on every axis;
+    # only their rows 1 and 2 are set here, and _prefix_rows adds them down
+    # into the extent rows.
+    S = np.zeros((trials,) + (cfg.extent() + 3,) * d, dtype=np.int32)
     if initiator_radii is not None:
         for i in (1, 2):
-            S[(slice(i, 3),) + (slice(i, None),) * (d - 1)] += 1
-    flat = S.reshape(-1)
-    clamp = 0
+            S[(slice(None), slice(i, 3)) + (slice(i, None),) * (d - 1)] += 1
+    flat, w = S.reshape(-1), S.shape[-1]
+    clamps = np.zeros(trials, dtype=np.int64)
 
-    def qualifying(x, rad):
+    def qualifying(trial, x, rad):
         """Qualifying blocks of the sources at site coordinates x, clipped to the window."""
-        nonlocal clamp
-        clamp += int(np.count_nonzero(rad > functools.reduce(np.minimum, x) + 1))
+        over = rad > functools.reduce(np.minimum, x) + 1
+        clamps[:] += np.bincount(np.broadcast_to(trial, over.shape)[over], minlength=trials)
         reach = rad >= functools.reduce(np.maximum, x) - n + 1
         x, rad = [c[reach] for c in x], rad[reach]
+        per_source = isinstance(trial, np.ndarray)  # else one trial for all
+        trial = trial[reach] if per_source else trial
         lo = [np.maximum(c - rad, -1) for c in x]
         # open sites in the block: the prefix grid's signed corner sum,
         # with the top corner x+2 in _corners' lo slot and lo+1 in stop;
         # int32 wraps in between, so the sum is exact as S's entries are
-        corners = _corners([c + 2 for c in x], [c + 1 for c in lo], S.shape[0])
+        corners = _corners([c + 2 for c in x], [c + 1 for c in lo], w, trial * w)
         in_block = sum(sign * flat[idx] for sign, idx in corners)
         qualify = in_block - 1 >= k
         # qualifying blocks clipped to the report window, empty ones dropped
         a = [np.maximum(c[qualify], 0) for c in lo]
         s = [np.minimum(c[qualify] + 1, n) for c in x]
         keep = functools.reduce(np.logical_and, map(np.less, a, s))
-        return tuple(c[keep] for c in a), tuple(c[keep] for c in s)
+        return (tuple(c[keep] for c in a), tuple(c[keep] for c in s),
+                trial[qualify][keep] if per_source else trial)
 
     def blocks():
-        for r0, act, sources, radii in chunks:
-            _prefix_rows(S, r0, act)  # S is final through the chunk's rows
-            x = [c + 1 for c in np.nonzero(sources)]  # 1-based sites, rows from r0
-            x[0] += r0
-            out = qualifying(x, radii)
+        for t0, r0, act, sources, radii in chunks:
+            _prefix_rows(S[t0:t0 + len(act)], r0, act)  # S is final through the chunk's rows
+            trial, x = _sites(t0, r0, sources)
+            out = qualifying(trial, [c + 1 for c in x], radii)  # 1-based sites
             # the sources' coordinates and radii are not held while the
             # next chunk is drawn or counted
             del act, sources, radii, x
             yield out
         if initiator_radii is not None:
-            yield qualifying((_INITIATOR_SITES,) * d, initiator_radii)
+            sites = np.tile(_INITIATOR_SITES, trials)
+            yield qualifying(np.repeat(np.arange(trials), 2), [sites] * d,
+                             initiator_radii.reshape(-1))
 
-    values = (box_counts(n, d, blocks()) > 0).view(np.uint8)
-    return CoverageField("membership", d, 0, n, values, clamp, threshold=k)
+    return (box_counts(n, d, blocks(), trials) > 0).view(np.uint8), clamps
 
 
 def last_under_covered(fld: CoverageField, k: int):
@@ -630,39 +644,34 @@ def _summary_dtype(sites: int) -> np.dtype:
 
 
 def _batched(config: LatticeConfig) -> bool:
-    """Whether _draws draws the trials of config at once: small firework windows in one RNG chunk."""
-    return (config.model == FIREWORK and config.n ** config.dimension <= _BATCH_MAX_CELLS
-            and len(_row_blocks(config.n, config.dimension)) == 1)
+    """Whether _draws draws the trials of config at once: small extents in one RNG chunk."""
+    m, d = config.extent(), config.dimension
+    return m ** d <= _BATCH_MAX_CELLS and len(_row_blocks(m, d)) == 1
 
 
 def _summaries(config: LatticeConfig, seeds: np.ndarray, idx) -> np.ndarray:
     """Summary records of the trials on seeds (a uint64 array), in seed order.
 
-    Trials go ~_BATCH_CELLS window cells at a time through one reduction,
-    _records, so a record does not depend on its mask's source: a firework
-    group counts through _firework, a reverse trial streams on its own.
-    Every trial's initiator radii come from one _initiator_radii call.
+    Trials go in groups of ~_BATCH_CELLS extent cells through their model's
+    counting body, _firework or _stream_reverse, and one reduction, _records,
+    so a record does not depend on its mask's source.  Every trial's
+    initiator radii come from one _initiator_radii call.
     """
     out = np.empty(len(seeds), _summary_dtype(len(idx[0])))
     init = _initiator_radii(config.dist, seeds) if config.include_initiators else None
     bounds = _survival_bounds(config) if config.model == REVERSE else None
-    step = max(1, _BATCH_CELLS // config.n ** config.dimension)
+    step = max(1, _BATCH_CELLS // config.extent() ** config.dimension)
     for i in range(0, len(seeds), step):
-        part = seeds[i:i + step]
+        part, part_init = seeds[i:i + step], None if init is None else init[i:i + step]
         if bounds is None:
             # the group is drawn before _firework allocates its grid, so no
             # draw buffer is alive while the fields are counted
-            chunks = [(t0, r0, act, radii) for t0, r0, act, _, radii in _draws(config, part)]
-            counts, clamps = _firework(config, len(part), chunks,
-                                       None if init is None else init[i:i + step])
-            mask = counts < config.k
-            del counts, chunks  # not held while the next group draws
+            field, clamps = _firework(config, len(part), list(_draws(config, part)), part_init)
         else:
-            flds = [_stream_reverse(config, part[j:j + 1], bounds,
-                                    None if init is None else init[i + j])
-                    for j in range(len(part))]
-            mask = np.stack([f.under_mask(config.k) for f in flds])
-            clamps = [f.clamp_count for f in flds]
+            field, clamps = _stream_reverse(config, part, bounds, part_init)
+        # a membership field is under-covered where it is 0
+        mask = field < (config.k if bounds is None else 1)
+        del field  # not held while the next group draws
         out[i:i + step] = _records(mask, clamps, idx)
         del mask  # nor is the mask: held, it put the 2D n=2000 p-scan's peak 12% higher
     return out

@@ -208,6 +208,14 @@ def _svg_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi), an empty range widened by 1.0, or by |lo| where lo + 1.0 rounds
+    back to a finite lo (|lo| >= 2^53)."""
+    if hi == lo:
+        hi = lo + 1.0 if lo + 1.0 != lo or not math.isfinite(lo) else lo + abs(lo)
+    return lo, hi
+
+
 def render_svg(xs, ys, xlabel: str, ylabel: str, caption: str) -> str:
     """Single-series line plot; fixed geometry, no external dependencies."""
     width, height = 640, 420
@@ -217,12 +225,8 @@ def render_svg(xs, ys, xlabel: str, ylabel: str, caption: str) -> str:
     ys = [float(y) for y in ys]
     if not xs:
         xs, ys = [0.0], [0.0]
-    xlo, xhi = min(xs), max(xs)
-    ylo, yhi = min(ys), max(ys)
-    if xhi == xlo:
-        xhi = xlo + 1.0
-    if yhi == ylo:
-        yhi = ylo + 1.0
+    xlo, xhi = _widened(min(xs), max(xs))
+    ylo, yhi = _widened(min(ys), max(ys))
 
     def px(x):
         return ml + (x - xlo) / (xhi - xlo) * pw

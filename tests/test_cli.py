@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from rumourlab import continuum, exact, lattice
 from rumourlab.cli import main, run_diagnose
-from rumourlab.distributions import ParetoTail, PowerTail, parse_distribution
+from rumourlab.distributions import Constant, ParetoTail, PowerTail, parse_distribution
 from rumourlab.reporting import (
     ExperimentResult,
     ExperimentSpec,
@@ -397,6 +398,38 @@ class TestCountDPBound:
         assert widths == [width]
 
 
+class TestShellBytesBound:
+    # an exact query whose shell list would pass the byte budget is refused
+    # before any shell is built; 10^8 shells would take ~15 GB
+    @pytest.mark.parametrize("argv, shells", [
+        (["exact", "--dist", "const:r=1", "--p", "0.5", "--sites", "100000000"], 100_000_000),
+        (["exact", "--dist", "power:beta=1.5", "--p", "0.5", "--initiators", "--sites",
+          "20000000"], 20_000_002),
+        (["exact", "--dim", "2", "--dist", "const:r=1", "--p", "0.5", "--sites",
+          "1,100000000"], 100_000_000),
+    ])
+    def test_refused_before_the_shells(self, argv, shells, capsys, monkeypatch):
+        def no_shells(*args):
+            raise AssertionError("built the shell list")
+
+        monkeypatch.setattr(exact, "_shells", no_shells)
+        assert main(argv + ["--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"needs {shells} shells, ~{shells * 160} bytes (> " in err
+
+    def test_budget_covers_the_costliest_method(self):
+        # the estimate bounds each method's traced peak per shell
+        q = exact.ExactQuery(1, 20_000, 0.5, 2, Constant(1))
+        for method in ("closedForm", "dp"):
+            tracemalloc.start()
+            try:
+                exact.METHODS[method](q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20_000 * exact._SHELL_BYTES
+
+
 class TestOversizedContinuum:
     @pytest.mark.parametrize("argv", [
         ["continuum", "--dist", "pareto:alpha=1e-300", "--lambda", "1e9", "--T", "1e6"],
@@ -675,6 +708,15 @@ class TestOutputs:
         assert (tmp_path / "run.csv").exists()
         assert (tmp_path / "run.json").exists()
         assert (tmp_path / "run.svg").exists()
+
+    def test_svg_of_one_huge_scan_parameter(self, tmp_path, capsys):
+        # one beta of 1e17 is a constant x past 2^53, where +1.0 cannot widen the axis
+        base = tmp_path / "huge"
+        assert main(["scan", "--beta-grid", "1e17", "--p", "0.5", "--n", "5", "--trials", "2",
+                     "--seed", "1", "--svg", "--out", str(base)]) == 0
+        svg = base.with_suffix(".svg").read_text()
+        assert '<polyline points="70.00,' in svg and ">2e+17</text>" in svg
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_svg_only_when_requested(self, tmp_path):
         base = tmp_path / "run2"

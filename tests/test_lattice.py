@@ -564,9 +564,13 @@ def assert_same_field(a: CoverageField, b: CoverageField):
 
 
 def streamed(c: LatticeConfig) -> CoverageField:
+    """The field of c's one trial on c.seed, streamed as a one-trial group."""
     seed = np.array([c.seed], dtype=np.uint64)
-    init = lat._initiator_radii(c.dist, seed)[0] if c.include_initiators else None
-    return lat._stream_reverse(c, seed, lat._survival_bounds(c), init)
+    init = lat._initiator_radii(c.dist, seed) if c.include_initiators else None
+    values, clamps = lat._stream_reverse(c, seed, lat._survival_bounds(c), init)
+    assert values.shape == (1,) + (c.n,) * c.dimension and clamps.shape == (1,)
+    return CoverageField("membership", c.dimension, 0, c.n, values[0], int(clamps[0]),
+                         threshold=c.k)
 
 
 def public_records(c: LatticeConfig, seeds, idx) -> np.ndarray:
@@ -629,7 +633,7 @@ class TestStreamedReverse:
         # summaries equal the records of the realized fields
         c = cfg(model=model, dim=dim, n=n, cushion=3, p=0.5, k=2, dist=PowerTail(1.5),
                 seed=19, initiators=initiators)
-        assert lat._batched(c) == (model == FIREWORK and n ** dim <= lat._BATCH_MAX_CELLS)
+        assert lat._batched(c) == (c.extent() ** dim <= lat._BATCH_MAX_CELLS)
         o = c.report_origin()
         sites = [o, 5] if dim == 1 else [(o, o), (5, 2)]
         seeds = mix64(c.seed, np.arange(12, dtype=np.uint64))
@@ -706,8 +710,9 @@ class TestOnePassSimulate:
 
 
 class TestBatchedTrials:
-    """Small firework windows run their trials in batches; each batched record
-    must equal the record of its seed on the forced per-trial path, bit for bit."""
+    """Small windows of either model run their trials in batches; each batched
+    record must equal the record of its seed on the forced per-trial path, one
+    trial per group, bit for bit."""
 
     CAP_N = {1: lat._BATCH_MAX_CELLS, 2: math.isqrt(lat._BATCH_MAX_CELLS)}
 
@@ -715,6 +720,7 @@ class TestBatchedTrials:
     def per_trial(config, seeds, idx):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(lat, "_BATCH_MAX_CELLS", 0)
+            m.setattr(lat, "_BATCH_CELLS", 1)
             assert not lat._batched(config)
             return lat._summaries(config, seeds, idx)
 
@@ -725,19 +731,37 @@ class TestBatchedTrials:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
         assert got.tobytes() == want.tobytes()
 
+    # (n, cushion, trials) per model and dimension: firework windows up to the
+    # cap; reverse extents (n * cushion per axis) on both sides of it
+    CASES = {
+        (FIREWORK, 1): [(1, 1, 20), (3, 1, 40), (CAP_N[1] - 1, 1, 8), (CAP_N[1], 1, 8)],
+        (FIREWORK, 2): [(1, 1, 20), (3, 1, 40), (CAP_N[2] - 1, 1, 8), (CAP_N[2], 1, 8)],
+        (REVERSE, 1): [(1, 2, 20), (4, 3, 30), (64, 4, 8), (43, 6, 8), (3, 100, 4)],
+        (REVERSE, 2): [(1, 2, 20), (3, 3, 30), (4, 4, 8), (3, 6, 8), (5, 4, 4)],
+    }
+
     @pytest.mark.parametrize("dist", TRIAL_LAWS, ids=repr)
-    @pytest.mark.parametrize("dim, initiators", [(1, False), (1, True), (2, False)])
+    @pytest.mark.parametrize("model, dim, initiators", [
+        (FIREWORK, 1, False), (FIREWORK, 1, True), (FIREWORK, 2, False),
+        (REVERSE, 1, False), (REVERSE, 1, True), (REVERSE, 2, False), (REVERSE, 2, True)])
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
-    def test_records_equal_per_trial_records(self, dist, dim, initiators, p):
-        cap = self.CAP_N[dim]
-        for n, trials in ((1, 20), (3, 40), (cap - 1, 8), (cap, 8)):
-            c = cfg(dim=dim, p=p, k=2, n=n, dist=dist, seed=n + 17, initiators=initiators)
-            assert lat._batched(c)
-            sites = [1, n] if dim == 1 else [(1, 1), (n, 1), (n, n)]
-            idx = lat._site_indices(c, sites)
-            seeds = mix64(c.seed, np.arange(trials, dtype=np.uint64))
-            self.assert_same_records(lat._summaries(c, seeds, idx),
-                                     self.per_trial(c, seeds, idx))
+    def test_records_equal_per_trial_records(self, dist, model, dim, initiators, p):
+        # reverse records also equal the public API's, realized trial by trial
+        cap = lat._BATCH_MAX_CELLS
+        for n, cushion, trials in self.CASES[model, dim]:
+            for k in (2,) if model == FIREWORK else (1, 2, 3):
+                c = cfg(model=model, dim=dim, p=p, k=k, n=n, dist=dist, seed=n + 17,
+                        cushion=cushion, initiators=initiators)
+                assert lat._batched(c) == (c.extent() ** dim <= cap)
+                o, hi = c.report_origin(), c.report_origin() + n - 1
+                sites = [o, hi] if dim == 1 else [(o, o), (hi, o), (hi, hi)]
+                idx = lat._site_indices(c, sites)
+                seeds = mix64(c.seed, np.arange(trials, dtype=np.uint64))
+                got = lat._summaries(c, seeds, idx)
+                self.assert_same_records(got, self.per_trial(c, seeds, idx))
+                if model == REVERSE:
+                    self.assert_same_records(got, public_records(c, seeds, idx))
+        assert cap in [(n * cushion) ** dim for n, cushion, _ in self.CASES[model, dim]]
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_batches_of_any_size(self, monkeypatch, dim):
@@ -788,7 +812,11 @@ class TestBatchedTrials:
         assert lat._batched(cfg(dim=2, n=side)) and not lat._batched(cfg(dim=2, n=side + 1))
         # the p-grid golden spec p2d_small falls under the cap
         assert lat._batched(cfg(dim=2, n=12))
-        assert not lat._batched(cfg(model=REVERSE, dim=1, n=4, cushion=2))
+        # a reverse window is batched by its extent: n * cushion cells per axis
+        assert lat._batched(cfg(model=REVERSE, dim=1, n=cap // 2, cushion=2))
+        assert not lat._batched(cfg(model=REVERSE, dim=1, n=cap // 2 + 1, cushion=2))
+        assert lat._batched(cfg(model=REVERSE, dim=2, n=side // 2, cushion=2))
+        assert not lat._batched(cfg(model=REVERSE, dim=2, n=side // 2 + 1, cushion=2))
         # a window drawn in several RNG chunks keeps the per-trial path
         monkeypatch.setattr(lat, "_CHUNK_CELLS", 7)
         assert not lat._batched(cfg(dim=2, n=3)) and not lat._batched(cfg(dim=1, n=8))

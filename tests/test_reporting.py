@@ -145,3 +145,11 @@ class TestSvgPoints:
             return
         svg = render_svg(xs, ys, "x", "y", "c")
         assert re.search(r'<polyline points="([^"]*)"', svg).group(1) == want
+
+    @pytest.mark.parametrize("lo", [2.0**53, 1e17, -1e17, -(2.0**60), 1.7e308])
+    def test_constant_series_past_2_53_renders(self, lo):
+        # lo + 1.0 == lo: the empty range widens by |lo|, so nothing divides by 0
+        for xs, ys, want in (([1, 2], [lo, lo], "70.00,370.00 620.00,370.00"),
+                             ([lo, lo], [1, 2], "70.00,370.00 70.00,40.00")):
+            svg = render_svg(xs, ys, "x", "y", "c")
+            assert re.search(r'<polyline points="([^"]*)"', svg).group(1) == want
