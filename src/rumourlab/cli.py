@@ -1,7 +1,8 @@
 """Command-line frontend: reproducible experiments with CSV/JSON/SVG output.
 
-Exit codes: 0 success, 2 parse/validation error, 3 numeric divergence
-between requested exact methods, 4 I/O failure.
+Exit codes: 0 success, 2 parse/validation error or a request past the
+memory budget, 3 numeric divergence between requested exact methods, 4 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from rumourlab.reporting import (
     render_json,
     render_svg,
 )
-from rumourlab.stats import mean_interval
+from rumourlab.stats import check_bytes, mean_interval
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,7 +43,6 @@ DIVERGENCE_TOL = 1e-9
 # the series arrays, one row of Python scalars per site and the rendered
 # text; 800 leaves a margin, and larger runs are refused before any work
 _DIAGNOSE_BYTES_PER_SITE = 800
-_MAX_DIAGNOSE_BYTES = 2**31
 
 
 class CliError(Exception):
@@ -294,10 +294,8 @@ def run_scan(spec: ExperimentSpec):
 
 def run_diagnose(spec: ExperimentSpec):
     dist = parse_distribution(spec.dist)
-    need = spec.i_max * _DIAGNOSE_BYTES_PER_SITE
-    if need > _MAX_DIAGNOSE_BYTES:
-        raise CliError(f"--imax {spec.i_max} needs ~{need} bytes of series arrays, rows and "
-                       f"rendered text (> {_MAX_DIAGNOSE_BYTES})")
+    check_bytes(spec.i_max * _DIAGNOSE_BYTES_PER_SITE,
+                f"--imax {spec.i_max} needs series arrays, rows and rendered text")
     diag = exact.series_diagnostics(spec.p, dist, spec.k, spec.i_min, spec.i_max)
     # clean_row in bulk: tolist() gives plain ints and floats; NaN (s != s) -> None
     growth = clean_value(diag.growth_ratio)

@@ -5,8 +5,9 @@ x grows a block x + [0, rho]^d with rho drawn from a continuous heavy- or
 light-tailed law.  The 1D sweep finds the supremum of the k-deficient
 set exactly; the 2D variant rasterizes onto a pixel grid with the lattice
 box-count kernel (discretization bias of order resolution * boundary
-density, documented not corrected).  A request expecting more than 2^31
-points per trial is rejected before sampling.
+density, documented not corrected).  A trial holds ~90 (1D) or ~140 (2D)
+bytes per point and ~13 per pixel; a request whose expected trial passes
+the memory budget, stats.MAX_BYTES, is refused before sampling.
 """
 
 from __future__ import annotations
@@ -18,12 +19,17 @@ import numpy as np
 
 from rumourlab.distributions import ConstCont, ParetoCont, PowerCont
 from rumourlab.lattice import box_counts, run_trials
-from rumourlab.stats import mean_interval, make_rng
+from rumourlab.stats import check_bytes, mean_interval, make_rng
 
-_MAX_PIXELS = 2**31
-# expected points per trial (the lattice cell cap), checked before sampling;
-# it also keeps the int32 pixel counts of k_cover_deficit_2d below overflow
-_MAX_POINTS = 2**31
+# bytes per point and per pixel of one trial, from tracemalloc peaks of
+# ~88 (1D) and ~135 (2D) per point: its coordinates, radius, sorted copies or
+# box corners; and ~13 per pixel: the int32 grid, the deficient mask and its
+# flat indices.  A trial under the budget has fewer than 2^31 points, so
+# the int32 pixel counts cannot overflow.
+_POINT_BYTES = {1: 128, 2: 192}
+_PIXEL_BYTES = 16
+# bytes of a trial that do not grow with it
+_TRIAL_OVERHEAD = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -47,15 +53,19 @@ class ContinuumConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not self.resolution > 0:
             raise ValueError(f"resolution must be positive, got {self.resolution}")
-        # math.prod overflows to inf where float ** raises OverflowError
-        points = self.lam * math.prod((self.window_t,) * self.dimension)
-        if points > _MAX_POINTS:
-            raise ValueError(f"lambda * T^d = {points:g} expected points (> {_MAX_POINTS})")
         if self.dimension == 2:
-            # ceil(side)^2 <= 2^31 pixels; ceil would raise on an inf side, a 0 side has none
-            side, most = self.window_t / self.resolution, math.isqrt(_MAX_PIXELS)
-            if not 0 < side <= most:
-                raise ValueError(f"T / resolution = {side:g} pixels per axis (want (0, {most}])")
+            # ceil would raise on an inf side, and a 0 side has no pixels
+            side = self.window_t / self.resolution
+            if not 0 < side < math.inf:
+                raise ValueError(f"T / resolution = {side:g} pixels per axis (want (0, inf))")
+        check_bytes(self.trial_bytes(), "one trial's lambda * T^d expected points")
+
+    def trial_bytes(self) -> float:
+        """Peak bytes of one trial: its expected points, lambda * T^d, and in 2D its
+        pixels; float products, so an overflow gives inf, not an OverflowError."""
+        points = self.lam * math.prod((self.window_t,) * self.dimension)
+        side = float(math.ceil(self.window_t / self.resolution)) if self.dimension == 2 else 0.0
+        return points * _POINT_BYTES[self.dimension] + side * side * _PIXEL_BYTES + _TRIAL_OVERHEAD
 
 
 @dataclass
@@ -115,8 +125,7 @@ def k_cover_deficit_2d(points: PointSet, k: int, window_t: float, resolution: fl
     window are clamped (clamp irrelevant to the reported fraction).
     """
     m = math.ceil(window_t / resolution)
-    if m * m > _MAX_PIXELS:
-        raise ValueError(f"pixel grid has {m * m} cells (> {_MAX_PIXELS})")
+    check_bytes(m * m * _PIXEL_BYTES, f"a pixel grid of {m}^2 cells")
     x = points.coordinates[:, 0]
     y = points.coordinates[:, 1]
     hix = np.minimum(x + points.radii, window_t)

@@ -21,16 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rumourlab.distributions import TailDistribution, Truncated
+from rumourlab.stats import check_bytes
 
 # series_diagnostics holds ~5 int64/float64 arrays over sites 0..i_max (the
 # displacements, G, the cover probabilities, the probabilities and the
-# partial sums); requests above _MAX_SERIES_BYTES are refused up front.  The
+# partial sums); requests past the memory budget are refused up front.  The
 # DP reads the cover probabilities as Python floats, ~32 more bytes per site.
 _SERIES_BYTES_PER_SITE = 40
-_MAX_SERIES_BYTES = 2**31
 # an exact query's methods peak at up to ~152 bytes per shell (tracemalloc,
 # closedForm and paperEq11: the shell tuples plus their float lists); queries
-# whose shells would pass _MAX_SERIES_BYTES are refused before any is built
+# whose shells would pass the budget are refused before any is built
 _SHELL_BYTES = 160
 # the count DP costs sources * list length updates; more are refused up front
 _MAX_DP_UPDATES = 2**31
@@ -79,9 +79,7 @@ class ExactQuery:
             if self.include_initiators:
                 raise ValueError("initiators are a 1D setup; 2D exact queries do not take them")
         shells = _source_extent(self)[1] + 1  # one per displacement 0..farthest
-        if shells * _SHELL_BYTES > _MAX_SERIES_BYTES:
-            raise ValueError(f"site {self.site} needs {shells} shells, ~{shells * _SHELL_BYTES} "
-                             f"bytes (> {_MAX_SERIES_BYTES})")
+        check_bytes(shells * _SHELL_BYTES, f"site {self.site} needs {shells} shells")
 
 
 def shell_multiplicity_2d(i: int, j: int, t: int) -> int:
@@ -384,10 +382,7 @@ def series_diagnostics(
         raise ValueError(f"p must lie in [0,1], got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    need = i_max * _SERIES_BYTES_PER_SITE
-    if need > _MAX_SERIES_BYTES:
-        raise ValueError(f"i_max = {i_max} needs ~{need} bytes of series arrays "
-                         f"(> {_MAX_SERIES_BYTES})")
+    check_bytes(i_max * _SERIES_BYTES_PER_SITE, f"i_max = {i_max} needs series arrays")
     width = _dp_width(i_max, k)
 
     g = 1.0 - p * dist.survival_vec(np.arange(i_max, dtype=np.int64))

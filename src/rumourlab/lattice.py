@@ -62,12 +62,13 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import multiprocessing
 import numpy as np
 
 from rumourlab.distributions import TailDistribution
-from rumourlab.stats import mix64, make_rng, uniforms, wilson_interval
+from rumourlab.stats import check_bytes, mix64, make_rng, uniforms, wilson_interval
 
 # cells drawn per RNG chunk; fixed so the draw pattern is reproducible
 _CHUNK_CELLS = 1 << 22
@@ -75,13 +76,6 @@ _CHUNK_CELLS = 1 << 22
 # cells per row piece of a chunk's uniforms, drawn into one reused float64
 # buffer; any size draws the same stream
 _PIECE_CELLS = 1 << 18
-
-# addressable simulation size (cells)
-_MAX_CELLS = 2**31
-
-# largest result array run_trials packs for all jobs' trials (bytes),
-# checked before any trial runs
-_MAX_RESULT_BYTES = 2**31
 
 # widest 2D block whose axis-0 prefix sums one column-wise accumulate does
 # faster than a row-by-row add (2-vCPU Xeon: 4x at 257 wide, even at 801,
@@ -115,9 +109,19 @@ FIREWORK = "firework"
 REVERSE = "reverseFirework"
 _MODELS = (FIREWORK, REVERSE)
 
+# transient bytes per source of a chunk while it is counted: its coordinates,
+# stops, corner indices and masks (tracemalloc peaks of one trial less its
+# grids and draws, 1D and 2D: at most 73 firework, 142 reverse, and 183 while
+# a streamed reverse trial's helper draws the next chunk)
+_SOURCE_BYTES = {FIREWORK: 96, REVERSE: 256}
+
+# bytes of a trial that do not grow with its window: the reused piece buffer
+# (2 MiB) and a group of small windows' trials (~1 MiB at _BATCH_CELLS)
+_TRIAL_OVERHEAD = 1 << 22
+
 
 class WindowOverflowError(ValueError):
-    """Simulated window exceeds the addressable size."""
+    """One trial of the simulated window would pass the memory budget, stats.MAX_BYTES."""
 
 
 @dataclass(frozen=True)
@@ -149,11 +153,7 @@ class LatticeConfig:
             raise ValueError(f"cushion must be >= 1, got {self.cushion}")
         if self.model == FIREWORK and self.dimension == 2 and self.include_initiators:
             raise ValueError("initiators are defined for 1D setups and the reverse model only")
-        cells = self.extent() ** self.dimension
-        if cells > _MAX_CELLS:
-            raise WindowOverflowError(
-                f"simulated window has {cells} cells (> {_MAX_CELLS}); shrink n or cushion"
-            )
+        check_bytes(self.trial_bytes(), f"one trial of extent {self.extent()}", WindowOverflowError)
 
     def extent(self) -> int:
         """Simulated sites per axis: the reverse model oversamples by the cushion."""
@@ -162,6 +162,24 @@ class LatticeConfig:
     def report_origin(self) -> int:
         """First reported site per axis: 1 for firework, 0 for reverse."""
         return 0 if self.model == REVERSE else 1
+
+    def trial_bytes(self) -> int:
+        """Peak bytes of one group of _summaries' trials, which one process runs at once.
+
+        Both models: the reported window's int32 count grid and two bool masks
+        over it, and the transients of the expected open sites of one chunk.
+        Firework: the group's drawn chunks (1 byte per cell, 8 per open site).
+        Streamed reverse: the int32 prefix grid over [-1..m]^d, the survival
+        bounds (~41 bytes per axis site while they are computed, traced) and
+        two pairs of row-block bit buffers.
+        A chunk has at most max(_CHUNK_CELLS, one row) cells.  Exact
+        arithmetic, so no window is too large to be refused.
+        """
+        m, n, d, p = self.extent(), self.n, self.dimension, Fraction(self.p)
+        chunk = min(m ** d, max(_CHUNK_CELLS, m ** (d - 1)))
+        own = _TRIAL_OVERHEAD + (m ** d + 8 * math.ceil(p * m ** d) if self.model == FIREWORK
+                                 else 4 * (m + 3) ** d + 64 * m + 4 * chunk)
+        return own + 6 * (n + 1) ** d + math.ceil(p * chunk) * _SOURCE_BYTES[self.model]
 
 
 @dataclass
@@ -214,6 +232,11 @@ def realize(config: LatticeConfig) -> Realization:
     runs that share a seed and differ only in p open nested site sets with
     identical radii on the common part.
     """
+    # the bitmap, one chunk's bits (at most as many) and each radius twice (as
+    # chunk parts and joined), with a third copy's margin for one piece's quantiles
+    cells = config.extent() ** config.dimension
+    check_bytes(2 * cells + 24 * math.ceil(Fraction(config.p) * cells) + _TRIAL_OVERHEAD,
+                f"realizing a window of {cells} cells")
     activation = np.empty((config.extent(),) * config.dimension, dtype=bool)
     radii_parts = []
     seed = np.array([config.seed % 2**64], dtype=np.uint64)  # masked as make_rng masks it
@@ -700,16 +723,16 @@ def run_trials(fn, jobs, trials: int, workers: int, dtype) -> list[np.ndarray]:
     holding mix64(config.seed, *key, t) for a range of trials t, so each
     record depends on the job and t alone, not on chunking or workers.  Each
     job's trials are cut into chunks, and the chunks of all jobs share one
-    fork pool of min(workers, chunks, usable CPUs) processes.
+    fork pool of min(workers, chunks, usable CPUs) processes, fewer if the
+    results and one trial_bytes() per process would pass the memory budget.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dtype = np.dtype(dtype)
-    need = len(jobs) * trials * dtype.itemsize
-    if need > _MAX_RESULT_BYTES:
-        raise ValueError(f"{len(jobs)} x {trials} trials need {need} bytes of results "
-                         f"(> {_MAX_RESULT_BYTES})")
-    workers = max(1, min(workers, len(os.sched_getaffinity(0))))
+    trial = max([config.trial_bytes() for config, _, _ in jobs], default=1)
+    spare = check_bytes(len(jobs) * trials * dtype.itemsize + trial,
+                        f"{len(jobs)} x {trials} trials need bytes of results and one trial's")
+    workers = max(1, min(workers, len(os.sched_getaffinity(0)), 1 + int(spare // trial)))
     per = math.ceil(trials / workers)
     chunks = [(job, t0, min(trials, t0 + per)) for job in jobs for t0 in range(0, trials, per)]
     workers = min(workers, len(chunks))

@@ -1,4 +1,5 @@
-"""Monte Carlo support: deterministic seed derivation and interval estimates."""
+"""Monte Carlo support: deterministic seed derivation, interval estimates and
+the one memory budget that every path checks its byte estimate against."""
 
 from __future__ import annotations
 
@@ -18,6 +19,19 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # two-sided 99% normal quantile
 Z99 = NormalDist().inv_cdf(0.995)
+
+# bytes any one request may hold at once; each path estimates its own
+MAX_BYTES = 2**31
+
+
+def check_bytes(need, what: str, error=ValueError):
+    """Refuse, before any allocation, a request whose estimate of need bytes
+    passes MAX_BYTES, in one line naming what needs them; else return the
+    bytes left over.  need is an int or a float (inf when it overflows)."""
+    if not need <= MAX_BYTES:  # an int is shown whole, however large
+        raise error(f"{what}, ~{need if isinstance(need, int) else f'{need:.0f}'} bytes "
+                    f"(> {MAX_BYTES})")
+    return MAX_BYTES - need
 
 
 def _splitmix64(x: int) -> int:

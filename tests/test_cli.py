@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rumourlab import continuum, exact, lattice
+from rumourlab import continuum, exact, lattice, stats
 from rumourlab.cli import main, run_diagnose
 from rumourlab.distributions import Constant, ParetoTail, PowerTail, parse_distribution
 from rumourlab.reporting import (
@@ -303,6 +303,27 @@ class TestWorkers:
         assert main(argv + ["--workers", "2", "--seed", "1"]) == 0
         assert [(p.max_workers, p.tasks) for p in inline_pools] == [(2, tasks)]
 
+    def test_pool_capped_by_the_memory_budget(self, tmp_path, inline_pools, monkeypatch):
+        # results plus two trials pass a budget that admits results plus one:
+        # --workers 2 runs without a pool, and the bytes do not move
+        monkeypatch.setattr(lattice.os, "sched_getaffinity", lambda pid: {0, 1})
+        argv = ["simulate", "--dist", "geom:q=0.5", "--p", "0.5", "--n", "300", "--trials", "40",
+                "--sites", "3,7", "--seed", "5", "--csv", "--json"]
+        trial = lattice.LatticeConfig(1, lattice.FIREWORK, 0.5, 2, 300, parse_distribution(
+            "geom:q=0.5"), 5).trial_bytes()
+        results = 40 * lattice._summary_dtype(2).itemsize
+        outputs, pools = [], []
+        for name, workers, budget in (("one", 1, None), ("two", 2, None),
+                                      ("capped", 2, results + 2 * trial - 1)):
+            if budget is not None:
+                monkeypatch.setattr(stats, "MAX_BYTES", budget)
+            inline_pools.clear()
+            assert run(tmp_path, *argv, "--workers", str(workers), out=name) == 0
+            pools.append([p.max_workers for p in inline_pools])
+            outputs.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("csv", "json")])
+        assert pools == [[], [2], []]
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestOversizedRequests:
     # each would allocate tebibytes; the byte checks refuse them first
@@ -363,6 +384,29 @@ class TestOversizedRequests:
         assert err.count("\n") == 1 and err.startswith("error: ") and "bytes of results" in err
 
 
+class TestOversizedTrials:
+    # one trial of each would allocate 8-180 GB: the configs' byte estimates
+    # refuse them, so neither a trial nor a sample starts
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dim", "2", "--model", "reverse", "--dist", "power:beta=1.5", "--p", "0.5",
+         "--n", "9000", "--cushion", "5", "--trials", "1"],
+        ["simulate", "--dim", "2", "--dist", "power:beta=1.5", "--p", "0.5", "--n", "46000",
+         "--trials", "1"],
+        ["continuum", "--dim", "1", "--dist", "pareto:alpha=4", "--lambda", "2", "--T", "1e9",
+         "--trials", "1"],
+    ])
+    def test_refused_before_any_allocation(self, argv, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("started a trial")
+
+        monkeypatch.setattr(lattice, "_trial_range", no_trials)
+        monkeypatch.setattr(continuum, "sample_ppp", no_trials)
+        assert main(argv + ["--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert err.endswith(f" bytes (> {stats.MAX_BYTES})\n")
+
+
 class TestCountDPBound:
     # sources * min(k, sources + 1) DP updates above 2^31 are refused before the DP runs
     @pytest.mark.parametrize("argv, sources", [
@@ -417,17 +461,65 @@ class TestShellBytesBound:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"needs {shells} shells, ~{shells * 160} bytes (> " in err
 
-    def test_budget_covers_the_costliest_method(self):
-        # the estimate bounds each method's traced peak per shell
-        q = exact.ExactQuery(1, 20_000, 0.5, 2, Constant(1))
-        for method in ("closedForm", "dp"):
-            tracemalloc.start()
-            try:
-                exact.METHODS[method](q)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 20_000 * exact._SHELL_BYTES
+
+def _lattice_trial(monkeypatch, dim, model, n, cushion=1, chunk_cells=None):
+    """A one-trial group of _summaries at p = 1, the most sources, and its estimate."""
+    if chunk_cells is not None:
+        monkeypatch.setattr(lattice, "_CHUNK_CELLS", chunk_cells)
+    c = lattice.LatticeConfig(dim, model, 1.0, 2, n, PowerTail(1.5), 3, cushion=cushion,
+                              include_initiators=model == lattice.REVERSE and dim == 1)
+    assert chunk_cells is None or len(lattice._row_blocks(c.extent(), dim)) > 2
+    seeds = np.array([5], dtype=np.uint64)
+    return c.trial_bytes(), lambda: lattice._summaries(c, seeds, lattice._site_indices(c, []))
+
+
+def _realize(monkeypatch):
+    """realize of a 2D window, with the estimate realize checks."""
+    c = lattice.LatticeConfig(2, lattice.FIREWORK, 1.0, 2, 1500, PowerTail(1.5), 3)
+    needs = []
+    check = lattice.check_bytes
+    monkeypatch.setattr(lattice, "check_bytes", lambda need, *args: needs.append(need)
+                        or check(need, *args))
+    lattice.realize(c)
+    return needs[0], lambda: lattice.realize(c)
+
+
+def _continuum(dim, lam, T):
+    c = continuum.ContinuumConfig(dim, lam, T, parse_distribution("pareto:alpha=4", True), 2, 3)
+    return c.trial_bytes(), lambda: continuum.trial_records(c, np.array([5], dtype=np.uint64))
+
+
+def _shells(method):
+    q = exact.ExactQuery(1, 20_000, 0.5, 2, Constant(1))
+    return 20_000 * exact._SHELL_BYTES, lambda: exact.METHODS[method](q)
+
+
+class TestByteEstimates:
+    # each path's byte estimate bounds the tracemalloc peak of what it admits,
+    # at sizes where the per-unit terms carry the estimate, not the fixed ones
+    CASES = {
+        "firework_1d": lambda mp: _lattice_trial(mp, 1, lattice.FIREWORK, 1_000_000),
+        "firework_2d": lambda mp: _lattice_trial(mp, 2, lattice.FIREWORK, 1000),
+        "reverse_1d": lambda mp: _lattice_trial(mp, 1, lattice.REVERSE, 400_000, 1, 1 << 17),
+        "reverse_2d": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 800, 1, 1 << 17),
+        "reverse_2d_cushion": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 200, 4, 1 << 17),
+        "realize": _realize,
+        "continuum_1d": lambda mp: _continuum(1, 2.0, 200_000.0),
+        "continuum_2d": lambda mp: _continuum(2, 2.0, 300.0),
+        "shells_closed_form": lambda mp: _shells("closedForm"),
+        "shells_dp": lambda mp: _shells("dp"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_estimate_bounds_the_traced_peak(self, name, monkeypatch):
+        estimate, request = self.CASES[name](monkeypatch)
+        tracemalloc.start()
+        try:
+            request()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < estimate
 
 
 class TestOversizedContinuum:
@@ -673,6 +765,19 @@ class TestHeavyTails:
     def test_no_overflow_warning(self, args, capsys):
         assert main([*args, "--seed", "3"]) == 0
         assert "Warning" not in capsys.readouterr().err
+
+
+class TestPowerLawRadii:
+    # G(1) = 1, so every radius is at least 1, however large beta: at p = 1
+    # site 3 has two sure covers, and the simulation agrees with the exact value
+    @pytest.mark.parametrize("beta", ["50", "1e20", "inf"])
+    def test_simulate_agrees_with_exact(self, beta, capsys):
+        law = ["--dist", f"power:beta={beta}", "--p", "1", "--k", "2", "--sites", "3", "--seed", "1"]
+        assert main(["exact", *law]) == 0
+        [row] = capsys.readouterr().out.splitlines()[1:]
+        assert main(["simulate", *law, "--n", "5", "--trials", "50"]) == 0
+        site = capsys.readouterr().out.splitlines()[1]
+        assert row.split(",")[3] == site.split(",")[1] == "0.0"
 
 
 class TestErrors:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rumourlab import continuum, lattice
+from rumourlab import continuum, lattice, stats
 from rumourlab.continuum import (
     ContinuumConfig,
     PointSet,
@@ -164,7 +164,11 @@ class TestDeficit2D:
             cfg(dim=1, lam=1e9, T=1e6)
         with pytest.raises(ValueError, match="expected points"):
             cfg(dim=2, lam=1.0, T=1e300)
-        cfg(dim=2, lam=512.0, T=2048.0)  # 2^9 * 2^22 points: exactly at the cap
+        # the largest 1D window whose trial estimate is exactly the budget
+        edge = (stats.MAX_BYTES - continuum._TRIAL_OVERHEAD) / continuum._POINT_BYTES[1]
+        assert cfg(dim=1, T=edge).trial_bytes() == stats.MAX_BYTES
+        with pytest.raises(ValueError, match="expected points"):
+            cfg(dim=1, T=edge + 1)
 
     def test_empty(self):
         pts = PointSet(np.empty((0, 2)), np.empty(0))

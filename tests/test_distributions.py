@@ -31,6 +31,8 @@ def dist_strategy():
         st.tuples(st.floats(0.1, 5.0), st.integers(0, 30)).map(
             lambda t: Truncated(PowerTail(t[0]), t[1])
         ),
+        # u^(-1/beta) rounds to 1 for most u at a huge beta, yet G(1) = 1
+        st.sampled_from([PowerTail(50.0), PowerTail(1e20), PowerTail(math.inf)]),
     )
 
 
