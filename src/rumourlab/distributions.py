@@ -104,8 +104,9 @@ class ParetoTail(TailDistribution):
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # inf is the right tail; it clips to the cap
             q = np.minimum(np.ceil(self.alpha / u) - 1.0, RADIUS_CAP)
-        # u < G(1) means a radius of at least 1, even where alpha / u rounds to 1
-        return np.maximum(q, u < self.survival(1)).astype(np.int64)
+        # at alpha >= 1, G(1) = 1: every radius is at least 1, even where
+        # alpha / u rounds to 1
+        return np.maximum(q, 1.0 if self.alpha >= 1 else 0.0).astype(np.int64)
 
     def functionals(self) -> TailFunctionals:
         return TailFunctionals(self.alpha, self.alpha)
@@ -139,9 +140,9 @@ class PowerTail(TailDistribution):
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # inf is the right tail; it clips to the cap
             q = np.minimum(np.ceil(u ** (-1.0 / self.beta)) - 1.0, RADIUS_CAP)
-        # G(1) = 1: u < 1 means a radius of at least 1, even where a huge
-        # beta rounds u^(-1/beta) to 1
-        return np.maximum(q, u < 1.0).astype(np.int64)
+        # G(1) = 1: every radius is at least 1, even where a huge beta
+        # rounds u^(-1/beta) to 1
+        return np.maximum(q, 1.0).astype(np.int64)
 
     def functionals(self) -> TailFunctionals:
         if self.beta < 1:

@@ -176,13 +176,14 @@ class TestSampler:
     def test_heavy_tails_overflow_quietly(self):
         # the smallest uniform, 2^-53, sends u^(-1/beta) and alpha/u past the
         # float range: lattice laws clip the inf to RADIUS_CAP, continuum laws
-        # return it, and none of them warns (here a warning is an error)
+        # return it, and none of them warns (here a warning is an error); a
+        # power-law radius is at least 1 even at u = 1, since G(1) = 1
         u = np.array([2.0**-53, 0.5, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             power, pareto = PowerTail(0.001), ParetoTail(1e300)
             np.testing.assert_array_equal(power.quantile_from_uniform(u),
-                                          [RADIUS_CAP, RADIUS_CAP, 0])
+                                          [RADIUS_CAP, RADIUS_CAP, 1])
             np.testing.assert_array_equal(pareto.quantile_from_uniform(u), [RADIUS_CAP] * 3)
             np.testing.assert_array_equal(PowerCont(0.001).quantile_from_uniform(u),
                                           [math.inf, 2.0**1000, 1.0])
