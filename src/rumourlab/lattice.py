@@ -51,6 +51,9 @@ Each record is thus bit-identical to the one-trial path, firework_counts
 or reverse_membership of realize(config).  NumPy's NEP 19 does not freeze
 its generator streams; the tests pin uniforms to Generator(PCG64(seed)) so
 that a NumPy release that changes them fails loudly.
+LatticeConfig.trial_bytes estimates one group's peak; a config whose
+estimate passes the memory budget, stats.MAX_BYTES, is refused, and
+run_trials runs no more processes than the budget holds.
 """
 
 from __future__ import annotations
