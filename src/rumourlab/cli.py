@@ -12,24 +12,32 @@ import os
 import secrets
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import fields
 from itertools import compress, repeat
+
+import numpy as np
 
 import rumourlab
 from rumourlab import continuum as cont
 from rumourlab import exact, lattice
 from rumourlab.distributions import DistParseError, PowerTail, parse_distribution
-from rumourlab.reporting import (
+# render_* are unused here but stay importable: perfbench/tracing.py wraps them
+from rumourlab.reporting import (  # noqa: F401
     SCHEMA_COLUMNS,
+    Columns,
     ExperimentResult,
     ExperimentSpec,
+    blocks_of,
     clean_row,
     clean_value,
     render_csv,
     render_json,
     render_svg,
+    write_svg,
+    write_text,
 )
-from rumourlab.stats import check_bytes, mean_interval
+from rumourlab.stats import mean_interval
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,12 +45,6 @@ EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 
 DIVERGENCE_TOL = 1e-9
-
-# a diagnose run peaks at ~650 bytes per site (ru_maxrss 187 MB at --imax 3e5
-# with --csv --json --svg, 87 MB at 1e5; ~520 bytes per site between them):
-# the series arrays, one row of Python scalars per site and the rendered
-# text; 800 leaves a margin, and larger runs are refused before any work
-_DIAGNOSE_BYTES_PER_SITE = 800
 
 
 class CliError(Exception):
@@ -293,17 +295,13 @@ def run_scan(spec: ExperimentSpec):
 
 
 def run_diagnose(spec: ExperimentSpec):
-    dist = parse_distribution(spec.dist)
-    check_bytes(spec.i_max * _DIAGNOSE_BYTES_PER_SITE,
-                f"--imax {spec.i_max} needs series arrays, rows and rendered text")
-    diag = exact.series_diagnostics(spec.p, dist, spec.k, spec.i_min, spec.i_max)
-    # clean_row in bulk: tolist() gives plain ints and floats; NaN (s != s) -> None
-    growth = clean_value(diag.growth_ratio)
-    decay = clean_value(diag.decay_exponent)
-    rows = [
-        [i, None if s != s else s, growth, decay]
-        for i, s in zip(diag.site_indices.tolist(), diag.partial_sums.tolist())
-    ]
+    # the rows stay columns, written a block at a time, so the series' own
+    # byte check bounds the run: after the series only its arrays, the SVG's
+    # float64 points and one block of cells and text are held
+    diag = exact.series_diagnostics(spec.p, parse_distribution(spec.dist), spec.k,
+                                    spec.i_min, spec.i_max)
+    rows = Columns((diag.site_indices, diag.partial_sums,
+                    clean_value(diag.growth_ratio), clean_value(diag.decay_exponent)))
     return rows, 0, EXIT_OK
 
 
@@ -340,39 +338,45 @@ _SVG_AXES = {
 }
 
 
+def _points(rows, xi, yi):
+    """float64 x and y of the rows whose y cell is a number, filled a block at a
+    time; x is the row's position when xi is None."""
+    xs, ys = np.empty(len(rows)), np.empty(len(rows))
+    kept = start = 0
+    for block in blocks_of(rows):
+        y = block[yi]
+        x = range(start, start + len(y)) if xi is None else block[xi]
+        start += len(y)
+        # an empty cell (None) or a text cell is not a point
+        keep = list(map(isinstance, y, repeat((int, float))))
+        for out, cells in ((xs, x), (ys, y)):
+            points = np.fromiter(map(float, compress(cells, keep)), np.float64)
+            out[kept:kept + points.size] = points
+        kept += points.size
+    return xs[:kept], ys[:kept]
+
+
 def _emit(result: ExperimentResult, spec: ExperimentSpec, out: str | None, formats) -> list[str]:
-    written = []
     if not any(formats.values()):
-        sys.stdout.write(render_csv(result))
-        return written
+        write_text(result, blocks_of(result.rows), csv_out=sys.stdout.write)
+        return []
     if out is None:
         raise CliError("--csv/--json/--svg need --out <basepath>")
+    paths = {fmt: f"{out}.{fmt}" for fmt in ("csv", "json", "svg") if formats[fmt]}
     try:
-        if formats["csv"]:
-            path = out + ".csv"
-            with open(path, "w") as fh:
-                fh.write(render_csv(result))
-            written.append(path)
-        if formats["json"]:
-            path = out + ".json"
-            with open(path, "w") as fh:
-                fh.write(render_json(result))
-            written.append(path)
-        if formats["svg"]:
-            xi, xlabel, yi, ylabel = _SVG_AXES[spec.subcommand]
-            ys = [row[yi] for row in result.rows]
-            xs = [row[xi] for row in result.rows] if xi is not None else range(len(ys))
-            # an empty cell (None) or a text cell is not a point
-            keep = list(map(isinstance, ys, repeat((int, float))))
-            caption = f"{spec.subcommand}: {ylabel} vs {xlabel} (seed {spec.seed})"
-            path = out + ".svg"
-            with open(path, "w") as fh:
-                fh.write(render_svg(list(compress(xs, keep)), list(compress(ys, keep)),
-                                    xlabel, ylabel, caption))
-            written.append(path)
+        with ExitStack() as stack:
+            files = {fmt: stack.enter_context(open(path, "w")) for fmt, path in paths.items()}
+            # CSV and JSON are written together, a block of rows at a time
+            write_text(result, blocks_of(result.rows),
+                       *(files[fmt].write if fmt in files else None for fmt in ("csv", "json")))
+            if "svg" in files:
+                xi, xlabel, yi, ylabel = _SVG_AXES[spec.subcommand]
+                caption = f"{spec.subcommand}: {ylabel} vs {xlabel} (seed {spec.seed})"
+                write_svg(files["svg"].write, *_points(result.rows, xi, yi),
+                          xlabel, ylabel, caption)
     except OSError as e:
         raise OSError(f"writing {getattr(e, 'filename', out)!r} failed: {e}") from e
-    return written
+    return list(paths.values())
 
 
 def main(argv=None) -> int:

@@ -23,11 +23,15 @@ import numpy as np
 from rumourlab.distributions import TailDistribution, Truncated
 from rumourlab.stats import check_bytes
 
-# series_diagnostics holds ~5 int64/float64 arrays over sites 0..i_max (the
-# displacements, G, the cover probabilities, the probabilities and the
-# partial sums); requests past the memory budget are refused up front.  The
-# DP reads the cover probabilities as Python floats, ~32 more bytes per site.
-_SERIES_BYTES_PER_SITE = 40
+# series_diagnostics peaks at ~52 bytes per site (tracemalloc, i_max 1e5 to
+# 1e6): the probabilities and partial sums, then np.polyfit's ~32 bytes per
+# site over the upper half; G is freed once the DP has read it.  VmHWM grows
+# by ~70 bytes per site in a fresh process, and 80 bounds both; requests past
+# the memory budget are refused up front
+_SERIES_BYTES_PER_SITE = 80
+# the DP reads the cover probabilities as Python floats this many at a time,
+# not as one list of ~32 bytes per site
+_COVER_CHUNK = 1 << 14
 # an exact query's methods peak at up to ~152 bytes per shell (tracemalloc,
 # closedForm and paperEq11: the shell tuples plus their float lists); queries
 # whose shells would pass the budget are refused before any is built
@@ -364,6 +368,14 @@ class SeriesDiagnostics:
         )
 
 
+def _covers(p: float, dist: TailDistribution, i_max: int):
+    """The cover probability of each displacement t < i_max, 1 - (1 - p*G(t)),
+    as Python floats made a chunk at a time; G is freed once they are read."""
+    g = 1.0 - p * dist.survival_vec(np.arange(i_max, dtype=np.int64))
+    for a in range(0, i_max, _COVER_CHUNK):
+        yield from (1.0 - g[a:a + _COVER_CHUNK]).tolist()
+
+
 def series_diagnostics(
     p: float,
     dist: TailDistribution,
@@ -385,15 +397,12 @@ def series_diagnostics(
     check_bytes(i_max * _SERIES_BYTES_PER_SITE, f"i_max = {i_max} needs series arrays")
     width = _dp_width(i_max, k)
 
-    g = 1.0 - p * dist.survival_vec(np.arange(i_max, dtype=np.int64))
-    covers = (1.0 - g).tolist()  # cover probability per displacement
-
     probs = np.empty(i_max - i_min + 1, dtype=np.float64)
     sums = np.empty_like(probs)
     running = 0.0
     comp = 0.0  # Kahan correction
     # after i sources the DP holds site i's count distribution
-    for i, dp in enumerate(_count_dp(zip(covers, itertools.repeat(1)), width)):
+    for i, dp in enumerate(_count_dp(zip(_covers(p, dist, i_max), itertools.repeat(1)), width)):
         if i < i_min:
             continue
         val = math.fsum(dp)

@@ -411,6 +411,15 @@ def firework_counts(realization: Realization) -> CoverageField:
     return CoverageField("counts", cfg.dimension, 1, cfg.n, counts[0], int(clamps[0]))
 
 
+def _tally(clamps: np.ndarray, trial, over: np.ndarray) -> None:
+    """Add the clamped sources (over) to each trial's clamp count; trial is one
+    per source or, for a one-trial chunk, a scalar that needs no bincount."""
+    if isinstance(trial, np.ndarray):
+        clamps += np.bincount(trial[over], minlength=clamps.size)
+    else:
+        clamps[trial] += np.count_nonzero(over)
+
+
 def _firework(config: LatticeConfig, trials: int, chunks, initiator_radii):
     """Cover counts (trials, n, ...) and clamp counts (trials,) of firework fields.
 
@@ -426,7 +435,7 @@ def _firework(config: LatticeConfig, trials: int, chunks, initiator_radii):
     def boxes(trial, starts, radii):
         stops = [x + radii + 1 for x in starts]
         over = functools.reduce(np.logical_or, [stop > n for stop in stops])
-        clamps[:] += np.bincount(np.broadcast_to(trial, over.shape)[over], minlength=trials)
+        _tally(clamps, trial, over)
         return starts, [np.minimum(stop, n, out=stop) for stop in stops], trial
 
     def batches():
@@ -552,7 +561,7 @@ def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii
     def qualifying(trial, x, rad):
         """Qualifying blocks of the sources at site coordinates x, clipped to the window."""
         over = rad > functools.reduce(np.minimum, x) + 1
-        clamps[:] += np.bincount(np.broadcast_to(trial, over.shape)[over], minlength=trials)
+        _tally(clamps, trial, over)
         reach = rad >= functools.reduce(np.maximum, x) - n + 1
         x, rad = [c[reach] for c in x], rad[reach]
         per_source = isinstance(trial, np.ndarray)  # else one trial for all

@@ -87,13 +87,14 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentResult:
-    """Rows plus provenance.  wall_time_ms is measured, never serialized,
-    and excluded from equality so parse(emit(result)) == result."""
+    """Rows plus provenance.  rows is a list of rows or a Columns table.
+    wall_time_ms is measured, never serialized, and excluded from equality so
+    parse(emit(result)) == result."""
 
     spec: ExperimentSpec
     version: str
     columns: list[str]
-    rows: list[list]
+    rows: list[list] | Columns
     clamp_count: int = 0
     wall_time_ms: float | None = field(default=None, compare=False)
 
@@ -141,15 +142,6 @@ def _json_cell(v) -> str:
     return json.dumps(v)
 
 
-def render_json(result: ExperimentResult) -> str:
-    rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, _table(result.rows, _json_cell)))
-    rows = f"[\n    [\n      {rows}\n    ]\n  ]" if result.rows else "[]"
-    doc = {**result_to_json_doc(result), "rows": _ROWS}
-    head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition(
-        f'"rows": {json.dumps(_ROWS)}')
-    return f'{head}"rows": {rows}{tail}\n'
-
-
 def parse_result_json(text: str) -> ExperimentResult:
     doc = json.loads(text)
     return ExperimentResult(
@@ -162,30 +154,51 @@ def parse_result_json(text: str) -> ExperimentResult:
     )
 
 
-def _column(cells: list, spell):
-    """One column's cell strings, as spell(v) would give them, in one pass."""
-    first = cells[0]
-    # identity, not equality: -0.0 == 0.0 and 1 == True, but neither spells alike
-    if all(map(is_, cells, repeat(first))):
-        return repeat(spell(first), len(cells))
-    # exact types: a bool, a numpy scalar or an int subclass spells its own way
-    kinds = set(map(type, cells))
-    if kinds == {float} and all(map(math.isfinite, cells)):
-        return map(float.__repr__, cells)
-    if kinds == {int}:
-        return map(int.__repr__, cells)
-    return map(spell, cells)
+# rows the writer spells and writes at a time: one block's cells and text are
+# all of the output that it holds at once
+BLOCK_ROWS = 1 << 14
 
 
-def _table(rows: list, spell):
-    """Each row's cell strings, encoded a column at a time."""
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """A result's rows held a column at a time, read in blocks of BLOCK_ROWS rows.
+
+    Each of values is a 1-D int64 or float64 array with one cell per row (NaN
+    for an empty cell) or one plain cell that every row holds; the first is
+    an array.
+    """
+
+    values: tuple
+
+    def __len__(self) -> int:
+        return len(self.values[0])
+
+    def blocks(self):
+        for a in range(0, len(self), BLOCK_ROWS):
+            rows = min(BLOCK_ROWS, len(self) - a)
+            yield [_cells(v[a:a + rows]) if isinstance(v, np.ndarray) else [v] * rows
+                   for v in self.values]
+
+
+def _cells(a: np.ndarray) -> list:
+    """clean_value in bulk: tolist() gives plain ints and floats; NaN -> None."""
+    cells = a.tolist()
+    if a.dtype.kind == "f" and np.isnan(a).any():
+        cells = [None if v != v else v for v in cells]
+    return cells
+
+
+def blocks_of(rows) -> list:
+    """The writer's blocks of a result's rows, each a list of equal-length
+    columns: a Columns table's blocks, or a list of rows as one block."""
+    if isinstance(rows, Columns):
+        return rows.blocks()
     widths = set(map(len, rows))
     if len(widths) > 1 or 0 in widths:
         raise ValueError(f"rows must all have the same number of cells, at least one; "
                          f"got {sorted(widths)}")
     # one list per column: zip(*rows) would make an iterator per row to get there
-    columns = (list(map(itemgetter(j), rows)) for j in range(max(widths, default=0)))
-    return zip(*(_column(cells, spell) for cells in columns))
+    return [[list(map(itemgetter(j), rows)) for j in range(len(rows[0]))]] if rows else []
 
 
 def _cell(v) -> str:
@@ -196,9 +209,66 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _column(cells: list, spells: list) -> list:
+    """One column's cell strings as each of spells would give them, each in one
+    pass; an int or finite float column is spelled once for all of them, as
+    str and json.dumps spell those alike."""
+    first = cells[0]
+    # identity, not equality: -0.0 == 0.0 and 1 == True, but neither spells alike
+    if all(map(is_, cells, repeat(first))):
+        return [repeat(spell(first), len(cells)) for spell in spells]
+    # exact types: a bool, a numpy scalar or an int subclass spells its own way
+    kinds = set(map(type, cells))
+    if kinds == {float} and all(map(math.isfinite, cells)):
+        text = list(map(float.__repr__, cells))
+    elif kinds == {int}:
+        text = list(map(int.__repr__, cells))
+    else:
+        return [map(spell, cells) for spell in spells]
+    return [text] * len(spells)
+
+
+def write_text(result: ExperimentResult, blocks, csv_out=None, json_out=None) -> None:
+    """Write result's CSV and JSON text a block of rows at a time.
+
+    blocks hold result's rows, as blocks_of(result.rows) gives them: lists
+    of equal-length columns, a list of cells each.  csv_out and json_out are
+    write functions, or None where that format is not wanted.  Each column
+    of a block is spelled once for both formats, and the block's text is
+    written before the next block is read.
+    """
+    spells = [spell for spell, out in ((_cell, csv_out), (_json_cell, json_out)) if out]
+    if csv_out:
+        csv_out(",".join(result.columns) + "\n")
+    if json_out:
+        doc = {**result_to_json_doc(result), "rows": _ROWS}
+        head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition(
+            f'"rows": {json.dumps(_ROWS)}')
+        json_out(f'{head}"rows": ')
+    between = "\n    ],\n    [\n      "  # two JSON rows, as json.dumps(indent=2) lays them out
+    any_rows = False
+    for block in blocks:
+        spelled = zip(*(_column(cells, spells) for cells in block))  # CSV's, then JSON's
+        if csv_out:
+            csv_out("\n".join(map(",".join, zip(*next(spelled)))) + "\n")
+        if json_out:
+            rows = between.join(map(",\n      ".join, zip(*next(spelled))))
+            json_out((between if any_rows else "[\n    [\n      ") + rows)
+        any_rows = True
+    if json_out:
+        json_out(("\n    ]\n  ]" if any_rows else "[]") + tail + "\n")
+
+
 def render_csv(result: ExperimentResult) -> str:
-    lines = map(",".join, _table(result.rows, _cell))
-    return "\n".join([",".join(result.columns), *lines]) + "\n"
+    parts = []
+    write_text(result, blocks_of(result.rows), csv_out=parts.append)
+    return "".join(parts)
+
+
+def render_json(result: ExperimentResult) -> str:
+    parts = []
+    write_text(result, blocks_of(result.rows), json_out=parts.append)
+    return "".join(parts)
 
 
 def _svg_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -216,17 +286,24 @@ def _widened(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def render_svg(xs, ys, xlabel: str, ylabel: str, caption: str) -> str:
-    """Single-series line plot; fixed geometry, no external dependencies."""
+def _extreme(a: np.ndarray, pick) -> float:
+    """min or max of a as the builtin gives it on a list, for pick np.fmin or
+    np.fmax: a NaN first value is kept, and a later NaN loses every comparison."""
+    return float(a[0] if a[0] != a[0] else pick.reduce(a))
+
+
+def write_svg(out, xs, ys, xlabel: str, ylabel: str, caption: str) -> None:
+    """Write a single-series line plot through the write function out: fixed
+    geometry, no external dependencies, the polyline a block of points at a time."""
     width, height = 640, 420
     ml, mr, mt, mb = 70, 20, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
-    if not xs:
-        xs, ys = [0.0], [0.0]
-    xlo, xhi = _widened(min(xs), max(xs))
-    ylo, yhi = _widened(min(ys), max(ys))
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if not xs.size:
+        xs, ys = np.zeros(1), np.zeros(1)
+    xlo, xhi = _widened(_extreme(xs, np.fmin), _extreme(xs, np.fmax))
+    ylo, yhi = _widened(_extreme(ys, np.fmin), _extreme(ys, np.fmax))
 
     def px(x):
         return ml + (x - xlo) / (xhi - xlo) * pw
@@ -234,11 +311,6 @@ def render_svg(xs, ys, xlabel: str, ylabel: str, caption: str) -> str:
     def py(y):
         return mt + ph - (y - ylo) / (yhi - ylo) * ph
 
-    # px and py on float64 arrays: the same operations in the same order, so
-    # the same doubles (inf - inf is nan here as in Python floats, unwarned)
-    with np.errstate(all="ignore"):
-        X, Y = px(np.array(xs)), py(np.array(ys))
-    pts = " ".join(map("{:.2f},{:.2f}".format, X.tolist(), Y.tolist()))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -273,6 +345,17 @@ def render_svg(xs, ys, xlabel: str, ylabel: str, caption: str) -> str:
         f'<text x="18" y="{mt + ph/2:.0f}" text-anchor="middle" font-size="12" '
         f'font-family="sans-serif" transform="rotate(-90 18 {mt + ph/2:.0f})">{ylabel}</text>'
     )
-    parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    out("\n".join(parts) + '\n<polyline points="')
+    # px and py on float64 arrays: the same operations in the same order, so
+    # the same doubles (inf - inf is nan here as in Python floats, unwarned)
+    for a in range(0, xs.size, BLOCK_ROWS):
+        with np.errstate(all="ignore"):
+            X, Y = px(xs[a:a + BLOCK_ROWS]), py(ys[a:a + BLOCK_ROWS])
+        out(" " * (a > 0) + " ".join(map("{:.2f},{:.2f}".format, X.tolist(), Y.tolist())))
+    out('" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>\n</svg>\n')
+
+
+def render_svg(xs, ys, xlabel: str, ylabel: str, caption: str) -> str:
+    parts = []
+    write_svg(parts.append, xs, ys, xlabel, ylabel, caption)
+    return "".join(parts)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rumourlab import continuum, exact, lattice, stats
+from rumourlab import continuum, exact, lattice, reporting, stats
 from rumourlab.cli import main, run_diagnose
 from rumourlab.distributions import Constant, ParetoTail, PowerTail, parse_distribution
 from rumourlab.reporting import (
@@ -205,16 +205,20 @@ class TestDiagnose:
         assert len(out) == 51
 
     @pytest.mark.parametrize("imin,imax", [(1, 40), (5, 6)])
-    def test_bulk_rows_equal_clean_row(self, imin, imax):
+    def test_bulk_rows_equal_clean_row(self, imin, imax, monkeypatch):
         # (5, 6) has no doubling point: growthRatio is NaN, written as None
         spec = ExperimentSpec(subcommand="diagnose", seed=1, dist="pareto:alpha=4", p=0.5,
                               k=2, i_min=imin, i_max=imax)
         diag = exact.series_diagnostics(0.5, parse_distribution("pareto:alpha=4"), 2, imin, imax)
         want = [clean_row([i, diag.partial_sums[pos], diag.growth_ratio, diag.decay_exponent])
                 for pos, i in enumerate(diag.site_indices.tolist())]
-        rows = run_diagnose(spec)[0]
-        assert rows == want
-        assert [[type(v) for v in r] for r in rows] == [[type(v) for v in r] for r in want]
+        table = run_diagnose(spec)[0]
+        assert len(table) == len(want)
+        for size in (7, reporting.BLOCK_ROWS):
+            monkeypatch.setattr(reporting, "BLOCK_ROWS", size)
+            rows = [list(row) for block in table.blocks() for row in zip(*block)]
+            assert rows == want
+            assert [[type(v) for v in r] for r in rows] == [[type(v) for v in r] for r in want]
 
 
 class TestContinuumCmd:
@@ -337,16 +341,30 @@ class TestOversizedRequests:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "series arrays" in err
 
-    def test_diagnose_rows_and_text(self, capsys, monkeypatch):
-        # admitted by the library's own 40 bytes per site, ~40 GB as CLI rows and text
-        def no_series(*args):
-            raise AssertionError("ran the series")
+    # the series arrays bound a diagnose run, which writes its rows in blocks;
+    # _dp_width is the first call past the byte check, before any allocation
+    LAST_IMAX = stats.MAX_BYTES // exact._SERIES_BYTES_PER_SITE
 
-        monkeypatch.setattr(exact, "series_diagnostics", no_series)
+    class PastTheCheck(Exception):
+        pass
+
+    @pytest.fixture
+    def past_the_check(self, monkeypatch):
+        def sentinel(*args):
+            raise self.PastTheCheck
+
+        monkeypatch.setattr(exact, "_dp_width", sentinel)
+
+    def test_diagnose_first_imax_past_the_series_estimate(self, capsys, past_the_check):
         assert main(["diagnose", "--dist", "pareto:alpha=4", "--p", "0.5",
-                     "--imax", "50000000", "--seed", "1"]) == 2
+                     "--imax", str(self.LAST_IMAX + 1), "--seed", "1"]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and "rendered text" in err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "series arrays" in err
+
+    def test_diagnose_last_imax_inside_the_series_estimate(self, past_the_check):
+        with pytest.raises(self.PastTheCheck):
+            main(["diagnose", "--dist", "pareto:alpha=4", "--p", "0.5",
+                  "--imax", str(self.LAST_IMAX), "--seed", "1"])
 
     def test_oracle_sources(self, capsys, monkeypatch):
         def no_list(q):
@@ -494,6 +512,12 @@ def _shells(method):
     return 20_000 * exact._SHELL_BYTES, lambda: exact.METHODS[method](q)
 
 
+def _series(i_max):
+    law = parse_distribution("pareto:alpha=4")
+    return (i_max * exact._SERIES_BYTES_PER_SITE,
+            lambda: exact.series_diagnostics(0.5, law, 2, 1, i_max))
+
+
 class TestByteEstimates:
     # each path's byte estimate bounds the tracemalloc peak of what it admits,
     # at sizes where the per-unit terms carry the estimate, not the fixed ones
@@ -508,6 +532,7 @@ class TestByteEstimates:
         "continuum_2d": lambda mp: _continuum(2, 2.0, 300.0),
         "shells_closed_form": lambda mp: _shells("closedForm"),
         "shells_dp": lambda mp: _shells("dp"),
+        "series": lambda mp: _series(100_000),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -739,6 +764,11 @@ class TestGoldenBytes:
         "exact": "c461b5e46c66fc9158bf4e3fbbd9092e1f203f07de83824341ed8b00cbea5f50",
     }
 
+    # the diagnose rows are written from the series' columns, a block at a time
+    @pytest.mark.parametrize("name", ["diagnose", "diagnose_k1", "diagnose_k3"])
+    def test_diagnose_bytes_at_two_workers(self, name, tmp_path):
+        self.check(name, tmp_path, ["--workers", "2"])
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("name", sorted(SVG))
     def test_svg_bytes(self, name, workers, tmp_path):
@@ -822,6 +852,30 @@ class TestOutputs:
         svg = base.with_suffix(".svg").read_text()
         assert '<polyline points="70.00,' in svg and ">2e+17</text>" in svg
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_stdout_is_the_csv_file(self, tmp_path, capsys):
+        # three blocks of rows, to stdout and to a file
+        argv = ["diagnose", "--dist", "geom:q=0.9", "--p", "0.7", "--k", "2", "--imin", "2",
+                "--imax", "40000", "--seed", "1"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert main([*argv, "--csv", "--out", str(tmp_path / "d")]) == 0
+        assert stdout == (tmp_path / "d.csv").read_text()
+        assert stdout.count("\n") == 40000
+
+    def test_diagnose_traced_peak(self, tmp_path):
+        # the diagnose rows are columns written a block at a time: at --imax
+        # 1e5 with every format the traced peak was 40242689 bytes when each
+        # site had a row list and each format one whole string
+        tracemalloc.start()
+        try:
+            assert main(["diagnose", "--dist", "pareto:alpha=4", "--p", "0.5", "--k", "2",
+                         "--imax", "100000", "--seed", "1", "--csv", "--json", "--svg",
+                         "--out", str(tmp_path / "d")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13_000_000
 
     def test_svg_only_when_requested(self, tmp_path):
         base = tmp_path / "run2"

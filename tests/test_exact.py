@@ -334,6 +334,17 @@ class TestSeriesDiagnostics:
         with pytest.raises(ValueError):
             series_diagnostics(0.5, C1, 1, 5, 5)
 
+    @pytest.mark.parametrize("dist", [ParetoTail(4), PowerTail(1.5), Geometric(0.9)])
+    def test_cover_chunks_change_no_bit(self, dist, monkeypatch):
+        # one chunk of cover probabilities against chunks of 7: the same doubles
+        whole = series_diagnostics(0.5, dist, 2, 3, 3000)
+        monkeypatch.setattr(exact, "_COVER_CHUNK", 7)
+        chunked = series_diagnostics(0.5, dist, 2, 3, 3000)
+        assert whole.probs.tobytes() == chunked.probs.tobytes()
+        assert whole.partial_sums.tobytes() == chunked.partial_sums.tobytes()
+        assert repr((whole.growth_ratio, whole.decay_exponent)) == repr(
+            (chunked.growth_ratio, chunked.decay_exponent))
+
 
 class TestAcceptanceGridSpot:
     """Spot checks of the acceptance criterion 1 grid (full grid runs there)."""

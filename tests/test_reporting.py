@@ -7,15 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rumourlab import reporting
 from rumourlab.reporting import (
+    Columns,
     ExperimentResult,
     ExperimentSpec,
+    blocks_of,
     clean_row,
     clean_value,
     render_csv,
     render_json,
     render_svg,
     result_to_json_doc,
+    write_text,
 )
 
 # ---- oracles: the row-at-a-time emitters of rumourlab 0.1.0 ----------------------
@@ -117,6 +121,49 @@ class TestColumnwiseEmitters:
             render_json(result)
 
 
+def written(result, blocks):
+    """(CSV, JSON) text as the block writer writes both at once."""
+    csv, doc = [], []
+    write_text(result, blocks, csv.append, doc.append)
+    return "".join(csv), "".join(doc)
+
+
+class TestBlockWriter:
+    @given(results(), st.sampled_from([1, 7, 1000]))
+    @settings(max_examples=300, deadline=None)
+    @example(ExperimentResult(_SPEC, "0.1.0", ["x"], [], 0), 1)
+    @example(ExperimentResult(_SPEC, "0.1.0", ["x", "y"], [[0.0, 1], [-0.0, True]], 0), 1)
+    def test_blocks_write_what_render_returns(self, result, size):
+        rows = result.rows
+        blocks = [[list(col) for col in zip(*rows[a:a + size])]
+                  for a in range(0, len(rows), size)]
+        want = (render_csv(result), render_json(result))
+        assert want == (oracle_csv(result), oracle_json(result))
+        assert written(result, blocks) == want
+        assert written(result, blocks_of(rows)) == want  # a list of rows is one block
+
+    @pytest.mark.parametrize("size", [1, 7, 1 << 14])
+    def test_columns_write_their_clean_rows(self, size, monkeypatch):
+        ints = np.arange(-3, 17, dtype=np.int64)
+        floats = np.linspace(-1.0, 2.0, 20)
+        floats[[0, 7, 8]] = np.nan  # empty cells
+        table = Columns((ints, floats, 0.993, None))
+        rows = [clean_row([i, s, 0.993, None]) for i, s in zip(ints, floats)]
+        monkeypatch.setattr(reporting, "BLOCK_ROWS", size)
+        assert len(list(table.blocks())) == -(-20 // size) and len(table) == 20
+        flat = [list(row) for block in table.blocks() for row in zip(*block)]
+        assert flat == rows
+        assert [list(map(type, r)) for r in flat] == [list(map(type, r)) for r in rows]
+        columns = ["n", "partialSum", "growthRatio", "decayExponent"]
+        result = ExperimentResult(_SPEC, "0.1.0", columns, table, 0)
+        assert written(result, blocks_of(table)) == written(
+            ExperimentResult(_SPEC, "0.1.0", columns, rows, 0), blocks_of(rows))
+
+    def test_ragged_rows_are_refused_before_any_block(self):
+        with pytest.raises(ValueError, match="same number of cells"):
+            blocks_of([[1, 2], [3]])
+
+
 class TestCleanValue:
     @pytest.mark.parametrize("flag", [True, False])
     def test_numpy_bool_becomes_bool(self, flag):
@@ -145,6 +192,16 @@ class TestSvgPoints:
             return
         svg = render_svg(xs, ys, "x", "y", "c")
         assert re.search(r'<polyline points="([^"]*)"', svg).group(1) == want
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_polyline_blocks_join_as_one(self, size, monkeypatch):
+        rng = np.random.default_rng(5)
+        xs, ys = rng.normal(size=10).tolist(), rng.normal(size=10).tolist()
+        xs[4], ys[0] = math.nan, math.inf
+        want = render_svg(xs, ys, "x", "y", "c")
+        monkeypatch.setattr(reporting, "BLOCK_ROWS", size)
+        assert render_svg(xs, ys, "x", "y", "c") == want
+        assert render_svg(np.array(xs), np.array(ys), "x", "y", "c") == want
 
     @pytest.mark.parametrize("lo", [2.0**53, 1e17, -1e17, -(2.0**60), 1.7e308])
     def test_constant_series_past_2_53_renders(self, lo):
