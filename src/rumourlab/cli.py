@@ -256,41 +256,39 @@ def run_simulate(spec: ExperimentSpec):
 
 
 def run_scan(spec: ExperimentSpec):
-    grids = [g for g in (spec.p_grid, spec.beta_grid, spec.lambda_grid) if g]
-    if len(grids) != 1:
+    grids = {"p": spec.p_grid, "beta": spec.beta_grid, "lambda": spec.lambda_grid}
+    kinds = [kind for kind, grid in grids.items() if grid]
+    if len(kinds) != 1:
         raise CliError("scan needs exactly one of --p-grid, --beta-grid, --lambda-grid")
-    if spec.dist is None and not spec.beta_grid:
-        raise CliError(f"a {'lambda' if spec.lambda_grid else 'p'} scan needs --dist")
-    rows = []
+    [kind] = kinds
+    flags = {"--p": spec.p, "--T": spec.window_t, "--dist": spec.dist, "--n": spec.n}
+    needs, unread = {"p": (["--dist"], ["--p", "--T"]), "beta": (["--p"], ["--dist", "--T"]),
+                     "lambda": (["--dist", "--T"], ["--p", "--n"])}[kind]
+    for flag in unread:
+        if flags[flag] is not None:
+            raise CliError(f"a {kind} scan does not read {flag}")
+    for flag in needs:
+        if flags[flag] is None:
+            raise CliError(f"a {kind} scan needs {flag}")
+
     clamp = 0
-
-    if spec.lambda_grid:
-        if spec.window_t is None:
-            raise CliError("a lambda scan needs --T")
+    if kind == "lambda":
         law = parse_distribution(spec.dist, continuous=True)
-        base = cont.ContinuumConfig(
-            spec.dim, spec.lambda_grid[0], spec.window_t, law, spec.k, spec.seed, spec.resolution
-        )
-        for summary in cont.scan_lambda(base, list(spec.lambda_grid), spec.trials, spec.workers):
-            rows.append(clean_row([summary.lam, summary.mean, summary.ci_low, summary.ci_high]))
-        return rows, clamp, EXIT_OK
-
-    # every point's config is checked before any point runs a trial
-    if spec.p_grid:
-        configs = [_lattice_config(spec, p=p) for p in spec.p_grid]
+        base = cont.ContinuumConfig(spec.dim, spec.lambda_grid[0], spec.window_t, law, spec.k,
+                                    spec.seed, spec.resolution)
+        summaries = cont.scan_lambda(base, list(spec.lambda_grid), spec.trials, spec.workers)
+        series = [summary.values for summary in summaries]
     else:
-        if spec.p is None:
-            raise CliError("a beta scan needs --p")
-        configs = [_lattice_config(spec, law=PowerTail(b)) for b in spec.beta_grid]
-
-    for value, config in zip(spec.p_grid or spec.beta_grid, configs):
-        stats = lattice.simulate_window(config, spec.trials, spec.workers)
-        clamp += stats.clamp_count
+        # every point's config is checked before any point runs a trial
+        configs = ([_lattice_config(spec, p=p) for p in spec.p_grid] if kind == "p" else
+                   [_lattice_config(spec, law=PowerTail(b)) for b in spec.beta_grid])
+        stats = lattice.simulate_windows(configs, spec.trials, spec.workers)
+        clamp = sum(s.clamp_count for s in stats)
         # firework scans track the rightmost failure; reverse scans the
         # under-covered fraction (the sceptic region's complement density)
-        series = stats.last_normalized if config.model == lattice.FIREWORK else stats.fractions
-        mean, lo, hi = mean_interval(series)
-        rows.append(clean_row([value, mean, lo, hi]))
+        series = [s.last_normalized if spec.model == lattice.FIREWORK else s.fractions
+                  for s in stats]
+    rows = [clean_row([value, *mean_interval(v)]) for value, v in zip(grids[kind], series)]
     return rows, clamp, EXIT_OK
 
 

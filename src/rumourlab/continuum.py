@@ -135,7 +135,8 @@ def k_cover_deficit_2d(points: PointSet, k: int, window_t: float, resolution: fl
     a_stop = np.minimum(np.floor(hix / resolution), m - 1).astype(np.int64) + 1
     b_stop = np.minimum(np.floor(hiy / resolution), m - 1).astype(np.int64) + 1
     keep = (a_lo < a_stop) & (b_lo < b_stop)
-    counts = box_counts(m, 2, [((a_lo[keep], b_lo[keep]), (a_stop[keep], b_stop[keep]))])
+    boxes = ((a_lo[keep], b_lo[keep]), (a_stop[keep], b_stop[keep]), 0)
+    counts = box_counts(m, 2, [boxes], 1)[0]
     bad = counts < k
     fraction = float(np.count_nonzero(bad)) / (m * m)
     if fraction == 0.0:

@@ -39,9 +39,10 @@ while it counts the current one; the helper draws every chunk in order
 from the one generator, so no value depends on timing, and it is joined
 before the trial returns.
 One trial engine, run_trials, seeds, chunks and pools the trials of the
-lattice (simulate_window) and of the continuum (scan_lambda, the continuum
+lattice (simulate_windows) and of the continuum (scan_lambda, the continuum
 command): fn(config, seeds, *extra) returns numeric records for a chunk of
-trial seeds.  A lattice trial's summary comes from _summaries and one
+trial seeds.  Each caller makes one run_trials call for all its configs, a
+scan's grid points included, so an invocation starts at most one pool.  A lattice trial's summary comes from _summaries and one
 reduction, _records, over groups of ~_BATCH_CELLS extent cells: a firework
 group is counted by _firework, and a reverse group streams
 (_stream_reverse): outside a batch, only open sites that can reach the
@@ -349,25 +350,22 @@ def _initiator_radii(dist: TailDistribution, seeds: np.ndarray) -> np.ndarray:
     return dist.quantile_from_uniform(u)
 
 
-def box_counts(m: int, d: int, batches, trials: int | None = None) -> np.ndarray:
-    """Per-cell counts over [0, m)^d of boxes prod [lo[axis], stop[axis]).
+def box_counts(m: int, d: int, batches, trials: int) -> np.ndarray:
+    """Per-cell counts over [0, m)^d of boxes prod [lo[axis], stop[axis]), per trial.
 
-    batches yields (lo, stop), one index array per axis each, 0 <= lo <= stop
-    <= m.  Boxes add their 2^d signed corners to the flat view of one int32
-    grid of (m+1)^d cells (int32 signs keep np.add.at on its fast path);
-    in-place prefix sums then leave the counts, exact below 2^31 per cell.
-    With trials, the grid gets a leading axis of that many trials' grids,
-    batches yield (lo, stop, trial) with each box's trial index (or one int
-    for all of a batch's boxes), and the prefix sums run along the window
-    axes only, so no count crosses trials.
+    The grid has a leading axis of trials' grids.  batches yields (lo, stop,
+    trial): one index array per axis each, 0 <= lo <= stop <= m, and each
+    box's trial index (or one int for all of a batch's boxes).  Boxes add
+    their 2^d signed corners to the flat view of one int32 grid of
+    trials * (m+1)^d cells (int32 signs keep np.add.at on its fast path);
+    in-place prefix sums along the window axes only then leave the counts,
+    exact below 2^31 per cell, and no count crosses trials.
     """
-    lead = () if trials is None else (trials,)
-    grid = np.zeros(lead + (m + 1,) * d, dtype=np.int32)
+    grid = np.zeros((trials,) + (m + 1,) * d, dtype=np.int32)
     flat = grid.reshape(-1)
-    for lo, stop, *trial in batches:
+    for lo, stop, trial in batches:
         # a trial index is one more leading coordinate of each corner
-        base = trial[0] * (m + 1) if trial else 0
-        for sign, idx in _corners(lo, stop, m + 1, base):
+        for sign, idx in _corners(lo, stop, m + 1, trial * (m + 1)):
             np.add.at(flat, idx, sign)
     np.add.accumulate(grid, axis=-1, out=grid)
     if d == 2:
@@ -375,11 +373,11 @@ def box_counts(m: int, d: int, batches, trials: int | None = None) -> np.ndarray
     return grid[(...,) + (slice(0, m),) * d]
 
 
-def _corners(lo, stop, w: int, base=0):
+def _corners(lo, stop, w: int, base):
     """(sign, flat index into a grid of side w) of the boxes' 2^d corners.
 
-    base, if given, is the boxes' leading coordinate times w.  One corner at
-    a time, so at most one index array per axis is alive.
+    base is the boxes' leading coordinate times w.  One corner at a time, so
+    at most one index array per axis is alive.
     """
     if len(lo) == 1:
         yield np.int32(1), base + lo[0]
@@ -773,21 +771,27 @@ def estimate_under_coverage(config: LatticeConfig, sites, trials: int,
     return simulate_window(config, trials, workers, list(sites)).sites
 
 
-def simulate_window(config: LatticeConfig, trials: int, workers: int = 1,
-                    sites=None) -> WindowStats:
-    """Whole-window under-coverage summaries per trial; trial t runs on mix64(config.seed, t).
+def simulate_windows(configs, trials: int, workers: int = 1, sites=None) -> list[WindowStats]:
+    """WindowStats of each config; trial t of each runs on mix64(config.seed, t).
 
+    Every config's trials run in one run_trials call, so they share one pool.
     With sites, the same trials also give the per-site estimates of
     estimate_under_coverage (in WindowStats.sites), so each trial's field is
     built once.
     """
     site_list = [] if sites is None else list(sites)
-    idx = _site_indices(config, site_list)  # validates before any work
-    [results] = run_trials(_summaries, [(config, (), (idx,))], trials, workers,
-                           _summary_dtype(len(site_list)))
-    estimates = None if sites is None else _site_estimates(site_list, results["bits"], trials)
-    return WindowStats(results["fraction"], results["last"], int(results["clamp"].sum()),
-                       estimates)
+    # every config validates its sites before any trial
+    jobs = [(config, (), (_site_indices(config, site_list),)) for config in configs]
+    results = run_trials(_summaries, jobs, trials, workers, _summary_dtype(len(site_list)))
+    return [WindowStats(r["fraction"], r["last"], int(r["clamp"].sum()),
+                        None if sites is None else _site_estimates(site_list, r["bits"], trials))
+            for r in results]
+
+
+def simulate_window(config: LatticeConfig, trials: int, workers: int = 1,
+                    sites=None) -> WindowStats:
+    """Whole-window under-coverage summaries per trial; simulate_windows of one config."""
+    return simulate_windows([config], trials, workers, sites)[0]
 
 
 def _site_estimates(sites, bits, trials: int) -> list[SiteEstimate]:

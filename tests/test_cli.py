@@ -161,11 +161,11 @@ class TestScan:
         betas = [0.5, 1.23456789, 2.000000001]
         configs = []
 
-        def record(config, trials, workers=1, sites=None):
-            configs.append(config)
-            return lattice.WindowStats(np.zeros(trials), np.zeros(trials), 0)
+        def record(grid, trials, workers=1, sites=None):
+            configs.extend(grid)
+            return [lattice.WindowStats(np.zeros(trials), np.zeros(trials), 0) for _ in grid]
 
-        monkeypatch.setattr(lattice, "simulate_window", record)
+        monkeypatch.setattr(lattice, "simulate_windows", record)
         code = main(["scan", "--model", "reverse", "--beta-grid", ",".join(map(repr, betas)),
                      "--p", "0.5", "--n", "10", "--trials", "2", "--seed", "1"])
         assert code == 0
@@ -173,17 +173,37 @@ class TestScan:
         params = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
         assert params == [repr(b) for b in betas]
 
-    @pytest.mark.parametrize("grid", [["--p-grid", "0.5,1.5"], ["--beta-grid", "1.5,-1"]])
+    @pytest.mark.parametrize("grid", [["--p-grid", "0.5,1.5", "--dist", "const:r=1"],
+                                      ["--beta-grid", "1.5,-1", "--p", "0.5"]])
     def test_bad_grid_point_rejected_before_any_trial(self, grid, capsys, monkeypatch):
         def no_trials(*args, **kwargs):
             raise AssertionError("ran a grid point's trials")
 
-        monkeypatch.setattr(lattice, "simulate_window", no_trials)
-        code = main(["scan", *grid, "--dist", "const:r=1", "--p", "0.5", "--n", "10",
-                     "--trials", "3", "--seed", "1"])
+        monkeypatch.setattr(lattice, "simulate_windows", no_trials)
+        code = main(["scan", *grid, "--n", "10", "--trials", "3", "--seed", "1"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "does not read" not in err
+
+    # each grid refuses the flags it does not read, before any trial
+    GRIDS = {"p": ["--p-grid", "0.1,0.2", "--dist", "const:r=1", "--n", "10"],
+             "beta": ["--beta-grid", "1,2", "--p", "0.5", "--n", "10"],
+             "lambda": ["--lambda-grid", "0.5,1", "--dist", "pareto:alpha=4", "--T", "20"]}
+
+    @pytest.mark.parametrize("kind, flag", [
+        ("p", ["--p", "0.9"]), ("p", ["--T", "7"]),
+        ("beta", ["--dist", "geom:q=0.5"]), ("beta", ["--T", "7"]),
+        ("lambda", ["--p", "0.5"]), ("lambda", ["--n", "10"]),
+    ])
+    def test_unread_flag_rejected(self, kind, flag, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("ran a trial")
+
+        monkeypatch.setattr(lattice, "_trial_range", no_trials)
+        code = main(["scan", *self.GRIDS[kind], *flag, "--trials", "3", "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: a {kind} scan does not read {flag[0]}\n"
 
     def test_lambda_grid(self, capsys):
         code = main(["scan", "--dim", "1", "--dist", "pareto:alpha=4", "--lambda-grid",
@@ -296,13 +316,20 @@ class TestWorkers:
         assert main(argv + ["--workers", workers, "--seed", "1"]) == 2
         assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
 
+    # every call's trials, all points of a scan included, share one pool:
+    # its tasks are points x chunks
     @pytest.mark.parametrize("argv, tasks", [
         (["continuum", "--dist", "pareto:alpha=4", "--lambda", "1.0", "--T", "20",
           "--trials", "4"], 2),
         (["scan", "--dist", "pareto:alpha=4", "--lambda-grid", "0.5,1", "--T", "20",
           "--trials", "4"], 4),
+        (["scan", "--dist", "pareto:alpha=4", "--p-grid", "0.2,0.5", "--n", "300",
+          "--trials", "4"], 4),
+        (["scan", "--model", "reverse", "--beta-grid", "0.8,1.5", "--p", "0.5", "--n", "30",
+          "--cushion", "2", "--trials", "4"], 4),
     ])
-    def test_continuum_trials_share_one_pool(self, argv, tasks, inline_pools, monkeypatch):
+    def test_continuum_and_scan_trials_share_one_pool(self, argv, tasks, inline_pools,
+                                                      monkeypatch):
         monkeypatch.setattr(lattice.os, "sched_getaffinity", lambda pid: {0, 1})
         assert main(argv + ["--workers", "2", "--seed", "1"]) == 0
         assert [(p.max_workers, p.tasks) for p in inline_pools] == [(2, tasks)]
@@ -748,6 +775,11 @@ class TestGoldenBytes:
     # small firework windows run their trials in batches, chunked per worker
     @pytest.mark.parametrize("name", SMALL_WINDOWS)
     def test_small_windows_at_two_workers(self, name, tmp_path):
+        self.check(name, tmp_path, ["--workers", "2"])
+
+    # every point of a p scan runs in one pool
+    @pytest.mark.parametrize("name", ["p2d", "p2d_small", "p2d_rev", "p1d"])
+    def test_p_grids_at_two_workers(self, name, tmp_path):
         self.check(name, tmp_path, ["--workers", "2"])
 
     # larger firework windows count each realized trial through the same body

@@ -212,11 +212,12 @@ class TestBoxCounts:
         split = data.draw(st.integers(0, len(boxes)))
         batches = [
             (tuple(np.array([b[ax][0] for b in batch], dtype=np.int64) for ax in range(d)),
-             tuple(np.array([b[ax][1] for b in batch], dtype=np.int64) for ax in range(d)))
+             tuple(np.array([b[ax][1] for b in batch], dtype=np.int64) for ax in range(d)),
+             0)
             for batch in (boxes[:split], boxes[split:])
         ]
         with patch.object(lat, "_ACCUMULATE_MAX_WIDTH", width):
-            counts = lat.box_counts(m, d, iter(batches))
+            [counts] = lat.box_counts(m, d, iter(batches), trials=1)
         assert counts.dtype == np.int32 and counts.shape == (m,) * d
         np.testing.assert_array_equal(counts, brute_box_counts(m, d, boxes))
 
