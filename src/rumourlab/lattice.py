@@ -42,12 +42,13 @@ One trial engine, run_trials, seeds, chunks and pools the trials of the
 lattice (simulate_windows) and of the continuum (scan_lambda, the continuum
 command): fn(config, seeds, *extra) returns numeric records for a chunk of
 trial seeds.  Each caller makes one run_trials call for all its configs, a
-scan's grid points included, so an invocation starts at most one pool.  A lattice trial's summary comes from _summaries and one
-reduction, _records, over groups of ~_BATCH_CELLS extent cells: a firework
-group is counted by _firework, and a reverse group streams
-(_stream_reverse): outside a batch, only open sites that can reach the
-reported window or clamp are sources and get radii, so a large trial needs
-~4 bytes per extent cell.  stats.uniforms draws every initiator radius too.
+scan's grid points included, so an invocation starts at most one pool.  A
+lattice trial's summary comes from _summaries and one reduction, _records,
+over groups of ~_BATCH_CELLS extent cells: a firework group is counted by
+_firework, and a reverse group streams (_stream_reverse): outside a batch,
+only open sites that can reach the reported window or clamp are sources
+and get radii, so a large trial needs ~4 bytes per extent cell.
+stats.uniforms draws every initiator radius too.
 Each record is thus bit-identical to the one-trial path, firework_counts
 or reverse_membership of realize(config).  NumPy's NEP 19 does not freeze
 its generator streams; the tests pin uniforms to Generator(PCG64(seed)) so
