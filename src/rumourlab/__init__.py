@@ -62,4 +62,4 @@ from rumourlab.continuum import (
     scan_lambda,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -261,15 +261,20 @@ def run_scan(spec: ExperimentSpec):
     if len(kinds) != 1:
         raise CliError("scan needs exactly one of --p-grid, --beta-grid, --lambda-grid")
     [kind] = kinds
-    flags = {"--p": spec.p, "--T": spec.window_t, "--dist": spec.dist, "--n": spec.n}
-    needs, unread = {"p": (["--dist"], ["--p", "--T"]), "beta": (["--p"], ["--dist", "--T"]),
-                     "lambda": (["--dist", "--T"], ["--p", "--n"])}[kind]
-    for flag in unread:
-        if flags[flag] is not None:
-            raise CliError(f"a {kind} scan does not read {flag}")
-    for flag in needs:
-        if flags[flag] is None:
-            raise CliError(f"a {kind} scan needs {flag}")
+    # a flag the grid does not read must keep its spec default; the ones it needs are given
+    needs, unread = {
+        "p": (["dist"], ["p", "window_t", "resolution"]),
+        "beta": (["p"], ["dist", "window_t", "resolution"]),
+        "lambda": (["dist", "window_t"], ["p", "n", "model", "cushion", "initiators"]),
+    }[kind]
+    defaults = {f.name: f.default for f in fields(ExperimentSpec)}
+    flag = {"window_t": "--T"}
+    for name in unread:
+        if getattr(spec, name) != defaults[name]:
+            raise CliError(f"a {kind} scan does not read {flag.get(name, '--' + name)}")
+    for name in needs:
+        if getattr(spec, name) is None:
+            raise CliError(f"a {kind} scan needs {flag.get(name, '--' + name)}")
 
     clamp = 0
     if kind == "lambda":

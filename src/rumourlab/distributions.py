@@ -46,12 +46,12 @@ class TailFunctionals:
 class TailDistribution:
     """Base class for the radius-law families."""
 
-    def survival(self, j: int) -> float:
-        """G(j) = P(radius >= j)."""
-        raise NotImplementedError
-
     def survival_vec(self, j: np.ndarray) -> np.ndarray:
-        """Vectorized survival over an int array."""
+        """G(j) = P(radius >= j) over an int array: the law's one survival function.
+
+        Powers are np.float_power, which is libm pow, the function Python's
+        float ** calls, so each entry equals the scalar formula bit for bit.
+        """
         raise NotImplementedError
 
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
@@ -90,16 +90,9 @@ class ParetoTail(TailDistribution):
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
-    def survival(self, j: int) -> float:
-        if j <= 0:
-            return 1.0
-        return min(1.0, self.alpha / j)
-
     def survival_vec(self, j: np.ndarray) -> np.ndarray:
-        j = np.asarray(j, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            g = np.minimum(1.0, self.alpha / j)
-        return np.where(j <= 0, 1.0, g)
+        with np.errstate(divide="ignore"):  # alpha / 0 = inf: G(j) = 1 for j <= 0
+            return np.minimum(1.0, self.alpha / np.maximum(j, 0.0))
 
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # inf is the right tail; it clips to the cap
@@ -125,17 +118,10 @@ class PowerTail(TailDistribution):
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
 
-    def survival(self, j: int) -> float:
-        if j <= 0:
-            return 1.0
-        return min(1.0, j ** (-self.beta))
-
     def survival_vec(self, j: np.ndarray) -> np.ndarray:
-        j = np.asarray(j, dtype=np.float64)
-        # clip before the power: j <= 0 is masked below, and a negative base
-        # to a fractional power would be NaN
-        g = np.minimum(1.0, np.maximum(j, 1.0) ** (-self.beta))
-        return np.where(j <= 0, 1.0, g)
+        # 1^(-beta) = 1 for j <= 0, where a negative base to a fractional
+        # power would be NaN
+        return np.float_power(np.maximum(j, 1.0), -self.beta)
 
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # inf is the right tail; it clips to the cap
@@ -169,15 +155,9 @@ class Geometric(TailDistribution):
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0,1), got {self.q}")
 
-    def survival(self, j: int) -> float:
-        if j <= 0:
-            return 1.0
-        return self.q**j
-
     def survival_vec(self, j: np.ndarray) -> np.ndarray:
-        j = np.asarray(j, dtype=np.float64)
-        # q ** j overflows for very negative j, which is masked anyway
-        return np.where(j <= 0, 1.0, self.q ** np.maximum(j, 0.0))
+        # q^0 = 1 for j <= 0, where q^j would overflow
+        return np.float_power(self.q, np.maximum(j, 0.0))
 
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
         q = np.ceil(np.log(u) / math.log(self.q)) - 1.0
@@ -200,12 +180,8 @@ class Constant(TailDistribution):
         if self.r < 0:
             raise ValueError(f"r must be nonnegative, got {self.r}")
 
-    def survival(self, j: int) -> float:
-        return 1.0 if j <= self.r else 0.0
-
     def survival_vec(self, j: np.ndarray) -> np.ndarray:
-        j = np.asarray(j, dtype=np.float64)
-        return np.where(j <= self.r, 1.0, 0.0)
+        return np.where(np.asarray(j) <= self.r, 1.0, 0.0)
 
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
         return np.full(np.shape(u), self.r, dtype=np.int64)
@@ -232,14 +208,8 @@ class Truncated(TailDistribution):
         if self.cap < 0:
             raise ValueError(f"cap must be nonnegative, got {self.cap}")
 
-    def survival(self, j: int) -> float:
-        if j > self.cap:
-            return 0.0
-        return self.base.survival(j)
-
     def survival_vec(self, j: np.ndarray) -> np.ndarray:
-        j = np.asarray(j, dtype=np.float64)
-        return np.where(j > self.cap, 0.0, self.base.survival_vec(j))
+        return np.where(np.asarray(j) > self.cap, 0.0, self.base.survival_vec(j))
 
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
         return np.minimum(self.base.quantile_from_uniform(u), self.cap)

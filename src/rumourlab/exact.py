@@ -5,11 +5,14 @@ reach it.  Every exact method reads one source model, `_shells`: in 1D the
 candidate sources for site i sit at displacements 0..i-1 and each covers
 independently with probability p*G(t); in 2D the candidates for (i,j),
 i >= j, group into shells of equal max-coordinate displacement t with
-multiplicity 2t+1 (t < j) or j (j <= t < i).  One log-space product with
-exact-zero short-circuiting gives the no-cover probability, one count DP
-the probability of fewer than k covers, and sums of closed-form terms use
-compensated summation.  `METHODS` maps each method name to its value of a
-query in either dimension.
+multiplicity 2t+1 (t < j) or j (j <= t < i).  A query reads G once, as one
+array from its law's `survival_vec`, and every cover probability p*G(t)
+comes from one chunked stream, `_covers`, which `series_diagnostics` reads
+too: the series' term at site i is the dp value of site i, bit for bit.
+One log-space product with exact-zero short-circuiting gives the no-cover
+probability, one count DP the probability of fewer than k covers, and sums
+of closed-form terms use compensated summation.  `METHODS` maps each method
+name to its value of a query in either dimension.
 """
 
 from __future__ import annotations
@@ -29,12 +32,13 @@ from rumourlab.stats import check_bytes
 # by ~70 bytes per site in a fresh process, and 80 bounds both; requests past
 # the memory budget are refused up front
 _SERIES_BYTES_PER_SITE = 80
-# the DP reads the cover probabilities as Python floats this many at a time,
-# not as one list of ~32 bytes per site
+# the cover stream makes its Python floats this many at a time, not as one
+# list of ~32 bytes per site or shell
 _COVER_CHUNK = 1 << 14
-# an exact query's methods peak at up to ~152 bytes per shell (tracemalloc,
-# closedForm and paperEq11: the shell tuples plus their float lists); queries
-# whose shells would pass the budget are refused before any is built
+# an exact query's methods peak at up to ~93 bytes per shell (tracemalloc at
+# 2x10^4 shells: 2D paperEq11's G array, ratio list and log list; 1D
+# closedForm ~74, dp ~41 with the stream's fixed chunk); queries whose shells
+# would pass the budget are refused before G is read
 _SHELL_BYTES = 160
 # the count DP costs sources * list length updates; more are refused up front
 _MAX_DP_UPDATES = 2**31
@@ -99,16 +103,28 @@ def shell_multiplicity_2d(i: int, j: int, t: int) -> int:
     return 0
 
 
-def _shells(q: ExactQuery) -> list[tuple[float, int]]:
-    """(cover probability, multiplicity) of the candidate sources at each displacement t."""
+def _survival(q: ExactQuery) -> np.ndarray:
+    """G(t) for every displacement t of the query's candidate sources, one array."""
+    return q.dist.survival_vec(np.arange(_source_extent(q)[1] + 1, dtype=np.int64))
+
+
+def _covers(p: float, g: np.ndarray):
+    """The cover probability p * G(t) of each entry of g, as Python floats made
+    a chunk at a time: the one cover stream of the exact values and the series."""
+    for a in range(0, len(g), _COVER_CHUNK):
+        yield from (p * g[a:a + _COVER_CHUNK]).tolist()
+
+
+def _shells(q: ExactQuery, g: np.ndarray | None = None):
+    """Stream (cover probability, multiplicity) of the candidate sources at each
+    displacement t, from G(t) = g[t] (read from the law when g is None)."""
+    g = _survival(q) if g is None else g
     if q.dimension == 1:
-        shells = [(q.p * q.dist.survival(t), 1) for t in range(q.site)]
-        if q.include_initiators:
-            # always-open sources at 0 and -1: displacements i and i+1
-            shells += [(q.dist.survival(q.site), 1), (q.dist.survival(q.site + 1), 1)]
-        return shells
+        # always-open initiators at 0 and -1 sit at displacements i and i+1
+        covers = itertools.chain(_covers(q.p, g[:q.site]), _covers(1.0, g[q.site:]))
+        return zip(covers, itertools.repeat(1))
     i, j = sorted(q.site, reverse=True)
-    return [(q.p * q.dist.survival(t), shell_multiplicity_2d(i, j, t)) for t in range(i)]
+    return ((c, shell_multiplicity_2d(i, j, t)) for t, c in enumerate(_covers(q.p, g)))
 
 
 def _no_cover(shells) -> float:
@@ -152,11 +168,16 @@ def _count_dp(shells, width: int):
         yield dp
 
 
-def _fewer_than(shells, k: int) -> float:
-    """P(fewer than k of the shells' sources cover)."""
-    for dp in _count_dp(shells, _dp_width(sum(m for _, m in shells), k)):
+def _fewer_than(shells, k: int, sources: int) -> float:
+    """P(fewer than k of the shells' `sources` sources cover)."""
+    for dp in _count_dp(shells, _dp_width(sources, k)):
         pass
     return math.fsum(dp)
+
+
+def _dp(q: ExactQuery) -> float:
+    """P(fewer than k covers) of a query, by the count DP over its shells."""
+    return _fewer_than(_shells(q), q.k, _source_extent(q)[0])
 
 
 def poisson_binomial_fewer_than(probs, k: int) -> float:
@@ -166,7 +187,7 @@ def poisson_binomial_fewer_than(probs, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _fewer_than([(c, 1) for c in probs], k)
+    return _fewer_than(zip(probs, itertools.repeat(1)), k, len(probs))
 
 
 def uncovered_prob_1d(q: ExactQuery) -> float:
@@ -182,7 +203,7 @@ def undercovered_prob_1d(q: ExactQuery) -> float:
     """P(site i is reached by fewer than k distinct sources)."""
     if q.dimension != 1:
         raise ValueError("undercovered_prob_1d takes a 1D query")
-    return _fewer_than(_shells(q), q.k)
+    return _dp(q)
 
 
 def undercovered_prob_1d_closed_form(q: ExactQuery) -> float:
@@ -200,27 +221,19 @@ def undercovered_prob_1d_closed_form(q: ExactQuery) -> float:
         return uncovered_prob_1d(q)
     if q.k != 2:
         raise ValueError(f"no closed form shipped for k={q.k}; use the DP")
-    i, p, dist = q.site, q.p, q.dist
-
-    shells = _shells(q)
-    g = [1.0 - c for c, _ in shells]
-    none_term = _no_cover(shells)
+    p, g = q.p, _survival(q)
+    none_term = _no_cover(_shells(q, g))
 
     # product over l = 1..i-1, tracked as (log sum of nonzeros, zero count)
-    zeros = sum(1 for gl in g[1:] if gl == 0.0)
-    log_sum = math.fsum(math.log(gl) for gl in g[1:] if gl > 0.0)
+    misses = [1.0 - c for c in _covers(p, g[1:])]
+    zeros = misses.count(0.0)
+    log_sum = math.fsum(math.log(gl) for gl in misses if gl > 0.0)
     zero_term = p * (0.0 if zeros else math.exp(log_sum))
 
-    terms = []
-    for t in range(1, i):
-        gt = g[t]
-        if gt == 0.0:
-            # leaving out the lone zero factor revives the product
-            rest = math.exp(log_sum) if zeros == 1 else 0.0
-        else:
-            rest = math.exp(log_sum - math.log(gt)) if zeros == 0 else 0.0
-        terms.append(dist.survival(t) * rest)
-    one_term = p * (1.0 - p) * math.fsum(terms)
+    # the product without factor t; leaving out a lone zero factor revives it
+    rests = (math.exp(log_sum - math.log(gl)) if zeros == 0 else
+             math.exp(log_sum) if zeros == 1 and gl == 0.0 else 0.0 for gl in misses)
+    one_term = p * (1.0 - p) * math.fsum(G * r for G, r in zip(_covers(1.0, g[1:]), rests))
 
     return none_term + zero_term + one_term
 
@@ -242,23 +255,22 @@ def undercovered_prob_2d_paper(q: ExactQuery) -> float:
     """
     if q.dimension != 2 or q.k != 2:
         raise ValueError("the printed formula is for 2D with k=2")
-    shells = _shells(q)
+    g = _survival(q)
     ratios = []
-    for t, (c, _) in enumerate(shells):
-        g = 1.0 - c
-        if g == 0.0:
+    for t, (G, c) in enumerate(zip(_covers(1.0, g), _covers(q.p, g))):
+        if c == 1.0:
             raise PaperFormulaDivisionError(
                 f"g(t) = 1 - p*G(t) vanishes at t={t} (p*G(t)=1); the printed formula is undefined"
             )
-        ratios.append(q.dist.survival(t) / g)
-    return _no_cover(shells) * (1.0 + q.p * math.fsum(ratios))
+        ratios.append(G / (1.0 - c))
+    return _no_cover(_shells(q, g)) * (1.0 + q.p * math.fsum(ratios))
 
 
 def undercovered_prob_2d_exact(q: ExactQuery) -> float:
     """P((i,j) has fewer than k covers): count DP over the shell multiset."""
     if q.dimension != 2:
         raise ValueError("undercovered_prob_2d_exact takes a 2D query")
-    return _fewer_than(_shells(q), q.k)
+    return _dp(q)
 
 
 def _candidate_sources(q: ExactQuery) -> list[tuple[float, int]]:
@@ -300,33 +312,27 @@ def enumeration_oracle(q: ExactQuery, radius_cap: int | None = None) -> float:
         radius_cap = max_disp
     if radius_cap < 0:
         raise ValueError("radius_cap must be nonnegative")
-    if q.dist.survival(radius_cap + 1) > 0.0 and radius_cap < max_disp:
+    beyond = float(q.dist.survival_vec(np.array([radius_cap + 1]))[0])
+    if beyond > 0.0 and radius_cap < max_disp:
         raise LossyTruncationError(
             f"cap {radius_cap} is below the farthest displacement {max_disp} while "
-            f"G(cap+1) = {q.dist.survival(radius_cap + 1)} > 0"
+            f"G(cap+1) = {beyond} > 0"
         )
     if n * math.log2(radius_cap + 2) > 30.0:
         raise EnumerationBoundError(
             f"{n} sources at cap {radius_cap} exceed the enumeration budget"
         )
 
-    trunc = Truncated(q.dist, radius_cap)
-    cover = []
-    for act, t in _candidate_sources(q):
-        pmf_tail = math.fsum(
-            trunc.survival(r) - trunc.survival(r + 1) for r in range(t, radius_cap + 1)
-        )
-        cover.append(act * pmf_tail)
+    # G, the pmf array and its list of floats: ~48 bytes per radius up to the cap
+    check_bytes(48 * (radius_cap + 2), f"the truncated law at cap {radius_cap}")
+    g = Truncated(q.dist, radius_cap).survival_vec(np.arange(radius_cap + 2, dtype=np.int64))
+    pmf = (g[:-1] - g[1:]).tolist()
+    cover = [act * math.fsum(pmf[t:]) for act, t in _candidate_sources(q)]
 
-    terms = []
-    for mask in range(1 << n):
-        if mask.bit_count() >= q.k:
-            continue
-        prob = 1.0
-        for s in range(n):
-            prob *= cover[s] if (mask >> s) & 1 else 1.0 - cover[s]
-        terms.append(prob)
-    return math.fsum(terms)
+    return math.fsum(
+        math.prod(cover[s] if (mask >> s) & 1 else 1.0 - cover[s] for s in range(n))
+        for mask in range(1 << n) if mask.bit_count() < q.k
+    )
 
 
 def _closed_form(q: ExactQuery) -> float:
@@ -339,7 +345,7 @@ def _closed_form(q: ExactQuery) -> float:
 
 METHODS = {
     "closedForm": _closed_form,
-    "dp": lambda q: _fewer_than(_shells(q), q.k),
+    "dp": _dp,
     "paperEq11": undercovered_prob_2d_paper,
     "oracle": enumeration_oracle,
 }
@@ -368,14 +374,6 @@ class SeriesDiagnostics:
         )
 
 
-def _covers(p: float, dist: TailDistribution, i_max: int):
-    """The cover probability of each displacement t < i_max, 1 - (1 - p*G(t)),
-    as Python floats made a chunk at a time; G is freed once they are read."""
-    g = 1.0 - p * dist.survival_vec(np.arange(i_max, dtype=np.int64))
-    for a in range(0, i_max, _COVER_CHUNK):
-        yield from (1.0 - g[a:a + _COVER_CHUNK]).tolist()
-
-
 def series_diagnostics(
     p: float,
     dist: TailDistribution,
@@ -402,7 +400,9 @@ def series_diagnostics(
     running = 0.0
     comp = 0.0  # Kahan correction
     # after i sources the DP holds site i's count distribution
-    for i, dp in enumerate(_count_dp(zip(_covers(p, dist, i_max), itertools.repeat(1)), width)):
+    # the stream holds the only reference to G, so G is freed once the DP has read it
+    covers = _covers(p, dist.survival_vec(np.arange(i_max, dtype=np.int64)))
+    for i, dp in enumerate(_count_dp(zip(covers, itertools.repeat(1)), width)):
         if i < i_min:
             continue
         val = math.fsum(dp)

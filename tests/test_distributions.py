@@ -36,35 +36,51 @@ def dist_strategy():
     )
 
 
+def reference_survival(d, j: int) -> float:
+    """G(j) of a lattice law by its Python-float formula."""
+    if isinstance(d, Truncated):
+        return 0.0 if j > d.cap else reference_survival(d.base, j)
+    if isinstance(d, Constant):
+        return 1.0 if j <= d.r else 0.0
+    if j <= 0:
+        return 1.0
+    if isinstance(d, ParetoTail):
+        return min(1.0, d.alpha / j)
+    if isinstance(d, PowerTail):
+        return j ** -d.beta
+    return d.q ** j
+
+
+def assert_bitwise(vec, ref):
+    np.testing.assert_array_equal(vec.view(np.uint64),
+                                  np.array(ref, dtype=np.float64).view(np.uint64))
+
+
 class TestTail:
     def test_pareto_examples(self):
-        d = ParetoTail(4)
-        assert d.survival(0) == 1.0
-        assert d.survival(2) == 1.0
-        assert d.survival(8) == 0.5
+        assert ParetoTail(4).survival_vec(np.array([0, 2, 8])).tolist() == [1.0, 1.0, 0.5]
 
     def test_family_closed_forms(self):
-        assert PowerTail(0.5).survival(4) == pytest.approx(0.5, rel=1e-15)
-        assert Geometric(0.5).survival(3) == pytest.approx(0.125, rel=1e-15)
-        assert Constant(2).survival(2) == 1.0
-        assert Constant(2).survival(3) == 0.0
-        t = Truncated(Geometric(0.5), 4)
-        assert t.survival(4) == pytest.approx(0.5**4)
-        assert t.survival(5) == 0.0
+        assert PowerTail(0.5).survival_vec(np.array([4]))[0] == pytest.approx(0.5, rel=1e-15)
+        assert Geometric(0.5).survival_vec(np.array([3]))[0] == pytest.approx(0.125, rel=1e-15)
+        assert Constant(2).survival_vec(np.array([2, 3])).tolist() == [1.0, 0.0]
+        t = Truncated(Geometric(0.5), 4).survival_vec(np.array([4, 5]))
+        assert t[0] == pytest.approx(0.5**4) and t[1] == 0.0
 
     @given(dist_strategy(), st.integers(0, 10_000))
     def test_monotone_and_bounded(self, d, j):
-        g0, g1 = d.survival(j), d.survival(j + 1)
+        g0, g1 = d.survival_vec(np.array([j, j + 1]))
         assert 0.0 <= g1 <= g0 <= 1.0
-        assert d.survival(0) == 1.0
+        assert d.survival_vec(np.array([0]))[0] == 1.0
 
     def test_vectorized_matches_scalar(self):
-        js = np.arange(0, 50)
-        for d in [ParetoTail(3.5), PowerTail(1.2), Geometric(0.7), Constant(5),
-                  Truncated(Geometric(0.5), 9)]:
-            vec = d.survival_vec(js)
-            scal = np.array([d.survival(int(j)) for j in js])
-            np.testing.assert_allclose(vec, scal, rtol=1e-15)
+        # the one survival function equals the Python-float formula bit for
+        # bit, so exact values read through it keep their bytes
+        js = range(-3, 200_001)
+        for d in [ParetoTail(3.5), ParetoTail(0.5), PowerTail(0.3), PowerTail(0.7),
+                  PowerTail(1.5), Geometric(0.3), Geometric(0.9), Geometric(0.99), Constant(5),
+                  Truncated(Geometric(0.9), 9), Truncated(PowerTail(1.5), 1000)]:
+            assert_bitwise(d.survival_vec(np.array(js)), [reference_survival(d, j) for j in js])
 
     def test_vectorized_quiet_below_one(self):
         # G(j) = 1 for j <= 0; no law may warn there (a NaN from a fractional
@@ -76,8 +92,7 @@ class TestTail:
                 warnings.simplefilter("error")
                 vec = d.survival_vec(js)
             assert np.all(vec[js <= 0] == 1.0)
-            scal = np.array([d.survival(int(j)) for j in js])
-            np.testing.assert_allclose(vec, scal, rtol=1e-15)
+            assert_bitwise(vec, [reference_survival(d, int(j)) for j in js])
 
 
 class TestFunctionals:
@@ -99,9 +114,8 @@ class TestFunctionals:
             Truncated(ParetoTail(4), 100).functionals()
 
     def test_pareto_numeric_probe(self):
-        d = ParetoTail(4)
-        for j in range(4, 4000, 37):
-            assert abs(j * d.survival(j) - 4.0) < 1e-12
+        js = np.arange(4, 4000, 37)
+        assert np.all(np.abs(js * ParetoTail(4).survival_vec(js) - 4.0) < 1e-12)
 
     @given(dist_strategy())
     def test_liminf_le_limsup(self, d):
@@ -169,7 +183,8 @@ class TestSampler:
         rng = make_rng(3)
         draws = d.quantile_from_uniform(1.0 - rng.random(n))
         observed = np.bincount(draws, minlength=7)
-        expected = np.array([(d.survival(j) - d.survival(j + 1)) * n for j in range(7)])
+        g = d.survival_vec(np.arange(8))
+        expected = (g[:-1] - g[1:]) * n
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 < 16.812  # chi-square 0.99 quantile, 6 degrees of freedom
 

@@ -256,6 +256,16 @@ class TestOracle:
         with pytest.raises(EnumerationBoundError):
             enumeration_oracle(ExactQuery(2, (1000, 1000), 0.5, 1, C1))
 
+    def test_cap_past_the_memory_budget_refused(self, monkeypatch):
+        # one source admits a cap near 2^30; the oracle reads G up to the cap
+        # as one array, so a cap whose arrays would pass the budget is refused
+        def no_law(self, j):
+            raise AssertionError("read G up to the cap")
+
+        monkeypatch.setattr(Truncated, "survival_vec", no_law)
+        with pytest.raises(ValueError, match="truncated law at cap"):
+            enumeration_oracle(ExactQuery(1, 1, 0.5, 1, C1), 2**29)
+
     def test_truncation_harmless_when_cap_reaches(self):
         # geometric tails never vanish, but cap >= farthest displacement is lossless
         q = ExactQuery(1, 4, 0.5, 2, Geometric(0.5))
@@ -324,7 +334,19 @@ class TestSeriesDiagnostics:
         diag = series_diagnostics(0.4, PowerTail(1.5), 2, 3, 40)
         for pos, i in enumerate(range(3, 41)):
             want = undercovered_prob_1d(ExactQuery(1, i, 0.4, 2, PowerTail(1.5)))
-            assert diag.probs[pos] == pytest.approx(want, abs=1e-13)
+            assert diag.probs[pos] == want
+
+    @pytest.mark.parametrize("dist", [ParetoTail(4), PowerTail(1.5), Geometric(0.9), Constant(3),
+                                      Truncated(ParetoTail(2), 25)],
+                             ids=["pareto", "power", "geom", "const", "trunc"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+    def test_probs_equal_exact_dp_bit_for_bit(self, dist, k, p):
+        # the series and an exact query read one survival function and one
+        # cover stream, so the series' term at site i is exact's dp value
+        diag = series_diagnostics(p, dist, k, 1, 200)
+        want = [exact.METHODS["dp"](ExactQuery(1, i, p, k, dist)) for i in range(1, 201)]
+        assert diag.probs.tolist() == want
 
     def test_partial_sums_nondecreasing(self):
         diag = series_diagnostics(0.7, ParetoTail(3), 2, 1, 500)
