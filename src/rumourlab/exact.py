@@ -37,9 +37,10 @@ _SERIES_BYTES_PER_SITE = 80
 _COVER_CHUNK = 1 << 14
 # an exact query's methods peak at up to ~93 bytes per shell (tracemalloc at
 # 2x10^4 shells: 2D paperEq11's G array, ratio list and log list; 1D
-# closedForm ~74, dp ~41 with the stream's fixed chunk); queries whose shells
-# would pass the budget are refused before G is read
-_SHELL_BYTES = 160
+# closedForm ~74, dp ~41 with the stream's fixed chunk; fewer per shell at
+# 10^5), and 112 is 20% above that; queries whose shells would pass the
+# budget are refused before G is read
+_SHELL_BYTES = 112
 # the count DP costs sources * list length updates; more are refused up front
 _MAX_DP_UPDATES = 2**31
 

@@ -23,9 +23,10 @@ stream, and one box_counts call with a leading trial axis counts every
 trial's field.  _firework counts cover blocks.  In _membership the open bits
 fill an int32 prefix grid per trial over sites [-1..m]^d, each source's
 block count is the signed sum of that grid at the block's 2^d corners, and
-the qualifying blocks are marked.  A realization feeds either body as the
-chunks of one trial, in the row blocks of realize (firework_counts,
-reverse_membership).
+the qualifying blocks are marked; the grid holds only the rows a block
+count reads, rows 0..n+1 and the current chunk's, which roll through one
+buffer.  A realization feeds either body as the chunks of one trial, in the
+row blocks of realize (firework_counts, reverse_membership).
 
 One producer, _draws(config, seeds, select), lays out the window stream:
 chunks (first trial, first row, open bits, selected open sites, their
@@ -47,7 +48,8 @@ lattice trial's summary comes from _summaries and one reduction, _records,
 over groups of ~_BATCH_CELLS extent cells: a firework group is counted by
 _firework, and a reverse group streams (_stream_reverse): outside a batch,
 only open sites that can reach the reported window or clamp are sources
-and get radii, so a large trial needs ~4 bytes per extent cell.
+and get radii, so a large trial needs ~4 bytes per cell of n+3+chunk rows
+of the extent.
 stats.uniforms draws every initiator radius too.
 Each record is thus bit-identical to the one-trial path, firework_counts
 or reverse_membership of realize(config).  NumPy's NEP 19 does not freeze
@@ -110,6 +112,10 @@ _INITIATOR_SITES = np.array([-1, 0], dtype=np.int64)
 # and its survival function, so no source passing the exact tests is lost
 _SURVIVAL_SLACK = 1.0 + 1e-9
 
+# axis sites per block of _survival_bounds; its temporaries (~41 bytes per
+# site) stay near 2.7 MB whatever the extent
+_BOUND_SITES = 1 << 16
+
 FIREWORK = "firework"
 REVERSE = "reverseFirework"
 _MODELS = (FIREWORK, REVERSE)
@@ -121,7 +127,8 @@ _MODELS = (FIREWORK, REVERSE)
 _SOURCE_BYTES = {FIREWORK: 96, REVERSE: 256}
 
 # bytes of a trial that do not grow with its window: the reused piece buffer
-# (2 MiB) and a group of small windows' trials (~1 MiB at _BATCH_CELLS)
+# (2 MiB) and a group of small windows' trials (~1 MiB at _BATCH_CELLS), or,
+# before either is made, a block of _survival_bounds (~2.7 MB)
 _TRIAL_OVERHEAD = 1 << 22
 
 
@@ -174,16 +181,19 @@ class LatticeConfig:
         Both models: the reported window's int32 count grid and two bool masks
         over it, and the transients of the expected open sites of one chunk.
         Firework: the group's drawn chunks (1 byte per cell, 8 per open site).
-        Streamed reverse: the int32 prefix grid over [-1..m]^d, the survival
-        bounds (~41 bytes per axis site while they are computed, traced) and
-        two pairs of row-block bit buffers.
-        A chunk has at most max(_CHUNK_CELLS, one row) cells.  Exact
-        arithmetic, so no window is too large to be refused.
+        Streamed reverse: _membership's int32 prefix grid, min(m+3, n+3+chunk
+        rows) rows of (m+3)^(d-1) cells, the two float64 survival bounds
+        (their blocks' temporaries fall within the overhead) and two pairs of
+        row-block bit buffers.
+        A chunk has _chunk_rows whole rows.  Exact arithmetic, so no window is
+        too large to be refused.
         """
         m, n, d, p = self.extent(), self.n, self.dimension, Fraction(self.p)
-        chunk = min(m ** d, max(_CHUNK_CELLS, m ** (d - 1)))
+        rows = _chunk_rows(m, d)
+        chunk = rows * m ** (d - 1)
         own = _TRIAL_OVERHEAD + (m ** d + 8 * math.ceil(p * m ** d) if self.model == FIREWORK
-                                 else 4 * (m + 3) ** d + 64 * m + 4 * chunk)
+                                 else 4 * min(m + 3, n + 3 + rows) * (m + 3) ** (d - 1)
+                                 + 16 * m + 4 * chunk)
         return own + 6 * (n + 1) ** d + math.ceil(p * chunk) * _SOURCE_BYTES[self.model]
 
 
@@ -253,9 +263,14 @@ def realize(config: LatticeConfig) -> Realization:
     return Realization(config, activation, radii, init)
 
 
+def _chunk_rows(m: int, dimension: int) -> int:
+    """Leading-axis rows of a full RNG chunk: ~_CHUNK_CELLS cells, whole rows in 2D."""
+    return min(m, _CHUNK_CELLS if dimension == 1 else max(1, _CHUNK_CELLS // m))
+
+
 def _row_blocks(m: int, dimension: int) -> list:
-    """Leading-axis ranges [r0, r1) of the RNG chunks: ~_CHUNK_CELLS cells, whole rows in 2D."""
-    step = _CHUNK_CELLS if dimension == 1 else max(1, _CHUNK_CELLS // m)
+    """Leading-axis ranges [r0, r1) of the RNG chunks, _chunk_rows rows each but the last."""
+    step = _chunk_rows(m, dimension)
     return [(r0, min(m, r0 + step)) for r0 in range(0, m, step)]
 
 
@@ -476,9 +491,16 @@ def _survival_bounds(cfg: LatticeConfig):
     when rad >= min(x) + 2; G is non-increasing, so its uniform then lies
     below min over axes of G(x - n + 1) or below max over axes of G(x + 2).
     """
-    sites = np.arange(1, cfg.extent() + 1, dtype=np.int64)
-    return (_SURVIVAL_SLACK * cfg.dist.survival_vec(sites - cfg.n + 1),
-            _SURVIVAL_SLACK * cfg.dist.survival_vec(sites + 2))
+    m = cfg.extent()
+    reach, clamp = np.empty(m), np.empty(m)
+    # a block of sites at a time, so no int64 or temporary array spans the axis
+    for a in range(0, m, _BOUND_SITES):
+        sites = np.arange(a + 1, min(m, a + _BOUND_SITES) + 1, dtype=np.int64)
+        np.multiply(cfg.dist.survival_vec(sites - cfg.n + 1), _SURVIVAL_SLACK,
+                    out=reach[a:a + len(sites)])
+        np.multiply(cfg.dist.survival_vec(sites + 2), _SURVIVAL_SLACK,
+                    out=clamp[a:a + len(sites)])
+    return reach, clamp
 
 
 def _stream_reverse(cfg: LatticeConfig, seeds: np.ndarray, bounds, initiator_radii):
@@ -516,15 +538,20 @@ def _stream_reverse(cfg: LatticeConfig, seeds: np.ndarray, bounds, initiator_rad
         return _membership(cfg, cfg.k, len(seeds), chunks, initiator_radii)
 
 
-def _prefix_rows(S: np.ndarray, r0: int, act: np.ndarray) -> None:
-    """Fill the prefix rows of window rows r0.. (0-based) from their open bits.
+def _prefix_rows(S: np.ndarray, row: int, act: np.ndarray) -> None:
+    """Fill the prefix rows of a chunk's open bits into rows row+1.. of S.
 
-    S and act have the same leading trial axis.  The rows above must be
-    final and these rows still zero; cumulating down from the row above adds
-    its prefix to these rows' own.
+    S and act have the same leading trial axis.  Row `row` must hold the
+    final prefix of the window row above the chunk (the carry row); the
+    chunk's rows may hold anything, as a reused buffer's rows do: their
+    columns left of the extent are zeroed, the rest overwritten.  Cumulating
+    down from the carry row adds its prefix to these rows' own.
     """
-    block = S[:, r0 + 2:r0 + 3 + act.shape[1]]
-    own = block[(slice(None), slice(1, None)) + (slice(3, None),) * (act.ndim - 2)]
+    block = S[:, row:row + 1 + act.shape[1]]
+    own = block[:, 1:]
+    if act.ndim > 2:
+        own[..., :3] = 0
+        own = own[..., 3:]
     own[...] = act
     for axis in range(2, act.ndim):
         np.add.accumulate(own, axis=axis, out=own)
@@ -542,23 +569,34 @@ def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii
     None or the trials' (trials, 2) radii.  Every clamped source is counted,
     reaching the window or not.  One box_counts call with a leading trial
     axis marks every trial's qualifying blocks.
+
+    S keeps only the rows a block count reads.  A source that reaches the
+    window has lo = max(x - rad, -1) <= n - 1 on every axis, so its bottom
+    corners lie in rows 0..n, and its top corners in its own chunk's rows.
+    S therefore holds min(m+3, n+3+chunk rows) rows of (m+3)^(d-1) cells:
+    rows 0..n+1 are kept for the whole trial, and each chunk's rows, with
+    the carry row above them, sit at their own indices while those fit and
+    at the bottom of S after that, over the previous chunk's.  A one-chunk
+    window thus gets the whole grid, as does a window at cushion 1.
     """
-    n, d = cfg.n, cfg.dimension
+    n, d, m = cfg.n, cfg.dimension, cfg.extent()
     # S[t, a+2] (1D) or S[t, a+2, b+2] (2D) will hold the number of open
-    # sites of trial t in [-1..a] or [-1..a] x [-1..b]; _prefix_rows fills
-    # the extent rows in order.  The initiators sit on the diagonal at
-    # (-1,..,-1) and (0,..,0) and count from index 1 and 2 on every axis;
-    # only their rows 1 and 2 are set here, and _prefix_rows adds them down
-    # into the extent rows.
-    S = np.zeros((trials,) + (cfg.extent() + 3,) * d, dtype=np.int32)
+    # sites of trial t in [-1..a] or [-1..a] x [-1..b], at the row a+2 moved
+    # up by its chunk's shift; _prefix_rows fills the extent rows in order.
+    # The initiators sit on the diagonal at (-1,..,-1) and (0,..,0) and count
+    # from index 1 and 2 on every axis; only their rows 1 and 2 are set here,
+    # and _prefix_rows adds them down into the extent rows.
+    S = np.zeros((trials, min(m + 3, n + 3 + _chunk_rows(m, d))) + (m + 3,) * (d - 1),
+                 dtype=np.int32)
     if initiator_radii is not None:
         for i in (1, 2):
             S[(slice(None), slice(i, 3)) + (slice(i, None),) * (d - 1)] += 1
-    flat, w = S.reshape(-1), S.shape[-1]
+    flat, h, w = S.reshape(-1), S.shape[1], S.shape[-1]
     clamps = np.zeros(trials, dtype=np.int64)
 
-    def qualifying(trial, x, rad):
-        """Qualifying blocks of the sources at site coordinates x, clipped to the window."""
+    def qualifying(trial, x, rad, shift=0):
+        """Qualifying blocks of the sources at site coordinates x, clipped to the window;
+        their top corner rows sit shift rows above the window's."""
         over = rad > functools.reduce(np.minimum, x) + 1
         _tally(clamps, trial, over)
         reach = rad >= functools.reduce(np.maximum, x) - n + 1
@@ -567,9 +605,10 @@ def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii
         trial = trial[reach] if per_source else trial
         lo = [np.maximum(c - rad, -1) for c in x]
         # open sites in the block: the prefix grid's signed corner sum,
-        # with the top corner x+2 in _corners' lo slot and lo+1 in stop;
+        # with the top corner x+2, shifted, in _corners' lo slot and lo+1 in stop;
         # int32 wraps in between, so the sum is exact as S's entries are
-        corners = _corners([c + 2 for c in x], [c + 1 for c in lo], w, trial * w)
+        top = [x[0] + (2 - shift)] + [c + 2 for c in x[1:]]
+        corners = _corners(top, [c + 1 for c in lo], w, trial * h)
         in_block = sum(sign * flat[idx] for sign, idx in corners)
         qualify = in_block - 1 >= k
         # qualifying blocks clipped to the report window, empty ones dropped
@@ -580,10 +619,18 @@ def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii
                 trial[qualify][keep] if per_source else trial)
 
     def blocks():
+        end = 0  # the row of S that holds the previous chunk's last row
         for t0, r0, act, sources, radii in chunks:
-            _prefix_rows(S[t0:t0 + len(act)], r0, act)  # S is final through the chunk's rows
+            # the chunk's carry row: its own (window row r0 - 1, index r0+2)
+            # while the chunk fits below it, else the row that leaves just
+            # room for the chunk, which never reaches rows 0..n+1
+            row, part = min(r0 + 2, h - 1 - act.shape[1]), S[t0:t0 + len(act)]
+            if r0 and row != end:
+                part[:, row] = part[:, end]
+            _prefix_rows(part, row, act)  # S is final through the chunk's rows
+            end = row + act.shape[1]
             trial, x = _sites(t0, r0, sources)
-            out = qualifying(trial, [c + 1 for c in x], radii)  # 1-based sites
+            out = qualifying(trial, [c + 1 for c in x], radii, r0 + 2 - row)  # 1-based sites
             # the sources' coordinates and radii are not held while the
             # next chunk is drawn or counted
             del act, sources, radii, x

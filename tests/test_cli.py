@@ -495,7 +495,7 @@ class TestCountDPBound:
 
 class TestShellBytesBound:
     # an exact query whose shell list would pass the byte budget is refused
-    # before any shell is built; 10^8 shells would take ~15 GB
+    # before any shell is built; 10^8 shells would take ~11 GB
     @pytest.mark.parametrize("argv, shells", [
         (["exact", "--dist", "const:r=1", "--p", "0.5", "--sites", "100000000"], 100_000_000),
         (["exact", "--dist", "power:beta=1.5", "--p", "0.5", "--initiators", "--sites",
@@ -510,7 +510,7 @@ class TestShellBytesBound:
         monkeypatch.setattr(exact, "_shells", no_shells)
         assert main(argv + ["--seed", "1"]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"needs {shells} shells, ~{shells * 160} bytes (> " in err
+        assert err.count("\n") == 1 and f"needs {shells} shells, ~{shells * 112} bytes (> " in err
 
 
 def _lattice_trial(monkeypatch, dim, model, n, cushion=1, chunk_cells=None):
@@ -540,8 +540,8 @@ def _continuum(dim, lam, T):
     return c.trial_bytes(), lambda: continuum.trial_records(c, np.array([5], dtype=np.uint64))
 
 
-def _shells(method):
-    q = exact.ExactQuery(1, 20_000, 0.5, 2, Constant(1))
+def _shells(method, dim=1):
+    q = exact.ExactQuery(dim, 20_000 if dim == 1 else (20_000, 20_000), 0.5, 2, Constant(1))
     return 20_000 * exact._SHELL_BYTES, lambda: exact.METHODS[method](q)
 
 
@@ -560,11 +560,15 @@ class TestByteEstimates:
         "reverse_1d": lambda mp: _lattice_trial(mp, 1, lattice.REVERSE, 400_000, 1, 1 << 17),
         "reverse_2d": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 800, 1, 1 << 17),
         "reverse_2d_cushion": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 200, 4, 1 << 17),
+        # 300 chunks of 10 rows: the prefix grid keeps n+3+10 = 613 of the
+        # extent's 3003 rows, the estimate's largest term
+        "reverse_2d_rolling": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 600, 5, 1 << 15),
         "realize": _realize,
         "continuum_1d": lambda mp: _continuum(1, 2.0, 200_000.0),
         "continuum_2d": lambda mp: _continuum(2, 2.0, 300.0),
         "shells_closed_form": lambda mp: _shells("closedForm"),
         "shells_dp": lambda mp: _shells("dp"),
+        "shells_paper_eq11_2d": lambda mp: _shells("paperEq11", 2),
         "series": lambda mp: _series(100_000),
     }
 

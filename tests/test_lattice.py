@@ -1,5 +1,7 @@
+import itertools
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -1044,3 +1046,168 @@ class TestDrawHelper:
         seeds = mix64(multi_chunk.seed, np.arange(6, dtype=np.uint64))
         want = public_records(multi_chunk, seeds, lat._site_indices(multi_chunk, sites))
         np.testing.assert_array_equal(one.fractions, want["fraction"])
+
+
+def brute_reverse(r: Realization, k: int):
+    """brute_reverse_membership and the clamp count of the realization, the
+    definition evaluated over every pair of sources at once."""
+    srcs = sources_of(r)
+    d, n = r.config.dimension, r.config.n
+    pos = np.array([np.atleast_1d(s) for s, _ in srcs], dtype=np.int64).reshape(-1, d)
+    rad = np.array([rad for _, rad in srcs], dtype=np.int64).reshape(-1, 1, 1)
+
+    def in_block(points):
+        # [i, j]: point j lies in source i's block i + [-rad_i, 0]^d
+        return np.all((points[None] >= pos[:, None] - rad) & (points[None] <= pos[:, None]),
+                      axis=2)
+
+    qualify = in_block(pos).sum(axis=1) - 1 >= k
+    window = np.indices((n,) * d).reshape(d, -1).T
+    member = in_block(window)[qualify].any(axis=0).reshape((n,) * d).astype(int)
+    return member, int(np.count_nonzero(rad[:, 0, 0] > pos.min(axis=1) + 1))
+
+
+class TestRowLayout:
+    """A reverse trial's prefix grid keeps rows 0..n+1 and rolls each chunk's
+    rows, with the carry row above them, through the rows below; a one-chunk
+    window gets the whole grid.  Fields, memberships and clamps must equal the
+    brute-force ones of the realized window, whatever the chunking."""
+
+    @staticmethod
+    def layouts(dim):
+        """(n, cushion, _CHUNK_CELLS or None for the default) at n in {1, 2, 5},
+        cushion 1 (the buffer is the whole grid) and 5, in one chunk, one-row
+        chunks and chunks of a third of the extent."""
+        for n in (1, 2, 5):
+            for cushion in (1, 5):
+                m = n * cushion
+                yield n, cushion, None
+                for rows in sorted({1, max(1, m // 3)}):
+                    yield n, cushion, rows * m ** (dim - 1)
+
+    @staticmethod
+    def chunking(monkeypatch, c, chunk_cells):
+        """Set _CHUNK_CELLS; returns (chunks, S rows, whole-grid rows) of c's trials."""
+        monkeypatch.setattr(lat, "_CHUNK_CELLS", chunk_cells or 1 << 22)
+        m, d = c.extent(), c.dimension
+        return len(lat._row_blocks(m, d)), min(m + 3, c.n + 3 + lat._chunk_rows(m, d)), m + 3
+
+    def test_brute_force_is_the_definition(self):
+        for dim, initiators in ((1, True), (2, False), (2, True)):
+            r = realize(cfg(model=REVERSE, dim=dim, n=5 if dim == 2 else 12, cushion=2, p=0.6,
+                            seed=8, initiators=initiators))
+            for k in (0, 1, 3):
+                np.testing.assert_array_equal(brute_reverse(r, k)[0],
+                                              brute_reverse_membership(r, k))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("initiators", [False, True])
+    def test_fields_equal_brute_force(self, monkeypatch, dim, initiators):
+        rolled = 0
+        for n, cushion, chunk_cells in self.layouts(dim):
+            for dist, seed in ((PowerTail(1.5), 0), (GEO, 1), (PowerTail(0.5), 2)):
+                c = cfg(model=REVERSE, dim=dim, n=n, cushion=cushion, p=0.5, k=1, dist=dist,
+                        seed=seed, initiators=initiators)
+                chunks, rows, whole = self.chunking(monkeypatch, c, chunk_cells)
+                rolled += chunks >= 3 and rows < whole
+                r = realize(c)
+                for k in (0, 1, 3):
+                    want, clamps = brute_reverse(r, k)
+                    got = reverse_membership(r, k)
+                    np.testing.assert_array_equal(got.values, want)
+                    assert got.clamp_count == clamps
+                    if k:
+                        assert_same_field(streamed(replace(c, k=k)), got)
+        assert rolled
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_records_at_one_and_two_workers(self, monkeypatch, dim):
+        kinds = set()
+        for n, cushion, chunk_cells in self.layouts(dim):
+            c = cfg(model=REVERSE, dim=dim, n=n, cushion=cushion, p=0.5, k=2,
+                    dist=PowerTail(1.5), seed=n + cushion, initiators=True)
+            chunks, rows, whole = self.chunking(monkeypatch, c, chunk_cells)
+            kinds.add("batched" if lat._batched(c) else
+                      "rolled" if chunks >= 3 and rows < whole else "whole")
+            hi = n - 1
+            sites = [0, hi] if dim == 1 else [(0, 0), (hi, 0), (hi, hi)]
+            seeds = mix64(c.seed, np.arange(6, dtype=np.uint64))
+            want = public_records(c, seeds, lat._site_indices(c, sites))
+            for workers in (1, 2):
+                stats = simulate_window(c, 6, workers, sites)
+                np.testing.assert_array_equal(stats.fractions, want["fraction"])
+                np.testing.assert_array_equal(stats.last_normalized, want["last"])
+                assert stats.clamp_count == want["clamp"].sum()
+                assert [e.under_count for e in stats.sites] == want["bits"].sum(axis=0).tolist()
+        assert kinds == {"batched", "rolled", "whole"}
+
+    @pytest.mark.parametrize("dim, n, cushion, chunk_cells", [
+        (1, 40, 4, 7), (1, 9, 5, 3), (2, 7, 4, 64), (2, 10, 4, 80)])
+    def test_long_windows(self, monkeypatch, dim, n, cushion, chunk_cells):
+        # many chunks, the first ones in the window's own rows, then rolled;
+        # a constant radius puts many blocks' left edges on the initiators'
+        # columns, which each rolled row must read afresh
+        for initiators, dist, k in itertools.product((False, True), (PowerTail(1.5), Constant(3)),
+                                                     (1, 2, 3)):
+            c = cfg(model=REVERSE, dim=dim, n=n, cushion=cushion, p=0.5, k=k, dist=dist,
+                    seed=31, initiators=initiators)
+            chunks, rows, whole = self.chunking(monkeypatch, c, chunk_cells)
+            assert chunks > 5 and rows < whole
+            want, clamps = brute_reverse(realize(c), k)
+            got = streamed(c)
+            np.testing.assert_array_equal(got.values, want)
+            assert got.clamp_count == clamps
+
+    def test_rolled_rows_read_the_initiator_columns(self, monkeypatch):
+        # one-row chunks of a 20-wide extent at n = 2: S keeps rows 0..3 and
+        # rolls rows 4..5, so site (4, 3)'s top corners sit in a reused row,
+        # whose initiator columns must hold the carry row's counts afresh;
+        # its block [1..4] x [0..3] holds (2, 2) alone, which qualifies it at k = 1
+        c = cfg(model=REVERSE, dim=2, n=2, cushion=10, p=0.5, k=1, dist=C1, initiators=True)
+        act = np.zeros((20, 20), dtype=bool)
+        act[1, 1] = act[3, 2] = True
+        r = Realization(c, act, np.array([0, 3], dtype=np.int64),
+                        initiator_radii=np.array([0, 0], dtype=np.int64))
+        assert self.chunking(monkeypatch, c, 20)[1:] == (6, 23)
+        got = reverse_membership(r, 1)
+        np.testing.assert_array_equal(got.values, [[0, 0], [1, 1]])
+        np.testing.assert_array_equal(got.values, brute_reverse(r, 1)[0])
+
+    def test_trial_peak_below_half_the_whole_grid(self, monkeypatch):
+        # 63 chunks of 32 rows: the grid keeps 435 of the extent's 2003 rows
+        monkeypatch.setattr(lat, "_CHUNK_CELLS", 1 << 16)
+        c = cfg(model=REVERSE, dim=2, n=400, cushion=5, p=0.5, k=2, dist=PowerTail(1.5), seed=5)
+        m = c.extent()
+        assert len(lat._row_blocks(m, 2)) > 3
+        seeds = np.array([c.seed], dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            lat._summaries(c, seeds, lat._site_indices(c, []))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (m + 3) ** 2 / 2
+
+
+class TestSurvivalBounds:
+    @pytest.mark.parametrize("dist", TRIAL_LAWS, ids=repr)
+    def test_blocks_equal_the_whole_axis(self, monkeypatch, dist):
+        for block, n, cushion in ((1, 13, 3), (7, 1, 1), (7, 13, 3), (7, 14, 1),
+                                  (1 << 16, 30_001, 5)):
+            monkeypatch.setattr(lat, "_BOUND_SITES", block)
+            c = cfg(model=REVERSE, n=n, cushion=cushion, dist=dist)
+            sites = np.arange(1, c.extent() + 1, dtype=np.int64)
+            reach, clamp = lat._survival_bounds(c)
+            assert reach.tobytes() == (lat._SURVIVAL_SLACK * dist.survival_vec(sites - n + 1)).tobytes()
+            assert clamp.tobytes() == (lat._SURVIVAL_SLACK * dist.survival_vec(sites + 2)).tobytes()
+
+    def test_peak_per_axis_site(self):
+        # the two float64 bounds and one block's temporaries
+        c = cfg(model=REVERSE, n=1_000_000, cushion=5, p=0.01, dist=PowerTail(1.5))
+        tracemalloc.start()
+        try:
+            lat._survival_bounds(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * c.extent()
