@@ -1073,6 +1073,8 @@ class TestRowLayout:
     window gets the whole grid.  Fields, memberships and clamps must equal the
     brute-force ones of the realized window, whatever the chunking."""
 
+    CHUNK_CELLS = lat._CHUNK_CELLS
+
     @staticmethod
     def layouts(dim):
         """(n, cushion, _CHUNK_CELLS or None for the default) at n in {1, 2, 5},
@@ -1085,10 +1087,9 @@ class TestRowLayout:
                 for rows in sorted({1, max(1, m // 3)}):
                     yield n, cushion, rows * m ** (dim - 1)
 
-    @staticmethod
-    def chunking(monkeypatch, c, chunk_cells):
+    def chunking(self, monkeypatch, c, chunk_cells):
         """Set _CHUNK_CELLS; returns (chunks, S rows, whole-grid rows) of c's trials."""
-        monkeypatch.setattr(lat, "_CHUNK_CELLS", chunk_cells or 1 << 22)
+        monkeypatch.setattr(lat, "_CHUNK_CELLS", chunk_cells or self.CHUNK_CELLS)
         m, d = c.extent(), c.dimension
         return len(lat._row_blocks(m, d)), min(m + 3, c.n + 3 + lat._chunk_rows(m, d)), m + 3
 
