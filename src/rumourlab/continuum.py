@@ -5,9 +5,10 @@ x grows a block x + [0, rho]^d with rho drawn from a continuous heavy- or
 light-tailed law.  The 1D sweep finds the supremum of the k-deficient
 set exactly; the 2D variant rasterizes onto a pixel grid with the lattice
 box-count kernel (discretization bias of order resolution * boundary
-density, documented not corrected).  A trial holds ~90 (1D) or ~140 (2D)
-bytes per point and ~13 per pixel; a request whose expected trial passes
-the memory budget, stats.MAX_BYTES, is refused before sampling.
+density, documented not corrected), a block of at most _SOURCE_BLOCK points
+at a time.  A trial holds ~90 (1D) or ~32 (2D) bytes per point, ~105 per
+point of one 2D block and ~13 per pixel; a request whose expected trial
+passes the memory budget, stats.MAX_BYTES, is refused before sampling.
 """
 
 from __future__ import annotations
@@ -18,15 +19,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from rumourlab.distributions import ConstCont, ParetoCont, PowerCont
-from rumourlab.lattice import box_counts, run_trials
+from rumourlab.lattice import _SOURCE_BLOCK, box_counts, run_trials
 from rumourlab.stats import check_bytes, mean_interval, make_rng
 
-# bytes per point and per pixel of one trial, from tracemalloc peaks of
-# ~88 (1D) and ~135 (2D) per point: its coordinates, radius, sorted copies or
-# box corners; and ~13 per pixel: the int32 grid, the deficient mask and its
-# flat indices.  A trial under the budget has fewer than 2^31 points, so
+# bytes per point and per pixel of one trial, from tracemalloc peaks: ~88
+# per point in 1D, its coordinates, radius and sorted copies; in 2D ~32 per
+# point held for the trial (its coordinates, radius and sample_ppp's
+# temporaries) and ~105 per point of one block of _SOURCE_BLOCK points turned
+# into box corners; and ~13 per pixel: the int32 grid, the deficient mask and
+# its flat indices.  A trial under the budget has fewer than 2^31 points, so
 # the int32 pixel counts cannot overflow.
-_POINT_BYTES = {1: 128, 2: 192}
+_POINT_BYTES = {1: 128, 2: 40}
+_BLOCK_POINT_BYTES = {1: 0, 2: 128}
 _PIXEL_BYTES = 16
 # bytes of a trial that do not grow with it
 _TRIAL_OVERHEAD = 1 << 20
@@ -61,11 +65,14 @@ class ContinuumConfig:
         check_bytes(self.trial_bytes(), "one trial's lambda * T^d expected points")
 
     def trial_bytes(self) -> float:
-        """Peak bytes of one trial: its expected points, lambda * T^d, and in 2D its
-        pixels; float products, so an overflow gives inf, not an OverflowError."""
-        points = self.lam * math.prod((self.window_t,) * self.dimension)
-        side = float(math.ceil(self.window_t / self.resolution)) if self.dimension == 2 else 0.0
-        return points * _POINT_BYTES[self.dimension] + side * side * _PIXEL_BYTES + _TRIAL_OVERHEAD
+        """Peak bytes of one trial: its expected points, lambda * T^d, and in 2D one
+        block of them and its pixels; float products, so an overflow gives inf,
+        not an OverflowError."""
+        d = self.dimension
+        points = self.lam * math.prod((self.window_t,) * d)
+        side = float(math.ceil(self.window_t / self.resolution)) if d == 2 else 0.0
+        return (points * _POINT_BYTES[d] + min(points, _SOURCE_BLOCK) * _BLOCK_POINT_BYTES[d]
+                + side * side * _PIXEL_BYTES + _TRIAL_OVERHEAD)
 
 
 @dataclass
@@ -126,17 +133,23 @@ def k_cover_deficit_2d(points: PointSet, k: int, window_t: float, resolution: fl
     """
     m = math.ceil(window_t / resolution)
     check_bytes(m * m * _PIXEL_BYTES, f"a pixel grid of {m}^2 cells")
-    x = points.coordinates[:, 0]
-    y = points.coordinates[:, 1]
-    hix = np.minimum(x + points.radii, window_t)
-    hiy = np.minimum(y + points.radii, window_t)
-    a_lo = np.ceil(x / resolution).astype(np.int64)
-    b_lo = np.ceil(y / resolution).astype(np.int64)
-    a_stop = np.minimum(np.floor(hix / resolution), m - 1).astype(np.int64) + 1
-    b_stop = np.minimum(np.floor(hiy / resolution), m - 1).astype(np.int64) + 1
-    keep = (a_lo < a_stop) & (b_lo < b_stop)
-    boxes = ((a_lo[keep], b_lo[keep]), (a_stop[keep], b_stop[keep]), 0)
-    counts = box_counts(m, 2, [boxes], 1)[0]
+
+    def boxes():
+        # _SOURCE_BLOCK points at a time, so no per-point temporary spans the set
+        for i in range(0, len(points.radii), _SOURCE_BLOCK):
+            x = points.coordinates[i:i + _SOURCE_BLOCK, 0]
+            y = points.coordinates[i:i + _SOURCE_BLOCK, 1]
+            rad = points.radii[i:i + _SOURCE_BLOCK]
+            hix = np.minimum(x + rad, window_t)
+            hiy = np.minimum(y + rad, window_t)
+            a_lo = np.ceil(x / resolution).astype(np.int64)
+            b_lo = np.ceil(y / resolution).astype(np.int64)
+            a_stop = np.minimum(np.floor(hix / resolution), m - 1).astype(np.int64) + 1
+            b_stop = np.minimum(np.floor(hiy / resolution), m - 1).astype(np.int64) + 1
+            keep = (a_lo < a_stop) & (b_lo < b_stop)
+            yield (a_lo[keep], b_lo[keep]), (a_stop[keep], b_stop[keep]), 0
+
+    counts = box_counts(m, 2, boxes(), 1)[0]
     bad = counts < k
     fraction = float(np.count_nonzero(bad)) / (m * m)
     if fraction == 0.0:

@@ -20,13 +20,15 @@ Both models share one counting contract: a body takes (..., trials,
 chunks, initiator_radii) and returns a (trials, n, ...) field and (trials,)
 clamp counts, from _draws' chunks in the row order of each trial's window
 stream, and one box_counts call with a leading trial axis counts every
-trial's field.  _firework counts cover blocks.  In _membership the open bits
-fill an int32 prefix grid per trial over sites [-1..m]^d, each source's
-block count is the signed sum of that grid at the block's 2^d corners, and
-the qualifying blocks are marked; the grid holds only the rows a block
-count reads, rows 0..n+1 and the current chunk's, which roll through one
-buffer.  A realization feeds either body as the chunks of one trial, in the
-row blocks of realize (firework_counts, reverse_membership).
+trial's field; both turn a chunk's sources into box corners a block of at
+most _SOURCE_BLOCK sources at a time (_sites), so a chunk's per-source
+transients stay bounded.  _firework counts cover blocks.  In _membership
+the open bits fill an int32 prefix grid per trial over sites [-1..m]^d,
+each source's block count is the signed sum of that grid at the block's
+2^d corners, and the qualifying blocks are marked; the grid holds only the
+rows a block count reads, rows 0..n+1 and the current chunk's, which roll
+through one buffer.  A realization feeds either body as the chunks of one
+trial, in the row blocks of realize (firework_counts, reverse_membership).
 
 One producer, _draws(config, seeds, select), lays out the window stream:
 chunks (first trial, first row, open bits, selected open sites, their
@@ -49,7 +51,7 @@ over groups of ~_BATCH_CELLS extent cells: a firework group is counted by
 _firework, and a reverse group streams (_stream_reverse): outside a batch,
 only open sites that can reach the reported window or clamp are sources
 and get radii, so a large trial needs ~4 bytes per cell of n+3+chunk rows
-of the extent.
+of the extent, ~32 per candidate of a chunk and one block's transients.
 stats.uniforms draws every initiator radius too.
 Each record is thus bit-identical to the one-trial path, firework_counts
 or reverse_membership of realize(config).  NumPy's NEP 19 does not freeze
@@ -120,11 +122,24 @@ FIREWORK = "firework"
 REVERSE = "reverseFirework"
 _MODELS = (FIREWORK, REVERSE)
 
-# transient bytes per source of a chunk while it is counted: its coordinates,
-# stops, corner indices and masks (tracemalloc peaks of one trial less its
-# grids and draws, 1D and 2D: at most 73 firework, 142 reverse, and 183 while
-# a streamed reverse trial's helper draws the next chunk)
+# sources per block that the counting bodies (and the continuum's 2D raster)
+# turn into box corners at once, so their transients stay near 10 MB
+# whatever the chunk
+_SOURCE_BLOCK = 1 << 16
+
+# transient bytes per source of a block while it is counted: its coordinates,
+# stops, corner indices and masks (tracemalloc, peak with a block of 2^16
+# sources less the peak with one of 2^8, 1D and 2D: at most 75 firework and
+# 167 reverse; the reverse margin also covers the helper's piece of the next
+# chunk, drawn meanwhile)
 _SOURCE_BYTES = {FIREWORK: 96, REVERSE: 256}
+
+# bytes per source held for its whole chunk: its flat index and, while the
+# chunk is drawn, its radius pieces and their join (firework; a group's radii
+# are counted apart), or its radius and the helper's radii of the next chunk,
+# pieces and join (streamed reverse); tracemalloc slopes over chunk size at
+# p = 1: ~16 firework, ~32 reverse
+_SOURCE_HELD = {FIREWORK: 16, REVERSE: 32}
 
 # bytes of a trial that do not grow with its window: the reused piece buffer
 # (2 MiB) and a group of small windows' trials (~1 MiB at _BATCH_CELLS), or,
@@ -179,7 +194,9 @@ class LatticeConfig:
         """Peak bytes of one group of _summaries' trials, which one process runs at once.
 
         Both models: the reported window's int32 count grid and two bool masks
-        over it, and the transients of the expected open sites of one chunk.
+        over it, what the expected open sites of one chunk hold for the whole
+        chunk (_SOURCE_HELD), and the transients of one block of them
+        (_SOURCE_BYTES), at most _SOURCE_BLOCK sources.
         Firework: the group's drawn chunks (1 byte per cell, 8 per open site).
         Streamed reverse: _membership's int32 prefix grid, min(m+3, n+3+chunk
         rows) rows of (m+3)^(d-1) cells, the two float64 survival bounds
@@ -194,7 +211,9 @@ class LatticeConfig:
         own = _TRIAL_OVERHEAD + (m ** d + 8 * math.ceil(p * m ** d) if self.model == FIREWORK
                                  else 4 * min(m + 3, n + 3 + rows) * (m + 3) ** (d - 1)
                                  + 16 * m + 4 * chunk)
-        return own + 6 * (n + 1) ** d + math.ceil(p * chunk) * _SOURCE_BYTES[self.model]
+        sources = math.ceil(p * chunk)
+        return (own + 6 * (n + 1) ** d + min(sources, _SOURCE_BLOCK) * _SOURCE_BYTES[self.model]
+                + sources * _SOURCE_HELD[self.model])
 
 
 @dataclass
@@ -348,15 +367,18 @@ def _realized_chunks(realization: Realization):
         off += count
 
 
-def _sites(t0: int, r0: int, bits: np.ndarray):
-    """(trial, per-axis 0-based extent coordinates) of the set bits of a chunk of
-    trials t0.. over rows r0..; a one-trial chunk keeps a scalar trial index,
-    so no index array per site is built."""
+def _sites(t0: int, r0: int, bits: np.ndarray, radii: np.ndarray):
+    """Blocks (trial, per-axis 0-based extent coordinates, radii) of at most
+    _SOURCE_BLOCK of the set bits of a chunk of trials t0.. over rows r0..,
+    whose radii are row-major (aligned with np.flatnonzero(bits)); a one-trial
+    chunk keeps a scalar trial index, so no index array per site is built."""
     flat = np.flatnonzero(bits)
-    trial, flat = divmod(flat, bits[0].size) if len(bits) > 1 else (0, flat)
-    sites = list(divmod(flat, bits.shape[-1])) if bits.ndim > 2 else [flat]
-    sites[0] += r0
-    return trial + t0, sites
+    for a in range(0, len(flat), _SOURCE_BLOCK):
+        part = flat[a:a + _SOURCE_BLOCK]
+        trial, part = divmod(part, bits[0].size) if len(bits) > 1 else (0, part)
+        sites = list(divmod(part, bits.shape[-1])) if bits.ndim > 2 else [part]
+        sites[0] += r0
+        yield trial + t0, sites, radii[a:a + _SOURCE_BLOCK]
 
 
 def _initiator_radii(dist: TailDistribution, seeds: np.ndarray) -> np.ndarray:
@@ -454,7 +476,8 @@ def _firework(config: LatticeConfig, trials: int, chunks, initiator_radii):
 
     def batches():
         for t0, r0, _, sources, radii in chunks:
-            yield boxes(*_sites(t0, r0, sources), radii)
+            for trial, starts, rad in _sites(t0, r0, sources, radii):
+                yield boxes(trial, starts, rad)
         if initiator_radii is not None:
             init = np.maximum(_INITIATOR_SITES + initiator_radii, 0).reshape(-1) - 1
             yield boxes(np.repeat(np.arange(trials), 2), [np.zeros_like(init)], init)
@@ -629,12 +652,11 @@ def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii
                 part[:, row] = part[:, end]
             _prefix_rows(part, row, act)  # S is final through the chunk's rows
             end = row + act.shape[1]
-            trial, x = _sites(t0, r0, sources)
-            out = qualifying(trial, [c + 1 for c in x], radii, r0 + 2 - row)  # 1-based sites
-            # the sources' coordinates and radii are not held while the
-            # next chunk is drawn or counted
-            del act, sources, radii, x
-            yield out
+            yield from (qualifying(trial, [c + 1 for c in x], rad, r0 + 2 - row)  # 1-based sites
+                        for trial, x, rad in _sites(t0, r0, sources, radii))
+            # the chunk's bits and radii are not held while the next chunk
+            # is drawn or counted
+            del act, sources, radii
         if initiator_radii is not None:
             sites = np.tile(_INITIATOR_SITES, trials)
             yield qualifying(np.repeat(np.arange(trials), 2), [sites] * d,

@@ -563,6 +563,9 @@ class TestByteEstimates:
         # 300 chunks of 10 rows: the prefix grid keeps n+3+10 = 613 of the
         # extent's 3003 rows, the estimate's largest term
         "reverse_2d_rolling": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 600, 5, 1 << 15),
+        # 4 chunks of 262 rows, each 4 blocks of candidates (all open sites at
+        # cushion 1): the held and the block terms of the estimate both count
+        "reverse_2d_blocks": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 1000, 1, 1 << 18),
         "realize": _realize,
         "continuum_1d": lambda mp: _continuum(1, 2.0, 200_000.0),
         "continuum_2d": lambda mp: _continuum(2, 2.0, 300.0),
@@ -582,6 +585,21 @@ class TestByteEstimates:
         finally:
             tracemalloc.stop()
         assert peak < estimate
+
+    def test_reverse_2d_benchmark_trial_admits_four_workers(self, inline_pools, monkeypatch):
+        # the reverse-2d benchmark's 2D trial: each chunk holds ~4x10^5
+        # candidates, and the estimate counts one block's transients
+        monkeypatch.setattr(lattice.os, "sched_getaffinity", lambda pid: set(range(8)))
+        c = lattice.LatticeConfig(2, lattice.REVERSE, 0.5, 2, 2000,
+                                  parse_distribution("power:beta=1.5"), 1, cushion=5,
+                                  include_initiators=True)
+        assert c.trial_bytes() < 250_000_000
+
+        def no_trials(config, seeds):
+            return np.zeros(len(seeds), np.int64)
+
+        lattice.run_trials(no_trials, [(c, (), ())], 4, 4, np.int64)
+        assert [p.max_workers for p in inline_pools] == [4]
 
 
 class TestOversizedContinuum:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +161,30 @@ class TestDeficit2D:
             pts = sample_ppp(cfg(dim=2, lam=lam, T=T, law=ParetoCont(0.8), seed=seed, res=res))
             assert k_cover_deficit_2d(pts, k, T, res) == brute_deficit_2d(pts, k, T, res)
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocks_equal_the_default(self, block):
+        # ~1800 points a trial, in one default block; the counts are integer
+        # sums, so blocks of 1 and 7 points give the same grid
+        for seed, k in itertools.product(range(3), (1, 2, 3)):
+            pts = sample_ppp(cfg(dim=2, lam=2.0, T=30.0, law=ParetoCont(0.5), seed=seed, res=0.25))
+            want = k_cover_deficit_2d(pts, k, 30.0, 0.25)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(continuum, "_SOURCE_BLOCK", block)
+                assert k_cover_deficit_2d(pts, k, 30.0, 0.25) == want
+
+    def test_peak_per_point(self):
+        # ~3.2x10^5 points on 1.6x10^5 pixels; the raster holds one block's
+        # box corners at a time (unblocked: ~115 bytes per point)
+        pts = sample_ppp(cfg(dim=2, lam=2.0, T=400.0, seed=3, res=1.0))
+        assert len(pts.radii) > 4 * continuum._SOURCE_BLOCK
+        tracemalloc.start()
+        try:
+            k_cover_deficit_2d(pts, 2, 400.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * len(pts.radii)
+
     def test_too_many_points_rejected_before_sampling(self):
         with pytest.raises(ValueError, match="expected points"):
             cfg(dim=1, lam=1e9, T=1e6)
@@ -298,3 +324,60 @@ class TestContinuousLawParsing:
         assert np.all(ConstCont(3.0).quantile_from_uniform(u) == 3.0)
         # P(rho > x) for rho = 3: one below r, zero at and above it
         assert [ConstCont(3.0).survival(x) for x in (2.5, 3.0, 3.5)] == [1.0, 0.0, 0.0]
+
+
+def cover_integral(law, T: float) -> float:
+    """The integral of P(rho > s) over s in [0, T], in closed form per law."""
+    if isinstance(law, ConstCont):
+        return min(law.r, T)
+    if isinstance(law, ParetoCont):
+        return T if law.alpha >= T else law.alpha * (1.0 + math.log(T / law.alpha))
+    b = law.beta  # PowerCont, T > 1
+    return 1.0 + (math.log(T) if b == 1 else (T ** (1.0 - b) - 1.0) / (1.0 - b))
+
+
+def poisson_below(mu: float, k: int) -> float:
+    """P(Poisson(mu) < k)."""
+    return math.exp(-mu) * sum(mu**j / math.factorial(j) for j in range(k))
+
+
+class TestExactLaw1D:
+    """The 1D statistic is 1 exactly when T itself lies in fewer than k
+    intervals [x_i, x_i + r_i).  Points fall as a PPP(lam) on [0, T] with
+    i.i.d. radii, so by the marking theorem (Kingman 1993, 5.2) the intervals
+    that cover T are Poisson with mean lam * integral_0^T P(rho > s) ds, and
+    P(statistic = 1) = P(Poisson(mu) < k)."""
+
+    # (lam, T, law, k), each exact value in ~[0.05, 0.95]: pareto with
+    # alpha >= T (every interval from [0, T] covers T, mu = lam * T) and
+    # alpha < T, const with r < T and r >= T, power on both sides of beta = 1
+    POINTS = [
+        (0.5, 4.0, ParetoCont(5.0), 2), (1.0, 2.0, ParetoCont(2.0), 3),
+        (0.3, 5.0, ParetoCont(8.0), 1), (1.5, 3.0, ParetoCont(3.0), 4),
+        (3.0, 1.5, ParetoCont(2.0), 3), (0.5, 10.0, ParetoCont(1.0), 2),
+        (0.2, 20.0, ParetoCont(2.0), 1), (1.0, 8.0, ParetoCont(0.5), 2),
+        (2.0, 6.0, ParetoCont(1.5), 5), (1.0, 10.0, ConstCont(2.0), 2),
+        (0.5, 6.0, ConstCont(3.0), 1), (2.0, 5.0, ConstCont(1.5), 3),
+        (0.4, 20.0, ConstCont(5.0), 2), (1.0, 2.0, ConstCont(3.0), 2),
+        (1.0, 10.0, PowerCont(2.0), 2), (0.5, 20.0, PowerCont(1.5), 1),
+        (0.1, 30.0, PowerCont(1.2), 1), (0.5, 10.0, PowerCont(1.0), 2),
+        (0.3, 10.0, PowerCont(0.5), 2), (1.0, 4.0, PowerCont(0.8), 4),
+    ]
+    TRIALS = 1000
+    SEED = 2017
+
+    def test_exact_values_in_range(self):
+        for lam, T, law, k in self.POINTS:
+            assert 0.05 <= poisson_below(lam * cover_integral(law, T), k) <= 0.95
+
+    def test_wilson_intervals_cover_the_exact_law(self):
+        jobs = [(cfg(dim=1, lam=lam, T=T, law=law, k=k, seed=self.SEED), (i,), ())
+                for i, (lam, T, law, k) in enumerate(self.POINTS)]
+        results = lattice.run_trials(trial_records, jobs, self.TRIALS, 1,
+                                     continuum.record_dtype(1))
+        covered = 0
+        for (lam, T, law, k), records in zip(self.POINTS, results):
+            ones = int(np.count_nonzero(records["statistic"] == 1.0))
+            lo, hi = stats.wilson_interval(ones, self.TRIALS)
+            covered += lo <= poisson_below(lam * cover_integral(law, T), k) <= hi
+        assert covered >= 19

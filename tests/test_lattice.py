@@ -1212,3 +1212,125 @@ class TestSurvivalBounds:
         finally:
             tracemalloc.stop()
         assert peak <= 20 * c.extent()
+
+
+def brute_firework_clamps(r: Realization) -> int:
+    """Sources, initiators included, whose block s + [0, r]^d passes site n on some axis."""
+    return sum(1 for s, rad in sources_of(r) if max(np.atleast_1d(s)) + rad > r.config.n)
+
+
+class TestSourceBlocks:
+    """The counting bodies turn a chunk's sources into box corners a block of
+    at most _SOURCE_BLOCK sources at a time.  Blocks of 1 and 7 split trials,
+    chunks and batched groups anywhere; counts and clamps are integer sums,
+    so every field, record and clamp count must equal the unblocked ones."""
+
+    BLOCKS = (1, 7)
+
+    @staticmethod
+    def layouts(model, dim):
+        """(n, cushion, _CHUNK_CELLS or None): one chunk, and chunks of 3 rows;
+        a firework window is its extent, with no cushion."""
+        for n, cushion in ((6, 1), (4, 3)) if dim == 2 else ((40, 1), (12, 4)):
+            n, cushion = (n * cushion, 1) if model == FIREWORK else (n, cushion)
+            yield n, cushion, None
+            yield n, cushion, 3 * (n * cushion) ** (dim - 1)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("model, dim, initiators", [
+        (FIREWORK, 1, False), (FIREWORK, 1, True), (FIREWORK, 2, False),
+        (REVERSE, 1, False), (REVERSE, 1, True), (REVERSE, 2, False), (REVERSE, 2, True)])
+    def test_fields_equal_brute_force(self, monkeypatch, block, model, dim, initiators):
+        monkeypatch.setattr(lat, "_SOURCE_BLOCK", block)
+        for n, cushion, chunk_cells in self.layouts(model, dim):
+            monkeypatch.setattr(lat, "_CHUNK_CELLS", chunk_cells or TestRowLayout.CHUNK_CELLS)
+            for dist, seed in ((PowerTail(1.5), 0), (GEO, 1), (Constant(3), 2)):
+                c = cfg(model=model, dim=dim, n=n, cushion=cushion, p=0.5, k=1, dist=dist,
+                        seed=seed, initiators=initiators)
+                r = realize(c)
+                assert len(r.radii) > block  # several blocks per trial
+                if model == FIREWORK:
+                    got = firework_counts(r)
+                    np.testing.assert_array_equal(got.values, brute_firework_counts(r))
+                    assert got.clamp_count == brute_firework_clamps(r)
+                    continue
+                for k in (0, 1, 3):
+                    want, clamps = brute_reverse(r, k)
+                    got = reverse_membership(r, k)
+                    np.testing.assert_array_equal(got.values, want)
+                    assert got.clamp_count == clamps
+                    if k:
+                        assert_same_field(streamed(replace(c, k=k)), got)
+
+    # (n, cushion) per model and dimension: a batched window, then a
+    # per-trial one (in chunks of 3 rows, below)
+    CASES = {
+        (FIREWORK, 1): [(40, 1), (300, 1)],
+        (FIREWORK, 2): [(6, 1), (20, 1)],
+        (REVERSE, 1): [(20, 4), (80, 4)],
+        (REVERSE, 2): [(3, 4), (6, 4)],
+    }
+
+    @pytest.mark.parametrize("model, dim, initiators", [
+        (FIREWORK, 1, False), (FIREWORK, 1, True), (FIREWORK, 2, False),
+        (REVERSE, 1, False), (REVERSE, 1, True), (REVERSE, 2, False), (REVERSE, 2, True)])
+    def test_records_equal_unblocked(self, monkeypatch, model, dim, initiators):
+        kinds = set()
+        for (n, cushion), k in itertools.product(self.CASES[model, dim], (1, 3)):
+            c = cfg(model=model, dim=dim, p=0.5, k=k, n=n, dist=PowerTail(1.5), seed=n + k,
+                    cushion=cushion, initiators=initiators)
+            batched = c.extent() ** dim <= lat._BATCH_MAX_CELLS
+            monkeypatch.setattr(lat, "_CHUNK_CELLS", TestRowLayout.CHUNK_CELLS if batched
+                                else 3 * c.extent() ** (dim - 1))
+            assert lat._batched(c) == batched
+            kinds.add(len(lat._row_blocks(c.extent(), dim)))  # RNG chunks per trial
+            o, hi = c.report_origin(), c.report_origin() + n - 1
+            idx = lat._site_indices(c, [o, hi] if dim == 1 else [(o, o), (hi, hi)])
+            seeds = mix64(c.seed, np.arange(12, dtype=np.uint64))
+            want = lat._summaries(c, seeds, idx)
+            for block in self.BLOCKS:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(lat, "_SOURCE_BLOCK", block)
+                    TestBatchedTrials.assert_same_records(lat._summaries(c, seeds, idx), want)
+        assert 1 in kinds and max(kinds) > 2  # batched windows and several chunks
+
+    @pytest.mark.parametrize("model, dim", [(FIREWORK, 2), (REVERSE, 1), (REVERSE, 2)])
+    def test_records_at_one_and_two_workers(self, model, dim):
+        for n, cushion in self.CASES[model, dim]:
+            c = cfg(model=model, dim=dim, p=0.5, k=2, n=n, dist=PowerTail(1.5), seed=n,
+                    cushion=cushion, initiators=model == REVERSE)
+            hi = c.report_origin() + n - 1
+            sites = [hi] if dim == 1 else [(hi, hi)]
+            unblocked = simulate_window(c, 6, 1, sites)
+            for workers in (1, 2):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(lat, "_SOURCE_BLOCK", 7)
+                    stats = simulate_window(c, 6, workers, sites)
+                np.testing.assert_array_equal(stats.fractions, unblocked.fractions)
+                np.testing.assert_array_equal(stats.last_normalized, unblocked.last_normalized)
+                assert stats.clamp_count == unblocked.clamp_count
+                assert stats.sites == unblocked.sites
+
+    @staticmethod
+    def traced_peak(c: LatticeConfig) -> int:
+        seeds = np.array([c.seed], dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            lat._summaries(c, seeds, lat._site_indices(c, []))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_firework_2d_trial_peak(self):
+        # one p-scan trial: ~2x10^5 sources in one chunk, ~47 MiB unblocked
+        c = cfg(dim=2, p=0.1, n=2000, dist=ParetoTail(4.0), seed=3)
+        assert self.traced_peak(c) < 36 * 2**20
+
+    def test_reverse_2d_peak_per_chunk_source(self, monkeypatch):
+        # two chunks of 524 rows, every site a candidate at cushion 1 and p = 1:
+        # 8 blocks per chunk; unblocked it peaked at ~197 bytes per chunk source
+        monkeypatch.setattr(lat, "_CHUNK_CELLS", 1 << 19)
+        c = cfg(model=REVERSE, dim=2, p=1.0, n=1000, dist=PowerTail(1.5), seed=3)
+        sources = lat._chunk_rows(c.extent(), 2) * c.extent()
+        assert sources >= 3 * lat._SOURCE_BLOCK
+        assert self.traced_peak(c) < 120 * sources
