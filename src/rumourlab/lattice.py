@@ -23,12 +23,15 @@ stream, and one box_counts call with a leading trial axis counts every
 trial's field; both turn a chunk's sources into box corners a block of at
 most _SOURCE_BLOCK sources at a time (_sites), so a chunk's per-source
 transients stay bounded.  _firework counts cover blocks.  In _membership
-the open bits fill an int32 prefix grid per trial over sites [-1..m]^d,
+the open bits make an int32 prefix grid per trial over sites [-1..m]^d,
 each source's block count is the signed sum of that grid at the block's
-2^d corners, and the qualifying blocks are marked; the grid holds only the
-rows a block count reads, rows 0..n+1 and the current chunk's, which roll
-through one buffer.  A realization feeds either body as the chunks of one
-trial, in the row blocks of realize (firework_counts, reverse_membership).
+2^d corners, and the qualifying blocks are marked.  The grid is never
+whole: the current chunk's rows roll through one full-width buffer, rows
+and columns 0..n+2 stay in a narrow store, and the few corners past its
+columns in rows above the buffer are read off one sweep down the packed
+open bits of rows 0..n-1, a block of them at a time.  A realization feeds
+either body as the chunks of one trial, in the row blocks of realize
+(firework_counts, reverse_membership).
 
 One producer, _draws(config, seeds, select), lays out the window stream:
 chunks (first trial, first row, open bits, selected open sites, their
@@ -50,8 +53,9 @@ lattice trial's summary comes from _summaries and one reduction, _records,
 over groups of ~_BATCH_CELLS extent cells: a firework group is counted by
 _firework, and a reverse group streams (_stream_reverse): outside a batch,
 only open sites that can reach the reported window or clamp are sources
-and get radii, so a large trial needs ~4 bytes per cell of n+3+chunk rows
-of the extent, ~32 per candidate of a chunk and one block's transients.
+and get radii, so a large trial needs ~4 bytes per cell of chunk rows + 3
+rows of the extent and of the (n+3)^d narrow store, ~32 per candidate of a
+chunk and one block's transients.
 stats.uniforms draws every initiator radius too.
 Each record is thus bit-identical to the one-trial path, firework_counts
 or reverse_membership of realize(config).  NumPy's NEP 19 does not freeze
@@ -198,21 +202,27 @@ class LatticeConfig:
         chunk (_SOURCE_HELD), and the transients of one block of them
         (_SOURCE_BYTES), at most _SOURCE_BLOCK sources.
         Firework: the group's drawn chunks (1 byte per cell, 8 per open site).
-        Streamed reverse: _membership's int32 prefix grid, min(m+3, n+3+chunk
-        rows) rows of (m+3)^(d-1) cells, the two float64 survival bounds
-        (their blocks' temporaries fall within the overhead) and two pairs of
-        row-block bit buffers.
+        Streamed reverse: _membership's rolling int32 buffer, chunk rows + 3
+        rows of (m+3)^(d-1) cells, and, past one chunk, its narrow int32 store
+        of (n+3)^d cells, in 2D with the packed open bits of n rows and two
+        blocks of deferred sources (6 int32 each); the two float64 survival
+        bounds (their blocks' temporaries fall within the overhead) and two
+        pairs of row-block bit buffers.
         A chunk has _chunk_rows whole rows.  Exact arithmetic, so no window is
         too large to be refused.
         """
         m, n, d, p = self.extent(), self.n, self.dimension, Fraction(self.p)
         rows = _chunk_rows(m, d)
         chunk = rows * m ** (d - 1)
-        own = _TRIAL_OVERHEAD + (m ** d + 8 * math.ceil(p * m ** d) if self.model == FIREWORK
-                                 else 4 * min(m + 3, n + 3 + rows) * (m + 3) ** (d - 1)
-                                 + 16 * m + 4 * chunk)
+        if self.model == FIREWORK:
+            own = m ** d + 8 * math.ceil(p * m ** d)
+        else:
+            own = 4 * (rows + 3) * (m + 3) ** (d - 1) + 16 * m + 4 * chunk
+            if rows < m:
+                own += 4 * (n + 3) ** d + (n * -(-m // 8) + 48 * _SOURCE_BLOCK if d == 2 else 0)
         sources = math.ceil(p * chunk)
-        return (own + 6 * (n + 1) ** d + min(sources, _SOURCE_BLOCK) * _SOURCE_BYTES[self.model]
+        return (_TRIAL_OVERHEAD + own + 6 * (n + 1) ** d
+                + min(sources, _SOURCE_BLOCK) * _SOURCE_BYTES[self.model]
                 + sources * _SOURCE_HELD[self.model])
 
 
@@ -339,13 +349,23 @@ def _draws(config: LatticeConfig, seeds: np.ndarray, select=None, buffers=None):
             pieces = [(a, min(a + piece, r1 - r0)) for a in range(0, r1 - r0, piece)]
             for a, b in pieces:
                 np.less(rng.random(out=buf[:b - a]), config.p, out=act[0, a:b])
-            radii = []
+            # with every open site selected, the radii fill one array of the
+            # chunk's open count, so they are never held twice
+            radii = [] if select is not None else np.empty(np.count_nonzero(act), np.int64)
+            off = 0
             for a, b in pieces:
                 u = np.subtract(1.0, rng.random(out=buf[:b - a]), out=buf[:b - a])
                 if select is not None:
                     np.logical_and(select(r0 + a, u), act[0, a:b], out=sel[0, a:b])
-                radii.append(config.dist.quantile_from_uniform(u[sel[0, a:b]]))
-            yield t, r0, act, sel, radii[0] if len(radii) == 1 else np.concatenate(radii)
+                piece_radii = config.dist.quantile_from_uniform(u[sel[0, a:b]])
+                if select is None:
+                    radii[off:off + len(piece_radii)] = piece_radii
+                    off += len(piece_radii)
+                else:
+                    radii.append(piece_radii)
+            if select is not None:
+                radii = radii[0] if len(radii) == 1 else np.concatenate(radii)
+            yield t, r0, act, sel, radii
 
 
 def _ahead(helper, chunks):
@@ -585,7 +605,7 @@ def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii
     """Reverse k-sceptic indicators (trials, n, ...) uint8 over [0, n-1]^d and clamps (trials,).
 
     chunks are _draws' (t0, r0, open bits, sources, radii), each trial's in
-    row order.  The open bits fill an int32 prefix grid S per trial, so a
+    row order.  The open bits make an int32 prefix grid S per trial, so a
     source's block count is the signed sum of S at the block's 2^d corners.
     A source qualifies when its block prod [x - rad, x] holds at least k
     other open sites; the initiators count as sources, with initiator_radii
@@ -593,76 +613,172 @@ def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii
     reaching the window or not.  One box_counts call with a leading trial
     axis marks every trial's qualifying blocks.
 
-    S keeps only the rows a block count reads.  A source that reaches the
-    window has lo = max(x - rad, -1) <= n - 1 on every axis, so its bottom
-    corners lie in rows 0..n, and its top corners in its own chunk's rows.
-    S therefore holds min(m+3, n+3+chunk rows) rows of (m+3)^(d-1) cells:
-    rows 0..n+1 are kept for the whole trial, and each chunk's rows, with
-    the carry row above them, sit at their own indices while those fit and
-    at the bottom of S after that, over the previous chunk's.  A one-chunk
-    window thus gets the whole grid, as does a window at cushion 1.
+    S is never whole.  A source that reaches the window has lo = max(x -
+    rad, -1) <= n - 1 on every axis, so its bottom corners lie in rows and
+    columns 0..n+2 of S, bar the one at column x1 + 2 of a 2D source with
+    x1 > n, and its top corners in its own chunk's rows.  So S is kept in
+    three parts:
+    - one rolling buffer R of chunk rows + 3 full-width rows, where R[i - r0]
+      is S's row i for the chunk at r0: the previous chunk's last three rows
+      (the carry row last), then the chunk's own;
+    - a narrow store of rows and columns 0..n+2 of S, filled from R as each
+      chunk's rows are summed;
+    - in 2D, the packed open bits of extent rows 0..n-1.
+    A corner in row r0 or later reads R, any other the narrow store, but a
+    far one, past the store's columns: its source's other terms are summed
+    and the far corner deferred, and _SOURCE_BLOCK deferred corners at a
+    time are read off one sweep down the packed bits (_swept).  A one-chunk
+    window gets R alone, the whole grid, and defers none.
     """
     n, d, m = cfg.n, cfg.dimension, cfg.extent()
-    # S[t, a+2] (1D) or S[t, a+2, b+2] (2D) will hold the number of open
-    # sites of trial t in [-1..a] or [-1..a] x [-1..b], at the row a+2 moved
-    # up by its chunk's shift; _prefix_rows fills the extent rows in order.
+    rows = _chunk_rows(m, d)
+    # R[t, i - r0] (1D) or R[t, i - r0, j] (2D) will hold S's cell (i, j): the
+    # number of open sites of trial t in [-1..i-2] or [-1..i-2] x [-1..j-2];
+    # _prefix_rows fills a chunk's extent rows below the carry row R[t, 2].
     # The initiators sit on the diagonal at (-1,..,-1) and (0,..,0) and count
-    # from index 1 and 2 on every axis; only their rows 1 and 2 are set here,
-    # and _prefix_rows adds them down into the extent rows.
-    S = np.zeros((trials, min(m + 3, n + 3 + _chunk_rows(m, d))) + (m + 3,) * (d - 1),
-                 dtype=np.int32)
+    # from index 1 and 2 on every axis; their rows 1 and 2 are set here, R's
+    # first rows, and _prefix_rows adds them down into the extent rows.
+    R = np.zeros((trials, rows + 3) + (m + 3,) * (d - 1), dtype=np.int32)
     if initiator_radii is not None:
         for i in (1, 2):
-            S[(slice(None), slice(i, 3)) + (slice(i, None),) * (d - 1)] += 1
-    flat, h, w = S.reshape(-1), S.shape[1], S.shape[-1]
+            R[(slice(None), slice(i, 3)) + (slice(i, None),) * (d - 1)] += 1
+    rolled = rows < m
+    narrow = np.zeros((trials,) + (n + 3,) * d, dtype=np.int32) if rolled else None
+    packed = np.zeros((trials, n, -(-m // 8)), dtype=np.uint8) if rolled and d == 2 else None
+    flat, h = R.reshape(-1), R.shape[1]
+    nflat = narrow.reshape(-1) if rolled else None
+    w, wn = (m + 3, n + 3) if d == 2 else (1, 1)  # row lengths of R and of the narrow store
     clamps = np.zeros(trials, dtype=np.int64)
+    pending, held = [], 0  # the deferred far sources (defer), and how many
 
-    def qualifying(trial, x, rad, shift=0):
-        """Qualifying blocks of the sources at site coordinates x, clipped to the window;
-        their top corner rows sit shift rows above the window's."""
-        over = rad > functools.reduce(np.minimum, x) + 1
-        _tally(clamps, trial, over)
-        reach = rad >= functools.reduce(np.maximum, x) - n + 1
-        x, rad = [c[reach] for c in x], rad[reach]
-        per_source = isinstance(trial, np.ndarray)  # else one trial for all
-        trial = trial[reach] if per_source else trial
-        lo = [np.maximum(c - rad, -1) for c in x]
-        # open sites in the block: the prefix grid's signed corner sum,
-        # with the top corner x+2, shifted, in _corners' lo slot and lo+1 in stop;
-        # int32 wraps in between, so the sum is exact as S's entries are
-        top = [x[0] + (2 - shift)] + [c + 2 for c in x[1:]]
-        corners = _corners(top, [c + 1 for c in lo], w, trial * h)
-        in_block = sum(sign * flat[idx] for sign, idx in corners)
+    def counted(trial, x, lo, r0):
+        """Open sites in the blocks prod [lo, x] of 1-based sites, from R at r0, and
+        the mask of far blocks, whose count lacks the far corner's term (None: none)."""
+        # a bottom corner in a row above R, at the few sources with long radii,
+        # reads the narrow store within its columns; int32 wraps in between,
+        # so the sum is exact as S's entries are
+        cols = [(1, x[1] + 2), (-1, lo[1] + 1)] if d == 2 else [(1, 0)]
+        top, low = (trial * h + x[0] + 2 - r0) * w, lo[0] + 1
+        bottom = (trial * h + np.maximum(low - r0, 0)) * w
+        above = np.flatnonzero(low < r0)
+        stored = ((trial[above] if isinstance(trial, np.ndarray) else trial) * (n + 3)
+                  + low[above]) * wn
+        far = None
+        if len(above) and d == 2:
+            far = np.zeros(len(low), dtype=bool)
+            far[above] = x[1][above] > n
+        total = 0
+        for sign, col in cols:
+            corner = flat[bottom + col]
+            if len(above):
+                corner[above] = nflat[stored + np.minimum(col[above] if d == 2 else col, n + 2)]
+                if far is not None and sign == 1:
+                    corner[far] = 0
+            total = total + sign * (flat[top + col] - corner)
+        return total, far
+
+    def marked(trial, x, lo, in_block):
+        """The qualifying blocks, clipped to the report window, empty ones dropped."""
         qualify = in_block - 1 >= k
-        # qualifying blocks clipped to the report window, empty ones dropped
         a = [np.maximum(c[qualify], 0) for c in lo]
         s = [np.minimum(c[qualify] + 1, n) for c in x]
         keep = functools.reduce(np.logical_and, map(np.less, a, s))
         return (tuple(c[keep] for c in a), tuple(c[keep] for c in s),
-                trial[qualify][keep] if per_source else trial)
+                trial[qualify][keep] if isinstance(trial, np.ndarray) else trial)
+
+    def qualifying(trial, x, rad, r0):
+        """Qualifying blocks of the sources at 1-based site coordinates x, R being at
+        r0; the far ones are deferred."""
+        over = rad > functools.reduce(np.minimum, x) + 1
+        _tally(clamps, trial, over)
+        reach = rad >= functools.reduce(np.maximum, x) - n + 1
+        x, rad = [c[reach] for c in x], rad[reach]
+        trial = trial[reach] if isinstance(trial, np.ndarray) else trial
+        lo = [np.maximum(c - rad, -1) for c in x]
+        in_block, far = counted(trial, x, lo, r0)
+        if far is not None and far.any():
+            defer(trial, x, lo, in_block, far)
+            near = ~far
+            trial = trial[near] if isinstance(trial, np.ndarray) else trial
+            x, lo, in_block = [c[near] for c in x], [c[near] for c in lo], in_block[near]
+        return marked(trial, x, lo, in_block)
+
+    def defer(trial, x, lo, in_block, mask):
+        """Hold the masked sources' trial, sites, block corners and partial counts
+        (the count less the far corner) as one int32 array of 6 rows."""
+        nonlocal held
+        pending.append(np.array([np.broadcast_to(trial, mask.shape)[mask],
+                                 *(c[mask] for c in x + lo), in_block[mask]], dtype=np.int32))
+        held += pending[-1].shape[1]
+
+    def resolved(final=False):
+        """Qualifying blocks of the deferred sources, _SOURCE_BLOCK of them at a time
+        while that many are held, or all of them if final."""
+        nonlocal held
+        while held >= _SOURCE_BLOCK or final and held:
+            joined = np.concatenate(pending, axis=1)
+            pending[:] = [joined[:, _SOURCE_BLOCK:].copy()] if held > _SOURCE_BLOCK else []
+            held = max(0, held - _SOURCE_BLOCK)
+            trial, x0, x1, lo0, lo1, part = joined[:, :_SOURCE_BLOCK].astype(np.int64)
+            del joined
+            in_block = part - _swept(packed, initiator_radii is not None, trial, lo0 + 1, x1 + 2)
+            yield marked(trial, [x0, x1], [lo0, lo1], in_block)
 
     def blocks():
-        end = 0  # the row of S that holds the previous chunk's last row
-        for t0, r0, act, sources, radii in chunks:
-            # the chunk's carry row: its own (window row r0 - 1, index r0+2)
-            # while the chunk fits below it, else the row that leaves just
-            # room for the chunk, which never reaches rows 0..n+1
-            row, part = min(r0 + 2, h - 1 - act.shape[1]), S[t0:t0 + len(act)]
-            if r0 and row != end:
-                part[:, row] = part[:, end]
-            _prefix_rows(part, row, act)  # S is final through the chunk's rows
-            end = row + act.shape[1]
-            yield from (qualifying(trial, [c + 1 for c in x], rad, r0 + 2 - row)  # 1-based sites
-                        for trial, x, rad in _sites(t0, r0, sources, radii))
-            # the chunk's bits and radii are not held while the next chunk
-            # is drawn or counted
-            del act, sources, radii
+        # the initiators' blocks lie in S's rows 0..2, R's first rows before any chunk
         if initiator_radii is not None:
             sites = np.tile(_INITIATOR_SITES, trials)
             yield qualifying(np.repeat(np.arange(trials), 2), [sites] * d,
-                             initiator_radii.reshape(-1))
+                             initiator_radii.reshape(-1), 0)
+        end = 0  # rows of the previous chunk
+        for t0, r0, act, sources, radii in chunks:
+            part = R[t0:t0 + len(act)]
+            if r0:  # S's rows r0..r0+2, the previous chunk's last, move to R's top
+                part[:, :3] = part[:, end:end + 3]
+            _prefix_rows(part, 2, act)  # R is final through the chunk's rows
+            end = act.shape[1]
+            if rolled:  # keep S's rows 0..n+2, narrow, and the open bits of rows 0..n-1
+                top = min(end + 3, n + 3 - r0)
+                if top > 0:
+                    narrow[t0:t0 + len(act), r0:r0 + top] = part[
+                        (slice(None), slice(0, top)) + (slice(0, n + 3),) * (d - 1)]
+                if packed is not None and r0 < n:
+                    packed[t0:t0 + len(act), r0:r0 + end] = np.packbits(act[:, :n - r0], axis=-1)
+            for trial, x, rad in _sites(t0, r0, sources, radii):
+                yield qualifying(trial, [c + 1 for c in x], rad, r0)  # 1-based sites
+                yield from resolved()
+            # the chunk's bits and radii are not held while the next chunk
+            # is drawn or counted
+            del act, sources, radii
+        yield from resolved(final=True)
 
     return (box_counts(n, d, blocks(), trials) > 0).view(np.uint8), clamps
+
+
+def _swept(packed: np.ndarray, initiators: bool, trial, row, col) -> np.ndarray:
+    """The prefix grid S of _membership at (trial, row, col), rows at most n, rebuilt
+    by one sweep down the packed open bits of extent rows 0..n-1 (S's rows 3..):
+    per-column open counts of the rows so far, summed along the row at each row
+    asked for.  Initiators are open at S's cells (1, 1) and (2, 2)."""
+    width = 8 * packed.shape[-1]  # the extent's columns, padded to whole bytes
+    piece = max(1, _PIECE_CELLS // width)  # rows unpacked at once
+    counts = np.zeros((len(packed), width + 3), dtype=np.int32)
+    out = np.empty(len(row), dtype=np.int32)
+    order = np.argsort(row, kind="stable")
+    starts = np.flatnonzero(np.diff(row[order], prepend=-1))
+    done = 0  # S's rows added to counts
+    for a, b in zip(starts, itertools.chain(starts[1:], [len(order)])):
+        i = int(row[order[a]])
+        if initiators:
+            for diag in range(max(done, 1), min(i, 2) + 1):
+                counts[:, diag] += 1
+        for r in range(max(done, 3), i + 1, piece):
+            bits = np.unpackbits(packed[:, r - 3:min(r + piece, i + 1) - 3], axis=-1)
+            counts[:, 3:] += bits.sum(axis=1, dtype=np.int32)
+        done = i + 1
+        sel = order[a:b]
+        out[sel] = np.cumsum(counts, axis=-1, dtype=np.int32)[trial[sel], col[sel]]
+    return out
 
 
 def last_under_covered(fld: CoverageField, k: int):

@@ -436,11 +436,12 @@ class TestOversizedRequests:
 
 
 class TestOversizedTrials:
-    # one trial of each would allocate 8-180 GB: the configs' byte estimates
-    # refuse them, so neither a trial nor a sample starts
+    # the configs' byte estimates refuse one trial of each (the reverse one at
+    # ~4.4 GB, past the 2D edge of n = 13793 at cushion 5), so neither a trial
+    # nor a sample starts
     @pytest.mark.parametrize("argv", [
         ["simulate", "--dim", "2", "--model", "reverse", "--dist", "power:beta=1.5", "--p", "0.5",
-         "--n", "9000", "--cushion", "5", "--trials", "1"],
+         "--n", "20000", "--cushion", "5", "--trials", "1"],
         ["simulate", "--dim", "2", "--dist", "power:beta=1.5", "--p", "0.5", "--n", "46000",
          "--trials", "1"],
         ["continuum", "--dim", "1", "--dist", "pareto:alpha=4", "--lambda", "2", "--T", "1e9",
@@ -513,11 +514,11 @@ class TestShellBytesBound:
         assert err.count("\n") == 1 and f"needs {shells} shells, ~{shells * 112} bytes (> " in err
 
 
-def _lattice_trial(monkeypatch, dim, model, n, cushion=1, chunk_cells=None):
+def _lattice_trial(monkeypatch, dim, model, n, cushion=1, chunk_cells=None, dist=PowerTail(1.5)):
     """A one-trial group of _summaries at p = 1, the most sources, and its estimate."""
     if chunk_cells is not None:
         monkeypatch.setattr(lattice, "_CHUNK_CELLS", chunk_cells)
-    c = lattice.LatticeConfig(dim, model, 1.0, 2, n, PowerTail(1.5), 3, cushion=cushion,
+    c = lattice.LatticeConfig(dim, model, 1.0, 2, n, dist, 3, cushion=cushion,
                               include_initiators=model == lattice.REVERSE and dim == 1)
     assert chunk_cells is None or len(lattice._row_blocks(c.extent(), dim)) > 2
     seeds = np.array([5], dtype=np.uint64)
@@ -560,9 +561,12 @@ class TestByteEstimates:
         "reverse_1d": lambda mp: _lattice_trial(mp, 1, lattice.REVERSE, 400_000, 1, 1 << 17),
         "reverse_2d": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 800, 1, 1 << 17),
         "reverse_2d_cushion": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 200, 4, 1 << 17),
-        # 300 chunks of 10 rows: the prefix grid keeps n+3+10 = 613 of the
-        # extent's 3003 rows, the estimate's largest term
+        # 300 chunks of 10 rows: the rolling buffer keeps 13 of the extent's
+        # 3003 rows and the narrow store rows 0..602 over columns 0..602
         "reverse_2d_rolling": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 600, 5, 1 << 15),
+        # the same at PowerTail(0.5): ~2x10^5 far corners, swept in 4 blocks
+        "reverse_2d_far": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 600, 5, 1 << 15,
+                                                    PowerTail(0.5)),
         # 4 chunks of 262 rows, each 4 blocks of candidates (all open sites at
         # cushion 1): the held and the block terms of the estimate both count
         "reverse_2d_blocks": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 1000, 1, 1 << 18),
@@ -586,20 +590,31 @@ class TestByteEstimates:
             tracemalloc.stop()
         assert peak < estimate
 
-    def test_reverse_2d_benchmark_trial_admits_four_workers(self, inline_pools, monkeypatch):
-        # the reverse-2d benchmark's 2D trial: each chunk holds ~4x10^5
-        # candidates, and the estimate counts one block's transients
-        monkeypatch.setattr(lattice.os, "sched_getaffinity", lambda pid: set(range(8)))
-        c = lattice.LatticeConfig(2, lattice.REVERSE, 0.5, 2, 2000,
-                                  parse_distribution("power:beta=1.5"), 1, cushion=5,
-                                  include_initiators=True)
-        assert c.trial_bytes() < 250_000_000
+    @staticmethod
+    def _reverse_2d(n):
+        # the reverse-2d benchmark's 2D spec at n
+        return lattice.LatticeConfig(2, lattice.REVERSE, 0.5, 2, n,
+                                     parse_distribution("power:beta=1.5"), 1, cushion=5,
+                                     include_initiators=True)
+
+    def test_reverse_2d_benchmark_trial_admits_twelve_workers(self, inline_pools, monkeypatch):
+        # its 2D trial: each chunk holds ~4x10^5 candidates, and the estimate
+        # counts one block's transients, the rolling buffer and the narrow store
+        monkeypatch.setattr(lattice.os, "sched_getaffinity", lambda pid: set(range(16)))
+        c = self._reverse_2d(2000)
+        assert c.trial_bytes() < 170_000_000
 
         def no_trials(config, seeds):
             return np.zeros(len(seeds), np.int64)
 
-        lattice.run_trials(no_trials, [(c, (), ())], 4, 4, np.int64)
-        assert [p.max_workers for p in inline_pools] == [4]
+        lattice.run_trials(no_trials, [(c, (), ())], 24, 16, np.int64)
+        assert [p.max_workers for p in inline_pools] == [12]
+
+    def test_reverse_2d_admitted_edge(self):
+        # cushion 5, p = 0.5: extents up to 68965 sites per axis are admitted
+        assert self._reverse_2d(13793).extent() == 68965
+        with pytest.raises(lattice.WindowOverflowError):
+            self._reverse_2d(13794)
 
 
 class TestOversizedContinuum:

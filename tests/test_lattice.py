@@ -1068,10 +1068,12 @@ def brute_reverse(r: Realization, k: int):
 
 
 class TestRowLayout:
-    """A reverse trial's prefix grid keeps rows 0..n+1 and rolls each chunk's
-    rows, with the carry row above them, through the rows below; a one-chunk
-    window gets the whole grid.  Fields, memberships and clamps must equal the
-    brute-force ones of the realized window, whatever the chunking."""
+    """A reverse trial's prefix grid rolls each chunk's rows, below the previous
+    chunk's last three, through one buffer, and keeps rows and columns 0..n+2
+    in a narrow store; a far corner, past the store's columns in a row above
+    the buffer, is swept from the packed open bits.  A one-chunk window gets
+    the whole grid in the buffer.  Fields, memberships and clamps must equal
+    the brute-force ones of the realized window, whatever the chunking."""
 
     CHUNK_CELLS = lat._CHUNK_CELLS
 
@@ -1088,10 +1090,10 @@ class TestRowLayout:
                     yield n, cushion, rows * m ** (dim - 1)
 
     def chunking(self, monkeypatch, c, chunk_cells):
-        """Set _CHUNK_CELLS; returns (chunks, S rows, whole-grid rows) of c's trials."""
+        """Set _CHUNK_CELLS; returns (chunks, rolling buffer rows, whole-grid rows) of c's trials."""
         monkeypatch.setattr(lat, "_CHUNK_CELLS", chunk_cells or self.CHUNK_CELLS)
         m, d = c.extent(), c.dimension
-        return len(lat._row_blocks(m, d)), min(m + 3, c.n + 3 + lat._chunk_rows(m, d)), m + 3
+        return len(lat._row_blocks(m, d)), lat._chunk_rows(m, d) + 3, m + 3
 
     def test_brute_force_is_the_definition(self):
         for dim, initiators in ((1, True), (2, False), (2, True)):
@@ -1160,22 +1162,91 @@ class TestRowLayout:
             assert got.clamp_count == clamps
 
     def test_rolled_rows_read_the_initiator_columns(self, monkeypatch):
-        # one-row chunks of a 20-wide extent at n = 2: S keeps rows 0..3 and
-        # rolls rows 4..5, so site (4, 3)'s top corners sit in a reused row,
-        # whose initiator columns must hold the carry row's counts afresh;
-        # its block [1..4] x [0..3] holds (2, 2) alone, which qualifies it at k = 1
+        # one-row chunks of a 20-wide extent at n = 2: the buffer holds 4 rows,
+        # the chunk's below the previous chunk's last three, so site (4, 3)'s
+        # top corners sit in a reused row, whose initiator columns must hold
+        # the carry row's counts afresh; its block [1..4] x [0..3] holds (2, 2)
+        # alone, which qualifies it at k = 1
         c = cfg(model=REVERSE, dim=2, n=2, cushion=10, p=0.5, k=1, dist=C1, initiators=True)
         act = np.zeros((20, 20), dtype=bool)
         act[1, 1] = act[3, 2] = True
         r = Realization(c, act, np.array([0, 3], dtype=np.int64),
                         initiator_radii=np.array([0, 0], dtype=np.int64))
-        assert self.chunking(monkeypatch, c, 20)[1:] == (6, 23)
+        assert self.chunking(monkeypatch, c, 20)[1:] == (4, 23)
         got = reverse_membership(r, 1)
         np.testing.assert_array_equal(got.values, [[0, 0], [1, 1]])
         np.testing.assert_array_equal(got.values, brute_reverse(r, 1)[0])
 
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("initiators", [False, True])
+    def test_far_corners_equal_brute_force(self, monkeypatch, block, initiators):
+        # PowerTail(0.5) at cushion 5: many sources right of the window reach
+        # above their chunk, so their far corners wait for the sweep, which
+        # takes them a block of 1 or 7 at a time
+        monkeypatch.setattr(lat, "_SOURCE_BLOCK", block)
+        swept, real = [], lat._swept
+        monkeypatch.setattr(lat, "_swept", lambda *args: swept.append(len(args[2])) or real(*args))
+        for n, seed in itertools.product((2, 5), (0, 1, 2)):
+            c = cfg(model=REVERSE, dim=2, n=n, cushion=5, p=0.5, k=1, dist=PowerTail(0.5),
+                    seed=seed, initiators=initiators)
+            m = c.extent()
+            for rows in (1, m // 3):
+                chunks, rows_held, whole = self.chunking(monkeypatch, c, rows * m)
+                assert chunks >= 3 and rows_held < whole
+                r = realize(c)
+                for k in (0, 1, 3):
+                    want, clamps = brute_reverse(r, k)
+                    got = reverse_membership(r, k)
+                    np.testing.assert_array_equal(got.values, want)
+                    assert got.clamp_count == clamps
+                    if k:
+                        assert_same_field(streamed(replace(c, k=k)), got)
+        assert len(swept) > 100 and max(swept) == block
+
+    def test_far_corner_of_the_only_qualifying_block(self, monkeypatch):
+        # one-row chunks at n = 4, cushion 3: source (6, 6) with radius 4 has
+        # the block [2..6]^2, whose bottom row's corner at column 6 > n lies
+        # past the narrow store, in the first chunk's row; (1, 5) in that
+        # row, left of the block, must cancel out of the count, and
+        # (3, 5) is the block's one other site: the block qualifies at k = 1
+        # alone, and not at k = 2
+        c = cfg(model=REVERSE, dim=2, n=4, cushion=3, p=0.5, k=1, dist=C1)
+        act = np.zeros((12, 12), dtype=bool)
+        act[0, 4] = act[2, 4] = act[5, 5] = True
+        r = Realization(c, act, np.array([0, 0, 4], dtype=np.int64))
+        assert self.chunking(monkeypatch, c, 12)[0] == 12
+        swept, real = [], lat._swept
+        monkeypatch.setattr(lat, "_swept", lambda *args: swept.append(len(args[2])) or real(*args))
+        want = np.zeros((4, 4), dtype=np.uint8)
+        want[2:, 2:] = 1
+        for k, field in ((1, want), (2, np.zeros_like(want))):
+            got = reverse_membership(r, k)
+            np.testing.assert_array_equal(got.values, field)
+            np.testing.assert_array_equal(got.values, brute_reverse(r, k)[0])
+        assert swept == [1, 1]
+
+    def test_trial_peak_within_the_narrow_layout(self, monkeypatch):
+        # 385 chunks of 13 rows at n = 1000, cushion 5: the narrow store, two
+        # rolling buffers' worth of rows, the window's count grid and masks
+        # (6 bytes per reported site) and the fixed overhead; the whole-width
+        # rows 0..n+1 of the grid (20 MB) alone pass it
+        monkeypatch.setattr(lat, "_CHUNK_CELLS", 1 << 16)
+        c = cfg(model=REVERSE, dim=2, n=1000, cushion=5, p=0.5, k=2, dist=PowerTail(1.5), seed=5)
+        m, n, rows = c.extent(), c.n, lat._chunk_rows(c.extent(), 2)
+        assert len(lat._row_blocks(m, 2)) > 300
+        seeds = np.array([c.seed], dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            lat._summaries(c, seeds, lat._site_indices(c, []))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (4 * (n + 3) ** 2 + 8 * (rows + 1) * (m + 3) + 6 * (n + 1) ** 2
+                       + lat._TRIAL_OVERHEAD)
+
     def test_trial_peak_below_half_the_whole_grid(self, monkeypatch):
-        # 63 chunks of 32 rows: the grid keeps 435 of the extent's 2003 rows
+        # 63 chunks of 32 rows: a 35-row buffer of the extent's 2003 rows, and
+        # the narrow store's 403 x 403 cells
         monkeypatch.setattr(lat, "_CHUNK_CELLS", 1 << 16)
         c = cfg(model=REVERSE, dim=2, n=400, cushion=5, p=0.5, k=2, dist=PowerTail(1.5), seed=5)
         m = c.extent()
