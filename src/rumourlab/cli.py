@@ -3,13 +3,16 @@
 Exit codes: 0 success, 2 parse/validation error or a request past the
 memory budget, 3 numeric divergence between requested exact methods, 4 I/O
 failure.
+
+A subcommand imports only what it runs: exact and continuum are imported
+by the runners that use them, and secrets (which loads OpenSSL) only when a
+seed has to be generated.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import secrets
 import sys
 import time
 from contextlib import ExitStack
@@ -19,8 +22,7 @@ from itertools import compress, repeat
 import numpy as np
 
 import rumourlab
-from rumourlab import continuum as cont
-from rumourlab import exact, lattice
+from rumourlab import lattice
 from rumourlab.distributions import DistParseError, PowerTail, parse_distribution
 # render_* are unused here but stay importable: perfbench/tracing.py wraps them
 from rumourlab.reporting import (  # noqa: F401
@@ -165,6 +167,8 @@ def _resolve_seed(args) -> int:
             raise CliError(f"RUMOURLAB_SEED is not an integer: {env!r}") from None
     if args.strict:
         raise CliError("--strict requires --seed (or RUMOURLAB_SEED)")
+    import secrets
+
     seed = secrets.randbits(63)
     print(f"seed: {seed} (generated; pass --seed to reproduce)", file=sys.stderr)
     return seed
@@ -188,6 +192,8 @@ def _spec_from_args(args) -> ExperimentSpec:
 
 
 def run_exact(spec: ExperimentSpec):
+    from rumourlab import exact
+
     dist = parse_distribution(spec.dist)
     sites = _parse_sites(spec.sites, spec.dim)
     if not sites:
@@ -278,6 +284,8 @@ def run_scan(spec: ExperimentSpec):
 
     clamp = 0
     if kind == "lambda":
+        from rumourlab import continuum as cont
+
         law = parse_distribution(spec.dist, continuous=True)
         base = cont.ContinuumConfig(spec.dim, spec.lambda_grid[0], spec.window_t, law, spec.k,
                                     spec.seed, spec.resolution)
@@ -298,6 +306,8 @@ def run_scan(spec: ExperimentSpec):
 
 
 def run_diagnose(spec: ExperimentSpec):
+    from rumourlab import exact
+
     # the rows stay columns, written a block at a time, so the series' own
     # byte check bounds the run: after the series only its arrays, the SVG's
     # float64 points and one block of cells and text are held
@@ -309,6 +319,8 @@ def run_diagnose(spec: ExperimentSpec):
 
 
 def run_continuum(spec: ExperimentSpec):
+    from rumourlab import continuum as cont
+
     law = parse_distribution(spec.dist, continuous=True)
     base = cont.ContinuumConfig(
         spec.dim, spec.lam, spec.window_t, law, spec.k, spec.seed, spec.resolution

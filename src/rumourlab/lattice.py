@@ -64,6 +64,13 @@ that a NumPy release that changes them fails loudly.
 LatticeConfig.trial_bytes estimates one group's peak; a config whose
 estimate passes the memory budget, stats.MAX_BYTES, is refused, and
 run_trials runs no more processes than the budget holds.
+Imports are lazy: the process pool (the module attribute
+ProcessPoolExecutor, resolved on first read so tests and tracers can
+replace it) is imported when run_trials first forks, and the helper
+thread's executor when a streamed reverse trial first needs it, so a
+--workers 1 run imports neither.  run_trials imports numpy.random before it
+forks, so the workers share it instead of each importing it at its first
+make_rng.
 """
 
 from __future__ import annotations
@@ -73,11 +80,10 @@ import itertools
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import multiprocessing
 import numpy as np
 
 from rumourlab.distributions import TailDistribution
@@ -576,6 +582,8 @@ def _stream_reverse(cfg: LatticeConfig, seeds: np.ndarray, bounds, initiator_rad
     # chunk i from the other; it is joined before the trial returns
     shape = (1, blocks[0][1]) + (m,) * (d - 1)
     pairs = [(np.empty(shape, bool), np.empty(shape, bool)) for _ in range(2)]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(1) as helper:
         chunks = _ahead(helper, _draws(cfg, seeds, candidates, pairs))
         return _membership(cfg, cfg.k, len(seeds), chunks, initiator_radii)
@@ -935,12 +943,29 @@ def run_trials(fn, jobs, trials: int, workers: int, dtype) -> list[np.ndarray]:
     if workers <= 1:
         parts = [_trial_range(fn, *chunk) for chunk in chunks]
     else:
+        import multiprocessing
+
+        # make_rng's first call imports numpy.random (and OpenSSL with it):
+        # imported here, before the fork, every worker shares its pages
+        import numpy.random  # noqa: F401
+
         ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        # read through the module, where tests and tracers may replace it
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers, mp_context=ctx) as pool:
             futures = [pool.submit(_trial_range, fn, *chunk) for chunk in chunks]
             parts = [f.result() for f in futures]
     flat = np.concatenate([np.empty(0, dtype), *parts])  # each job's trials, in order
     return [flat[i:i + trials] for i in range(0, len(flat), trials)]
+
+
+def __getattr__(name):
+    # the process pool is imported on first use: --workers 1 never forks
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _trial_range(fn, job, t0: int, t1: int) -> np.ndarray:

@@ -4,7 +4,6 @@ the one memory budget that every path checks its byte estimate against."""
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 
@@ -17,8 +16,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# two-sided 99% normal quantile
-Z99 = NormalDist().inv_cdf(0.995)
+# two-sided 99% normal quantile, statistics.NormalDist().inv_cdf(0.995) to the
+# last bit (a test pins it); importing statistics would cost every run
+Z99 = 2.5758293035489
 
 # bytes any one request may hold at once; each path estimates its own
 MAX_BYTES = 2**31

@@ -307,6 +307,19 @@ class TestSeedHandling:
                      "--k", "1", "--n", "4", "--trials", "3", "--strict"])
         assert code == 0
 
+    def test_generated_seed_is_reported_and_reproduces(self, capsys, monkeypatch):
+        monkeypatch.delenv("RUMOURLAB_SEED", raising=False)
+        argv = ["simulate", "--dist", "geom:q=0.5", "--p", "0.5", "--n", "6", "--trials", "20"]
+        assert main(argv) == 0
+        generated = capsys.readouterr()
+        line = generated.err.splitlines()[0]
+        prefix, suffix = "seed: ", " (generated; pass --seed to reproduce)"
+        assert line.startswith(prefix) and line.endswith(suffix), line
+        seed = line[len(prefix):-len(suffix)]
+        assert seed.isdigit()
+        assert main(argv + ["--seed", seed]) == 0
+        assert capsys.readouterr().out == generated.out
+
 
 class TestWorkers:
     @pytest.mark.parametrize("workers", ["0", "-4"])

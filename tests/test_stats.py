@@ -1,9 +1,10 @@
+import statistics
 import warnings
 
 import numpy as np
 import pytest
 
-from rumourlab.stats import make_rng, mix64, uniforms
+from rumourlab.stats import Z99, make_rng, mix64, uniforms
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
@@ -63,3 +64,9 @@ class TestUniforms:
     def test_no_draws(self):
         assert uniforms(np.array([3, 4], dtype=np.uint64), 0).shape == (2, 0)
         assert uniforms(np.array([], dtype=np.uint64), 5).shape == (0, 5)
+
+
+def test_z99_is_the_normal_quantile():
+    # a literal, so that stats need not import statistics; every Wilson and
+    # mean interval keeps its bytes only while it is this float exactly
+    assert Z99 == statistics.NormalDist().inv_cdf(0.995)
