@@ -26,10 +26,10 @@ transients stay bounded.  _firework counts cover blocks.  In _membership
 the open bits make an int32 prefix grid per trial over sites [-1..m]^d,
 each source's block count is the signed sum of that grid at the block's
 2^d corners, and the qualifying blocks are marked.  The grid is never
-whole: the current chunk's rows roll through one full-width buffer, rows
-and columns 0..n+2 stay in a narrow store, and the few corners past its
-columns in rows above the buffer are read off one sweep down the packed
-open bits of rows 0..n-1, a block of them at a time.  A realization feeds
+whole: the current chunk's rows roll through one full-width buffer, and
+the sources with a bottom corner above the buffer wait, a pool of them
+at a time, for one sweep down the packed open bits of rows 0..n-1, which
+rebuilds the grid's rows there.  A realization feeds
 either body as the chunks of one trial, in the row blocks of realize
 (firework_counts, reverse_membership).
 
@@ -54,8 +54,9 @@ over groups of ~_BATCH_CELLS extent cells: a firework group is counted by
 _firework, and a reverse group streams (_stream_reverse): outside a batch,
 only open sites that can reach the reported window or clamp are sources
 and get radii, so a large trial needs ~4 bytes per cell of chunk rows + 3
-rows of the extent and of the (n+3)^d narrow store, ~32 per candidate of a
-chunk and one block's transients.
+rows of the extent, an eighth per site of rows 0..n-1 (a byte per site in
+1D), ~32 per candidate of a chunk, one block's transients and the deferred
+pool.
 stats.uniforms draws every initiator radius too.
 Each record is thus bit-identical to the one-trial path, firework_counts
 or reverse_membership of realize(config).  NumPy's NEP 19 does not freeze
@@ -151,6 +152,13 @@ _SOURCE_BYTES = {FIREWORK: 96, REVERSE: 256}
 # p = 1: ~16 firework, ~32 reverse
 _SOURCE_HELD = {FIREWORK: 16, REVERSE: 32}
 
+# bytes per source of _membership's deferred pool, which one sweep answers:
+# its held int32 row and, while it is answered, its int64 copy, the sweep's
+# sort keys and the qualifying blocks (tracemalloc, slope of the peak over
+# pool size with every source deferred, 2D at PowerTail(0.5) and (0.2):
+# 104-126)
+_DEFERRED_BYTES = 128
+
 # bytes of a trial that do not grow with its window: the reused piece buffer
 # (2 MiB) and a group of small windows' trials (~1 MiB at _BATCH_CELLS), or,
 # before either is made, a block of _survival_bounds (~2.7 MB)
@@ -209,11 +217,11 @@ class LatticeConfig:
         (_SOURCE_BYTES), at most _SOURCE_BLOCK sources.
         Firework: the group's drawn chunks (1 byte per cell, 8 per open site).
         Streamed reverse: _membership's rolling int32 buffer, chunk rows + 3
-        rows of (m+3)^(d-1) cells, and, past one chunk, its narrow int32 store
-        of (n+3)^d cells, in 2D with the packed open bits of n rows and two
-        blocks of deferred sources (6 int32 each); the two float64 survival
-        bounds (their blocks' temporaries fall within the overhead) and two
-        pairs of row-block bit buffers.
+        rows of (m+3)^(d-1) cells, and, past one chunk, the packed open bits
+        of n rows and the deferred pool (_DEFERRED_BYTES per source of
+        _deferred_pool); the two float64 survival bounds (their blocks'
+        temporaries fall within the overhead) and two pairs of row-block bit
+        buffers.
         A chunk has _chunk_rows whole rows.  Exact arithmetic, so no window is
         too large to be refused.
         """
@@ -225,7 +233,7 @@ class LatticeConfig:
         else:
             own = 4 * (rows + 3) * (m + 3) ** (d - 1) + 16 * m + 4 * chunk
             if rows < m:
-                own += 4 * (n + 3) ** d + (n * -(-m // 8) + 48 * _SOURCE_BLOCK if d == 2 else 0)
+                own += n * -(-m ** (d - 1) // 8) + _DEFERRED_BYTES * _deferred_pool(n, d)
         sources = math.ceil(p * chunk)
         return (_TRIAL_OVERHEAD + own + 6 * (n + 1) ** d
                 + min(sources, _SOURCE_BLOCK) * _SOURCE_BYTES[self.model]
@@ -622,21 +630,18 @@ def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii
     axis marks every trial's qualifying blocks.
 
     S is never whole.  A source that reaches the window has lo = max(x -
-    rad, -1) <= n - 1 on every axis, so its bottom corners lie in rows and
-    columns 0..n+2 of S, bar the one at column x1 + 2 of a 2D source with
-    x1 > n, and its top corners in its own chunk's rows.  So S is kept in
-    three parts:
+    rad, -1) <= n - 1 on every axis, so its bottom corners lie in rows 0..n
+    of S, and its top corners in its own chunk's rows.  So S is kept in two
+    parts:
     - one rolling buffer R of chunk rows + 3 full-width rows, where R[i - r0]
       is S's row i for the chunk at r0: the previous chunk's last three rows
       (the carry row last), then the chunk's own;
-    - a narrow store of rows and columns 0..n+2 of S, filled from R as each
-      chunk's rows are summed;
-    - in 2D, the packed open bits of extent rows 0..n-1.
-    A corner in row r0 or later reads R, any other the narrow store, but a
-    far one, past the store's columns: its source's other terms are summed
-    and the far corner deferred, and _SOURCE_BLOCK deferred corners at a
-    time are read off one sweep down the packed bits (_swept).  A one-chunk
-    window gets R alone, the whole grid, and defers none.
+    - the packed open bits of extent rows 0..n-1 (one byte per site in 1D).
+    A bottom corner in row r0 or later reads R.  Any other source is
+    deferred with its top corners summed, and _deferred_pool(n, d) of them
+    at a time get their bottom corners off one sweep down the packed bits
+    (_swept).  A one-chunk window gets R alone, the whole grid, and defers
+    none.
     """
     n, d, m = cfg.n, cfg.dimension, cfg.extent()
     rows = _chunk_rows(m, d)
@@ -650,40 +655,12 @@ def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii
     if initiator_radii is not None:
         for i in (1, 2):
             R[(slice(None), slice(i, 3)) + (slice(i, None),) * (d - 1)] += 1
-    rolled = rows < m
-    narrow = np.zeros((trials,) + (n + 3,) * d, dtype=np.int32) if rolled else None
-    packed = np.zeros((trials, n, -(-m // 8)), dtype=np.uint8) if rolled and d == 2 else None
+    packed = np.zeros((trials, n, -(-m ** (d - 1) // 8)), dtype=np.uint8) if rows < m else None
     flat, h = R.reshape(-1), R.shape[1]
-    nflat = narrow.reshape(-1) if rolled else None
-    w, wn = (m + 3, n + 3) if d == 2 else (1, 1)  # row lengths of R and of the narrow store
+    w = m + 3 if d == 2 else 1  # row length of R
     clamps = np.zeros(trials, dtype=np.int64)
-    pending, held = [], 0  # the deferred far sources (defer), and how many
-
-    def counted(trial, x, lo, r0):
-        """Open sites in the blocks prod [lo, x] of 1-based sites, from R at r0, and
-        the mask of far blocks, whose count lacks the far corner's term (None: none)."""
-        # a bottom corner in a row above R, at the few sources with long radii,
-        # reads the narrow store within its columns; int32 wraps in between,
-        # so the sum is exact as S's entries are
-        cols = [(1, x[1] + 2), (-1, lo[1] + 1)] if d == 2 else [(1, 0)]
-        top, low = (trial * h + x[0] + 2 - r0) * w, lo[0] + 1
-        bottom = (trial * h + np.maximum(low - r0, 0)) * w
-        above = np.flatnonzero(low < r0)
-        stored = ((trial[above] if isinstance(trial, np.ndarray) else trial) * (n + 3)
-                  + low[above]) * wn
-        far = None
-        if len(above) and d == 2:
-            far = np.zeros(len(low), dtype=bool)
-            far[above] = x[1][above] > n
-        total = 0
-        for sign, col in cols:
-            corner = flat[bottom + col]
-            if len(above):
-                corner[above] = nflat[stored + np.minimum(col[above] if d == 2 else col, n + 2)]
-                if far is not None and sign == 1:
-                    corner[far] = 0
-            total = total + sign * (flat[top + col] - corner)
-        return total, far
+    pool = _deferred_pool(n, d)
+    pending, held = [], 0  # the deferred sources (defer), and how many
 
     def marked(trial, x, lo, in_block):
         """The qualifying blocks, clipped to the report window, empty ones dropped."""
@@ -696,41 +673,57 @@ def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii
 
     def qualifying(trial, x, rad, r0):
         """Qualifying blocks of the sources at 1-based site coordinates x, R being at
-        r0; the far ones are deferred."""
+        r0; those with a bottom corner above R are deferred."""
         over = rad > functools.reduce(np.minimum, x) + 1
         _tally(clamps, trial, over)
         reach = rad >= functools.reduce(np.maximum, x) - n + 1
         x, rad = [c[reach] for c in x], rad[reach]
         trial = trial[reach] if isinstance(trial, np.ndarray) else trial
         lo = [np.maximum(c - rad, -1) for c in x]
-        in_block, far = counted(trial, x, lo, r0)
-        if far is not None and far.any():
-            defer(trial, x, lo, in_block, far)
-            near = ~far
+        # open sites in the blocks prod [lo, x] from R, the bottom corners in
+        # a row above R left out; int32 wraps in between, so the sum is exact
+        # as S's entries are
+        top, low = (trial * h + x[0] + 2 - r0) * w, lo[0] + 1
+        bottom = (trial * h + np.maximum(low - r0, 0)) * w
+        above = low < r0
+        in_block = 0
+        for sign, col in [(1, x[1] + 2), (-1, lo[1] + 1)] if d == 2 else [(1, 0)]:
+            corner = flat[bottom + col]
+            corner[above] = 0
+            in_block = in_block + sign * (flat[top + col] - corner)
+        if above.any():
+            defer(trial, x, lo, in_block, above)
+            near = ~above
             trial = trial[near] if isinstance(trial, np.ndarray) else trial
             x, lo, in_block = [c[near] for c in x], [c[near] for c in lo], in_block[near]
         return marked(trial, x, lo, in_block)
 
     def defer(trial, x, lo, in_block, mask):
         """Hold the masked sources' trial, sites, block corners and partial counts
-        (the count less the far corner) as one int32 array of 6 rows."""
+        (the count less the bottom corners) as one int32 array of 2 + 2d rows."""
         nonlocal held
         pending.append(np.array([np.broadcast_to(trial, mask.shape)[mask],
                                  *(c[mask] for c in x + lo), in_block[mask]], dtype=np.int32))
         held += pending[-1].shape[1]
 
     def resolved(final=False):
-        """Qualifying blocks of the deferred sources, _SOURCE_BLOCK of them at a time
+        """Qualifying blocks of the deferred sources, a pool of them at a time
         while that many are held, or all of them if final."""
         nonlocal held
-        while held >= _SOURCE_BLOCK or final and held:
+        while held >= pool or final and held:
             joined = np.concatenate(pending, axis=1)
-            pending[:] = [joined[:, _SOURCE_BLOCK:].copy()] if held > _SOURCE_BLOCK else []
-            held = max(0, held - _SOURCE_BLOCK)
-            trial, x0, x1, lo0, lo1, part = joined[:, :_SOURCE_BLOCK].astype(np.int64)
+            pending[:] = [joined[:, pool:].copy()] if held > pool else []
+            held = max(0, held - pool)
+            trial, *corners = joined[:-1, :pool].astype(np.int64)
+            part = joined[-1, :pool].copy()
             del joined
-            in_block = part - _swept(packed, initiator_radii is not None, trial, lo0 + 1, x1 + 2)
-            yield marked(trial, [x0, x1], [lo0, lo1], in_block)
+            x, lo = corners[:d], corners[d:]
+            # a 1D row's one site is the sweep's first extent column, S's column 3
+            cols = [(1, x[1] + 2), (-1, lo[1] + 1)] if d == 2 else [(1, np.full_like(trial, 3))]
+            part -= _swept(packed, initiator_radii is not None, trial, lo[0] + 1, cols,
+                           m ** (d - 1))
+            del cols  # not held while box_counts takes the blocks
+            yield marked(trial, x, lo, part)
 
     def blocks():
         # the initiators' blocks lie in S's rows 0..2, R's first rows before any chunk
@@ -745,13 +738,11 @@ def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii
                 part[:, :3] = part[:, end:end + 3]
             _prefix_rows(part, 2, act)  # R is final through the chunk's rows
             end = act.shape[1]
-            if rolled:  # keep S's rows 0..n+2, narrow, and the open bits of rows 0..n-1
-                top = min(end + 3, n + 3 - r0)
-                if top > 0:
-                    narrow[t0:t0 + len(act), r0:r0 + top] = part[
-                        (slice(None), slice(0, top)) + (slice(0, n + 3),) * (d - 1)]
-                if packed is not None and r0 < n:
-                    packed[t0:t0 + len(act), r0:r0 + end] = np.packbits(act[:, :n - r0], axis=-1)
+            if packed is not None and r0 < n:  # the open bits of rows 0..n-1
+                bits = act[:, :n - r0]
+                # a 1D row of one site packs, little end first, to its own byte
+                packed[t0:t0 + len(act), r0:r0 + end] = (
+                    bits[..., None] if d == 1 else np.packbits(bits, axis=-1, bitorder="little"))
             for trial, x, rad in _sites(t0, r0, sources, radii):
                 yield qualifying(trial, [c + 1 for c in x], rad, r0)  # 1-based sites
                 yield from resolved()
@@ -763,29 +754,45 @@ def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii
     return (box_counts(n, d, blocks(), trials) > 0).view(np.uint8), clamps
 
 
-def _swept(packed: np.ndarray, initiators: bool, trial, row, col) -> np.ndarray:
-    """The prefix grid S of _membership at (trial, row, col), rows at most n, rebuilt
-    by one sweep down the packed open bits of extent rows 0..n-1 (S's rows 3..):
-    per-column open counts of the rows so far, summed along the row at each row
-    asked for.  Initiators are open at S's cells (1, 1) and (2, 2)."""
-    width = 8 * packed.shape[-1]  # the extent's columns, padded to whole bytes
-    piece = max(1, _PIECE_CELLS // width)  # rows unpacked at once
-    counts = np.zeros((len(packed), width + 3), dtype=np.int32)
-    out = np.empty(len(row), dtype=np.int32)
-    order = np.argsort(row, kind="stable")
-    starts = np.flatnonzero(np.diff(row[order], prepend=-1))
-    done = 0  # S's rows added to counts
-    for a, b in zip(starts, itertools.chain(starts[1:], [len(order)])):
-        i = int(row[order[a]])
-        if initiators:
-            for diag in range(max(done, 1), min(i, 2) + 1):
-                counts[:, diag] += 1
-        for r in range(max(done, 3), i + 1, piece):
-            bits = np.unpackbits(packed[:, r - 3:min(r + piece, i + 1) - 3], axis=-1)
-            counts[:, 3:] += bits.sum(axis=1, dtype=np.int32)
-        done = i + 1
-        sel = order[a:b]
-        out[sel] = np.cumsum(counts, axis=-1, dtype=np.int32)[trial[sel], col[sel]]
+def _deferred_pool(n: int, d: int) -> int:
+    """Deferred sources _membership answers with one sweep: a block's worth, or
+    more at a large window, so a sweep of n rows serves ~(n+3)^d / 32 of them."""
+    return max(_SOURCE_BLOCK, (n + 3) ** d // 32)
+
+
+def _swept(packed: np.ndarray, initiators: bool, trial, row, cols, width: int) -> np.ndarray:
+    """The signed sum over cols, (sign, col) pairs, of the prefix grid S of
+    _membership at (trial, row, col), rows at most n.  S's rows 3.. are rebuilt
+    a piece of rows at a time from the packed open bits of extent rows 0..n-1,
+    width sites each: per-column open counts down the rows, then summed along
+    each row.  Initiators are open at S's cells (1, 1) and (2, 2)."""
+    piece = max(1, _PIECE_CELLS // width)  # extent rows rebuilt at once
+    out = np.zeros(len(row), dtype=np.int32)
+    if initiators:
+        for sign, col in cols:
+            out += sign * np.clip(np.minimum(row, col), 0, 2).astype(np.int32)
+    last = row - 3  # the last extent row that S's row counts
+    order = np.argsort(last, kind="stable")
+    # block[t, 1 + r - a, c] will hold trial t's open sites in extent rows
+    # 0..r and columns 0..c, S's cell (r + 3, c + 3)
+    counts = np.zeros((len(packed), 1, width), dtype=np.int32)  # of the rows above the piece
+    for a in range(0, int(last.max(initial=-1)) + 1, piece):
+        part = packed[:, a:a + piece]
+        block = np.empty((len(packed), 1 + part.shape[1], width), dtype=np.int32)
+        block[:, :1] = counts
+        # unpacked whole, as row by row costs ~10x at a 1D row's one byte
+        block[:, 1:] = np.unpackbits(part, bitorder="little").reshape(
+            part.shape[:2] + (-1,))[..., :width]
+        _add_down(block, 2)
+        counts = block[:, -1:].copy()
+        if width > 1:
+            np.add.accumulate(block, axis=-1, out=block)
+        sel = order[np.searchsorted(last, a, sorter=order):
+                    np.searchsorted(last, a + piece, sorter=order)]
+        for sign, col in cols:
+            c = col[sel] - 3  # S's columns 0..2 hold no extent site
+            out[sel] += sign * np.where(c < 0, 0, block[trial[sel], last[sel] - a + 1,
+                                                      np.maximum(c, 0)])
     return out
 
 

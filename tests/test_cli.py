@@ -575,11 +575,17 @@ class TestByteEstimates:
         "reverse_2d": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 800, 1, 1 << 17),
         "reverse_2d_cushion": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 200, 4, 1 << 17),
         # 300 chunks of 10 rows: the rolling buffer keeps 13 of the extent's
-        # 3003 rows and the narrow store rows 0..602 over columns 0..602
+        # 3003 rows, and the packed open bits rows 0..599
         "reverse_2d_rolling": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 600, 5, 1 << 15),
-        # the same at PowerTail(0.5): ~2x10^5 far corners, swept in 4 blocks
+        # the same at PowerTail(0.5): ~4x10^5 sources with a bottom corner
+        # above the buffer, swept in 7 pools of at most 2^16
         "reverse_2d_far": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 600, 5, 1 << 15,
                                                     PowerTail(0.5)),
+        # 70 chunks of 43 rows at PowerTail(0.5), n = 1500: the deferred pool
+        # holds 1503^2 // 32 = 70594 sources, more than a block, and fills 11
+        # times
+        "reverse_2d_pool": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 1500, 2, 1 << 17,
+                                                     PowerTail(0.5)),
         # 4 chunks of 262 rows, each 4 blocks of candidates (all open sites at
         # cushion 1): the held and the block terms of the estimate both count
         "reverse_2d_blocks": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 1000, 1, 1 << 18),
@@ -612,7 +618,8 @@ class TestByteEstimates:
 
     def test_reverse_2d_benchmark_trial_admits_twelve_workers(self, inline_pools, monkeypatch):
         # its 2D trial: each chunk holds ~4x10^5 candidates, and the estimate
-        # counts one block's transients, the rolling buffer and the narrow store
+        # counts one block's transients, the rolling buffer and the deferred
+        # pool
         monkeypatch.setattr(lattice.os, "sched_getaffinity", lambda pid: set(range(16)))
         c = self._reverse_2d(2000)
         assert c.trial_bytes() < 170_000_000
@@ -624,10 +631,10 @@ class TestByteEstimates:
         assert [p.max_workers for p in inline_pools] == [12]
 
     def test_reverse_2d_admitted_edge(self):
-        # cushion 5, p = 0.5: extents up to 68965 sites per axis are admitted
-        assert self._reverse_2d(13793).extent() == 68965
+        # cushion 5, p = 0.5: extents up to 69020 sites per axis are admitted
+        assert self._reverse_2d(13804).extent() == 69020
         with pytest.raises(lattice.WindowOverflowError):
-            self._reverse_2d(13794)
+            self._reverse_2d(13805)
 
 
 class TestOversizedContinuum:

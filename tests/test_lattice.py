@@ -1067,13 +1067,47 @@ def brute_reverse(r: Realization, k: int):
     return member, int(np.count_nonzero(rad[:, 0, 0] > pos.min(axis=1) + 1))
 
 
+def spy_sweeps(monkeypatch) -> list:
+    """Record (rows, cols, result) of every _swept call."""
+    calls, real = [], lat._swept
+
+    def spy(*args):
+        calls.append((args[3], args[4], real(*args)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(lat, "_swept", spy)
+    return calls
+
+
+def swept_sizes(r: Realization, calls: list) -> list:
+    """Check every recorded _swept result against the prefix grid S of r's
+    window, where S[i, j] (S[i] in 1D) counts the open sites in [-1..i-2] x
+    [-1..j-2], initiators included; clear the record and return each call's
+    number of cells."""
+    d = r.activation.ndim
+    S = np.zeros((r.activation.shape[0] + 3,) * d, dtype=np.int64)
+    S[(slice(3, None),) * d] = r.activation
+    if r.initiator_radii is not None:
+        for i in (1, 2):
+            S[(i,) * d] = 1
+    for axis in range(d):
+        S = np.cumsum(S, axis=axis)
+    for rows, cols, got in calls:
+        want = sum(sign * (S[rows, col] if d == 2 else S[rows]) for sign, col in cols)
+        np.testing.assert_array_equal(got, want)
+    sizes = [len(rows) for rows, _, _ in calls]
+    calls.clear()
+    return sizes
+
+
 class TestRowLayout:
     """A reverse trial's prefix grid rolls each chunk's rows, below the previous
-    chunk's last three, through one buffer, and keeps rows and columns 0..n+2
-    in a narrow store; a far corner, past the store's columns in a row above
-    the buffer, is swept from the packed open bits.  A one-chunk window gets
-    the whole grid in the buffer.  Fields, memberships and clamps must equal
-    the brute-force ones of the realized window, whatever the chunking."""
+    chunk's last three, through one buffer, and keeps the packed open bits of
+    rows 0..n-1; a source with a bottom corner in a row above the buffer is
+    deferred, and its bottom corners are swept from the packed bits.  A
+    one-chunk window gets the whole grid in the buffer.  Fields, memberships
+    and clamps must equal the brute-force ones of the realized window,
+    whatever the chunking."""
 
     CHUNK_CELLS = lat._CHUNK_CELLS
 
@@ -1180,12 +1214,13 @@ class TestRowLayout:
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("initiators", [False, True])
     def test_far_corners_equal_brute_force(self, monkeypatch, block, initiators):
-        # PowerTail(0.5) at cushion 5: many sources right of the window reach
-        # above their chunk, so their far corners wait for the sweep, which
-        # takes them a block of 1 or 7 at a time
+        # PowerTail(0.5) at cushion 5: many sources reach above their chunk,
+        # so they wait for the sweep, which takes a pool of max(block,
+        # (n+3)^2 // 32) of them at a time: the block at n = 2, and at n = 5
+        # 2 with blocks of 1; the sweep rebuilds one row at a time
         monkeypatch.setattr(lat, "_SOURCE_BLOCK", block)
-        swept, real = [], lat._swept
-        monkeypatch.setattr(lat, "_swept", lambda *args: swept.append(len(args[2])) or real(*args))
+        monkeypatch.setattr(lat, "_PIECE_CELLS", 16)
+        calls, swept = spy_sweeps(monkeypatch), []
         for n, seed in itertools.product((2, 5), (0, 1, 2)):
             c = cfg(model=REVERSE, dim=2, n=n, cushion=5, p=0.5, k=1, dist=PowerTail(0.5),
                     seed=seed, initiators=initiators)
@@ -1201,35 +1236,84 @@ class TestRowLayout:
                     assert got.clamp_count == clamps
                     if k:
                         assert_same_field(streamed(replace(c, k=k)), got)
-        assert len(swept) > 100 and max(swept) == block
+                    swept += swept_sizes(r, calls)
+        assert len(swept) > 100 and max(swept) == max(block, (5 + 3) ** 2 // 32)
 
     def test_far_corner_of_the_only_qualifying_block(self, monkeypatch):
         # one-row chunks at n = 4, cushion 3: source (6, 6) with radius 4 has
-        # the block [2..6]^2, whose bottom row's corner at column 6 > n lies
-        # past the narrow store, in the first chunk's row; (1, 5) in that
-        # row, left of the block, must cancel out of the count, and
-        # (3, 5) is the block's one other site: the block qualifies at k = 1
-        # alone, and not at k = 2
+        # the block [2..6]^2, whose bottom corners lie in S's row 3, the
+        # first chunk's, above the buffer, so the sweep gives both, one
+        # deferred source per k; (1, 5) in that row, left of the block, must
+        # cancel out of the count, and (3, 5) is the block's one other site:
+        # the block qualifies at k = 1 alone, and not at k = 2
         c = cfg(model=REVERSE, dim=2, n=4, cushion=3, p=0.5, k=1, dist=C1)
         act = np.zeros((12, 12), dtype=bool)
         act[0, 4] = act[2, 4] = act[5, 5] = True
         r = Realization(c, act, np.array([0, 0, 4], dtype=np.int64))
         assert self.chunking(monkeypatch, c, 12)[0] == 12
-        swept, real = [], lat._swept
-        monkeypatch.setattr(lat, "_swept", lambda *args: swept.append(len(args[2])) or real(*args))
+        calls = spy_sweeps(monkeypatch)
         want = np.zeros((4, 4), dtype=np.uint8)
         want[2:, 2:] = 1
         for k, field in ((1, want), (2, np.zeros_like(want))):
             got = reverse_membership(r, k)
             np.testing.assert_array_equal(got.values, field)
             np.testing.assert_array_equal(got.values, brute_reverse(r, k)[0])
-        assert swept == [1, 1]
+        assert swept_sizes(r, calls) == [1, 1]
 
-    def test_trial_peak_within_the_narrow_layout(self, monkeypatch):
-        # 385 chunks of 13 rows at n = 1000, cushion 5: the narrow store, two
-        # rolling buffers' worth of rows, the window's count grid and masks
-        # (6 bytes per reported site) and the fixed overhead; the whole-width
-        # rows 0..n+1 of the grid (20 MB) alone pass it
+    def test_1d_bottom_corner_above_the_buffer(self, monkeypatch):
+        # chunks of 3 sites at n = 4, cushion 3: source 7 with radius 7 has
+        # the block [0..7], whose bottom corner, S's row 1, lies above the
+        # buffer of its chunk at row 6, so the sweep gives it: the initiator
+        # at -1, which the count must lose; the block holds the initiator at
+        # 0 and site 3, so it qualifies at k = 2, and not at k = 3
+        c = cfg(model=REVERSE, dim=1, n=4, cushion=3, p=0.5, k=2, dist=C1, initiators=True)
+        act = np.zeros(12, dtype=bool)
+        act[2] = act[6] = True
+        r = Realization(c, act, np.array([0, 7], dtype=np.int64),
+                        initiator_radii=np.array([0, 0], dtype=np.int64))
+        assert self.chunking(monkeypatch, c, 3)[0] == 4
+        calls = spy_sweeps(monkeypatch)
+        for k, field in ((2, [1, 1, 1, 1]), (3, [0, 0, 0, 0])):
+            got = reverse_membership(r, k)
+            want, clamps = brute_reverse(r, k)
+            np.testing.assert_array_equal(got.values, field)
+            np.testing.assert_array_equal(got.values, want)
+            assert got.clamp_count == clamps
+        assert swept_sizes(r, calls) == [1, 1]
+
+    @pytest.mark.parametrize("initiators", [False, True])
+    def test_1d_sweep_in_pieces(self, monkeypatch, initiators):
+        # 1D rows of packed bits rebuilt 5 at a time: PowerTail(0.5) sources
+        # in chunks of 7 sites at n = 40, cushion 4, reach many pieces above
+        # their chunk; every swept cell must be S's, and every field the
+        # brute-force one
+        monkeypatch.setattr(lat, "_PIECE_CELLS", 5)
+        calls = spy_sweeps(monkeypatch)
+        deepest = 0
+        for seed in (0, 1, 2):
+            c = cfg(model=REVERSE, dim=1, n=40, cushion=4, p=0.5, k=1, dist=PowerTail(0.5),
+                    seed=seed, initiators=initiators)
+            chunks, held, whole = self.chunking(monkeypatch, c, 7)
+            assert chunks > 5 and held < whole
+            r = realize(c)
+            for k in (0, 1, 3):
+                want, clamps = brute_reverse(r, k)
+                got = reverse_membership(r, k)
+                np.testing.assert_array_equal(got.values, want)
+                assert got.clamp_count == clamps
+                if k:
+                    assert_same_field(streamed(replace(c, k=k)), got)
+                # S's row i counts extent rows 0..i-3
+                deepest = max([deepest] + [rows.max() - 3 for rows, _, _ in calls])
+                swept_sizes(r, calls)
+        assert deepest >= 5 * 5  # a sweep of 6 pieces
+
+    def test_trial_peak_within_the_rolled_layout(self, monkeypatch):
+        # 385 chunks of 13 rows at n = 1000, cushion 5: two rolling buffers'
+        # worth of rows, the window's count grid and masks (6 bytes per
+        # reported site) and the fixed overhead; the whole-width rows 0..n+1
+        # of the grid (20 MB) alone pass it, and so does a narrow store of
+        # rows and columns 0..n+2 beside the rest
         monkeypatch.setattr(lat, "_CHUNK_CELLS", 1 << 16)
         c = cfg(model=REVERSE, dim=2, n=1000, cushion=5, p=0.5, k=2, dist=PowerTail(1.5), seed=5)
         m, n, rows = c.extent(), c.n, lat._chunk_rows(c.extent(), 2)
@@ -1241,12 +1325,11 @@ class TestRowLayout:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (4 * (n + 3) ** 2 + 8 * (rows + 1) * (m + 3) + 6 * (n + 1) ** 2
-                       + lat._TRIAL_OVERHEAD)
+        assert peak < 8 * (rows + 1) * (m + 3) + 6 * (n + 1) ** 2 + lat._TRIAL_OVERHEAD
 
     def test_trial_peak_below_half_the_whole_grid(self, monkeypatch):
         # 63 chunks of 32 rows: a 35-row buffer of the extent's 2003 rows, and
-        # the narrow store's 403 x 403 cells
+        # the packed open bits of rows 0..399
         monkeypatch.setattr(lat, "_CHUNK_CELLS", 1 << 16)
         c = cfg(model=REVERSE, dim=2, n=400, cushion=5, p=0.5, k=2, dist=PowerTail(1.5), seed=5)
         m = c.extent()
