@@ -785,7 +785,7 @@ def _swept(packed: np.ndarray, initiators: bool, trial, row, cols, width: int) -
             part.shape[:2] + (-1,))[..., :width]
         _add_down(block, 2)
         counts = block[:, -1:].copy()
-        if width > 1:
+        if width > 1:  # a 1D row's one site is its own sum
             np.add.accumulate(block, axis=-1, out=block)
         sel = order[np.searchsorted(last, a, sorter=order):
                     np.searchsorted(last, a + piece, sorter=order)]
