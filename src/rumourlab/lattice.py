@@ -774,7 +774,8 @@ def _swept(packed: np.ndarray, initiators: bool, trial, row, cols, width: int) -
     last = row - 3  # the last extent row that S's row counts
     order = np.argsort(last, kind="stable")
     # block[t, 1 + r - a, c] will hold trial t's open sites in extent rows
-    # 0..r and columns 0..c, S's cell (r + 3, c + 3)
+    # 0..r and column c, and summed along its row, in extent columns 0..c:
+    # S's cell (r + 3, c + 3)
     counts = np.zeros((len(packed), 1, width), dtype=np.int32)  # of the rows above the piece
     for a in range(0, int(last.max(initial=-1)) + 1, piece):
         part = packed[:, a:a + piece]
@@ -785,10 +786,12 @@ def _swept(packed: np.ndarray, initiators: bool, trial, row, cols, width: int) -
             part.shape[:2] + (-1,))[..., :width]
         _add_down(block, 2)
         counts = block[:, -1:].copy()
-        if width > 1:  # a 1D row's one site is its own sum
-            np.add.accumulate(block, axis=-1, out=block)
         sel = order[np.searchsorted(last, a, sorter=order):
                     np.searchsorted(last, a + piece, sorter=order)]
+        if width > 1:  # a 1D row's one site is its own sum
+            # summed along the rows asked for only, the sweep's costliest step
+            for r in np.unique(last[sel] - a + 1).tolist():
+                np.add.accumulate(block[:, r], axis=-1, out=block[:, r])
         for sign, col in cols:
             c = col[sel] - 3  # S's columns 0..2 hold no extent site
             out[sel] += sign * np.where(c < 0, 0, block[trial[sel], last[sel] - a + 1,
