@@ -19,10 +19,11 @@ membership marks and the continuum's 2D pixel counts all use it.
 Both models share one counting contract: a body takes (..., trials,
 chunks, initiator_radii) and returns a (trials, n, ...) field and (trials,)
 clamp counts, from _draws' chunks in the row order of each trial's window
-stream, and one box_counts call with a leading trial axis counts every
-trial's field; both turn a chunk's sources into box corners a block of at
-most _SOURCE_BLOCK sources at a time (_sites), so a chunk's per-source
-transients stay bounded.  _firework counts cover blocks.  In _membership
+stream (_firework reads their sources, as _sources gives them), and one
+box_counts call with a leading trial axis counts every trial's field; both
+turn a chunk's sources into box corners a block of at most _SOURCE_BLOCK
+sources at a time (_sites), so a chunk's per-source transients stay
+bounded.  _firework counts cover blocks.  In _membership
 the open bits make an int32 prefix grid per trial over sites [-1..m]^d,
 each source's block count is the signed sum of that grid at the block's
 2^d corners, and the qualifying blocks are marked.  The grid is never
@@ -33,9 +34,10 @@ rebuilds the grid's rows there.  A realization feeds
 either body as the chunks of one trial, in the row blocks of realize
 (firework_counts, reverse_membership).
 
-One producer, _draws(config, seeds, select), lays out the window stream:
-chunks (first trial, first row, open bits, selected open sites, their
-radii) of the trials on seeds, the trials of a window of at most
+One producer, _draws(config, seeds, select, ps), lays out the window
+stream: chunks (first trial, first row, open bits, or the sources' levels
+at a grid's several ps, selected open sites, their radii) of the trials on
+seeds, the trials of a window of at most
 _BATCH_MAX_CELLS extent cells in one chunk drawn at once by stats.uniforms,
 with every open site selected, any other window trial by trial, each
 chunk's uniforms in row pieces through one reused buffer.  realize reads
@@ -48,9 +50,17 @@ One trial engine, run_trials, seeds, chunks and pools the trials of the
 lattice (simulate_windows) and of the continuum (scan_lambda, the continuum
 command): fn(config, seeds, *extra) returns numeric records for a chunk of
 trial seeds.  Each caller makes one run_trials call for all its configs, a
-scan's grid points included, so an invocation starts at most one pool.  A
-lattice trial's summary comes from _summaries and one reduction, _records,
-over groups of ~_BATCH_CELLS extent cells: a firework group is counted by
+scan's grid points included, so an invocation starts at most one pool.  The
+points of a firework p or beta scan share each trial's window, so they are
+one job (simulate_windows), and a single config is a one-point grid of the
+same code: a group of trials is drawn once at the grid's distinct ps, the
+largest p's sources each with its level (how many ps lie above its
+activation uniform) and its radius, or its radius uniform where the laws
+differ; the points are counted one at a time from the largest p down, the
+sources narrowed to each next p's (_firework_points).  A reverse point
+stays a job of its own.  A lattice
+trial's summary comes from _summaries and one reduction, _records, over
+groups of ~_BATCH_CELLS extent cells: a firework group is counted by
 _firework, and a reverse group streams (_stream_reverse): outside a batch,
 only open sites that can reach the reported window or clamp are sources
 and get radii, so a large trial needs ~4 bytes per cell of chunk rows + 3
@@ -145,12 +155,16 @@ _SOURCE_BLOCK = 1 << 16
 # chunk, drawn meanwhile)
 _SOURCE_BYTES = {FIREWORK: 96, REVERSE: 256}
 
-# bytes per source held for its whole chunk: its flat index and, while the
-# chunk is drawn, its radius pieces and their join (firework; a group's radii
-# are counted apart), or its radius and the helper's radii of the next chunk,
-# pieces and join (streamed reverse); tracemalloc slopes over chunk size at
-# p = 1: ~16 firework, ~32 reverse
-_SOURCE_HELD = {FIREWORK: 16, REVERSE: 32}
+# bytes per candidate a streamed reverse chunk holds for the whole chunk: its
+# radius and the helper's radii of the next chunk, pieces and join
+# (tracemalloc slope over chunk size at p = 1: ~32)
+_REVERSE_HELD = 32
+
+# bytes per source of its window that a firework group holds: its flat index,
+# radius (or radius uniform) and level, and, while the sources narrow to the
+# next p (_narrow), a keep mask and one narrowed array (8 + 8 + 1 + 1 + 8),
+# or, where the points' laws differ, a point's radii (8 + 8 + 1 + 8)
+_FIREWORK_HELD = 26
 
 # bytes per source of _membership's deferred pool, which one sweep answers:
 # its held int32 row and, while it is answered, its int64 copy, the sweep's
@@ -212,32 +226,35 @@ class LatticeConfig:
         """Peak bytes of one group of _summaries' trials, which one process runs at once.
 
         Both models: the reported window's int32 count grid and two bool masks
-        over it, what the expected open sites of one chunk hold for the whole
-        chunk (_SOURCE_HELD), and the transients of one block of them
-        (_SOURCE_BYTES), at most _SOURCE_BLOCK sources.
-        Firework: the group's drawn chunks (1 byte per cell, 8 per open site).
+        over it, and the transients of one block of a chunk's expected open
+        sites (_SOURCE_BYTES), at most _SOURCE_BLOCK sources.
+        Firework: a chunk's open bits while it is drawn (1 byte per cell),
+        and what the window's expected open sites hold while the points of a
+        grid are counted (_FIREWORK_HELD); a grid job's config is its point
+        of largest p, so this covers every point.
         Streamed reverse: _membership's rolling int32 buffer, chunk rows + 3
         rows of (m+3)^(d-1) cells, and, past one chunk, the packed open bits
         of n rows and the deferred pool (_DEFERRED_BYTES per source of
         _deferred_pool); the two float64 survival bounds (their blocks'
-        temporaries fall within the overhead) and two pairs of row-block bit
-        buffers.
+        temporaries fall within the overhead), two pairs of row-block bit
+        buffers, and what one chunk's expected open sites hold for the whole
+        chunk (_REVERSE_HELD).
         A chunk has _chunk_rows whole rows.  Exact arithmetic, so no window is
         too large to be refused.
         """
         m, n, d, p = self.extent(), self.n, self.dimension, Fraction(self.p)
         rows = _chunk_rows(m, d)
         chunk = rows * m ** (d - 1)
+        sources = math.ceil(p * chunk)
         if self.model == FIREWORK:
-            own = m ** d + 8 * math.ceil(p * m ** d)
+            own = chunk + _FIREWORK_HELD * math.ceil(p * m ** d)
         else:
-            own = 4 * (rows + 3) * (m + 3) ** (d - 1) + 16 * m + 4 * chunk
+            own = (4 * (rows + 3) * (m + 3) ** (d - 1) + 16 * m + 4 * chunk
+                   + _REVERSE_HELD * sources)
             if rows < m:
                 own += n * -(-m ** (d - 1) // 8) + _DEFERRED_BYTES * _deferred_pool(n, d)
-        sources = math.ceil(p * chunk)
         return (_TRIAL_OVERHEAD + own + 6 * (n + 1) ** d
-                + min(sources, _SOURCE_BLOCK) * _SOURCE_BYTES[self.model]
-                + sources * _SOURCE_HELD[self.model])
+                + min(sources, _SOURCE_BLOCK) * _SOURCE_BYTES[self.model])
 
 
 @dataclass
@@ -317,7 +334,8 @@ def _row_blocks(m: int, dimension: int) -> list:
     return [(r0, min(m, r0 + step)) for r0 in range(0, m, step)]
 
 
-def _draws(config: LatticeConfig, seeds: np.ndarray, select=None, buffers=None):
+def _draws(config: LatticeConfig, seeds: np.ndarray, select=None, buffers=None, ps=None,
+           quantile=None):
     """The window stream of the trials on seeds (uint64), chunk by chunk.
 
     Yields (t0, r0, open bits, selected, radii) of trials t0.. over extent
@@ -327,6 +345,14 @@ def _draws(config: LatticeConfig, seeds: np.ndarray, select=None, buffers=None):
     given: select(r, u) is the mask of the sites of extent rows r.. to keep,
     from their radius uniforms u in (0, 1]; a batch of trials (below) ignores
     select, as every open site is a source there.
+
+    ps, if given, is a descending tuple of distinct opening probabilities in
+    place of (config.p,); the open bits and the selected sites are those at
+    ps[0].  With more than one, the open bits' place holds the selected
+    sites' levels instead, aligned with their radii (_levels: a site is open
+    at ps[j] when its level passes j), so no per-cell level array exists.
+    quantile (by default config.dist's) maps the selected sites' radius
+    uniforms to the radii yielded; np.asarray yields the uniforms themselves.
 
     A trial's stream is make_rng(seed, _STREAM_WINDOW) in the row blocks of
     _row_blocks, a chunk drawing all its activation uniforms, then all its
@@ -342,36 +368,46 @@ def _draws(config: LatticeConfig, seeds: np.ndarray, select=None, buffers=None):
     goes through here, so its layout is defined once.
     """
     m, d = config.extent(), config.dimension
+    ps = (config.p,) if ps is None else ps
+    quantile = quantile or config.dist.quantile_from_uniform
     if _batched(config) and len(seeds) > 1:
         draws = uniforms(mix64(seeds, _STREAM_WINDOW), 2 * m**d).reshape((len(seeds), 2) + (m,) * d)
-        act = draws[:, 0] < config.p
-        yield 0, 0, act, act, config.dist.quantile_from_uniform(np.subtract(1.0, draws[:, 1][act]))
+        top = draws[:, 0] < ps[0]
+        act = top if len(ps) == 1 else _levels(draws[:, 0][top], ps)
+        yield 0, 0, act, top, quantile(np.subtract(1.0, draws[:, 1][top]))
         return
     blocks = _row_blocks(m, d)
     row = (m,) * (d - 1)
     piece = max(1, _PIECE_CELLS // m ** (d - 1))  # rows
     buf = np.empty((min(piece, blocks[0][1]),) + row)
+    dtype = np.float64 if quantile is np.asarray else np.int64  # uniforms or radii
     pairs = itertools.cycle(buffers or ())
     for t, seed in enumerate(seeds.tolist()):
         rng = make_rng(seed, _STREAM_WINDOW)
         for r0, r1 in blocks:
             if buffers is None:
-                act = np.empty((1, r1 - r0) + row, bool)
-                sel = act if select is None else np.empty_like(act)
+                top = np.empty((1, r1 - r0) + row, bool)
+                sel = top if select is None else np.empty_like(top)
             else:
-                act, sel = (b[:, :r1 - r0] for b in next(pairs))
+                top, sel = (b[:, :r1 - r0] for b in next(pairs))
             pieces = [(a, min(a + piece, r1 - r0)) for a in range(0, r1 - r0, piece)]
+            act = top if len(ps) == 1 else []
             for a, b in pieces:
-                np.less(rng.random(out=buf[:b - a]), config.p, out=act[0, a:b])
+                u = rng.random(out=buf[:b - a])
+                np.less(u, ps[0], out=top[0, a:b])
+                if act is not top:
+                    act.append(_levels(u[top[0, a:b]], ps))
+            if act is not top:
+                act = np.concatenate(act)
             # with every open site selected, the radii fill one array of the
             # chunk's open count, so they are never held twice
-            radii = [] if select is not None else np.empty(np.count_nonzero(act), np.int64)
+            radii = [] if select is not None else np.empty(np.count_nonzero(top), dtype)
             off = 0
             for a, b in pieces:
                 u = np.subtract(1.0, rng.random(out=buf[:b - a]), out=buf[:b - a])
                 if select is not None:
-                    np.logical_and(select(r0 + a, u), act[0, a:b], out=sel[0, a:b])
-                piece_radii = config.dist.quantile_from_uniform(u[sel[0, a:b]])
+                    np.logical_and(select(r0 + a, u), top[0, a:b], out=sel[0, a:b])
+                piece_radii = quantile(u[sel[0, a:b]])
                 if select is None:
                     radii[off:off + len(piece_radii)] = piece_radii
                     off += len(piece_radii)
@@ -380,6 +416,17 @@ def _draws(config: LatticeConfig, seeds: np.ndarray, select=None, buffers=None):
             if select is not None:
                 radii = radii[0] if len(radii) == 1 else np.concatenate(radii)
             yield t, r0, act, sel, radii
+            # the chunk is the consumer's now, freed as soon as it lets go
+            del act, sel, top, radii
+
+
+def _levels(u, ps) -> np.ndarray:
+    """The levels of activation uniforms u below ps[0], of descending ps: how
+    many of ps lie above each, in the smallest unsigned type that holds len(ps)."""
+    out = np.ones(len(u), np.min_scalar_type(len(ps)))
+    for p in ps[1:]:
+        out += u < p
+    return out
 
 
 def _ahead(helper, chunks):
@@ -401,25 +448,30 @@ def _realized_chunks(realization: Realization):
         off += count
 
 
-def _sites(t0: int, r0: int, bits: np.ndarray, radii: np.ndarray):
+def _sites(t0: int, r0: int, shape: tuple, flat: np.ndarray, radii: np.ndarray):
     """Blocks (trial, per-axis 0-based extent coordinates, radii) of at most
-    _SOURCE_BLOCK of the set bits of a chunk of trials t0.. over rows r0..,
-    whose radii are row-major (aligned with np.flatnonzero(bits)); a one-trial
-    chunk keeps a scalar trial index, so no index array per site is built."""
-    flat = np.flatnonzero(bits)
+    _SOURCE_BLOCK of the sources of a chunk of trials t0.. over rows r0..,
+    given by their flat indices into the chunk's (trials, rows, ...) shape in
+    row-major order, as np.flatnonzero gives them, and their radii; a
+    one-trial chunk keeps a scalar trial index, so no index array per site is
+    built."""
     for a in range(0, len(flat), _SOURCE_BLOCK):
         part = flat[a:a + _SOURCE_BLOCK]
-        trial, part = divmod(part, bits[0].size) if len(bits) > 1 else (0, part)
-        sites = list(divmod(part, bits.shape[-1])) if bits.ndim > 2 else [part]
-        sites[0] += r0
+        trial, part = divmod(part, math.prod(shape[1:])) if shape[0] > 1 else (0, part)
+        sites = list(divmod(part, shape[-1])) if len(shape) > 2 else [part]
+        sites[0] = sites[0] + r0  # not in place: part may be a view of flat
         yield trial + t0, sites, radii[a:a + _SOURCE_BLOCK]
 
 
 def _initiator_radii(dist: TailDistribution, seeds: np.ndarray) -> np.ndarray:
     """(trials, 2) radii of sites -1 and 0 of the trials on seeds (uint64), each
     from its trial's own initiator stream, as make_rng(seed, 2) draws it."""
-    u = np.subtract(1.0, uniforms(mix64(seeds, _STREAM_INITIATORS), 2))
-    return dist.quantile_from_uniform(u)
+    return dist.quantile_from_uniform(_initiator_uniforms(seeds))
+
+
+def _initiator_uniforms(seeds: np.ndarray) -> np.ndarray:
+    """(trials, 2) radius uniforms in (0, 1] of the initiators of _initiator_radii."""
+    return np.subtract(1.0, uniforms(mix64(seeds, _STREAM_INITIATORS), 2))
 
 
 def box_counts(m: int, d: int, batches, trials: int) -> np.ndarray:
@@ -476,7 +528,7 @@ def firework_counts(realization: Realization) -> CoverageField:
     if cfg.model != FIREWORK:
         raise ValueError("firework_counts needs a firework-model realization")
     init = realization.initiator_radii
-    counts, clamps = _firework(cfg, 1, _realized_chunks(realization),
+    counts, clamps = _firework(cfg, 1, _sources(_realized_chunks(realization)),
                                None if init is None else init[None])
     return CoverageField("counts", cfg.dimension, 1, cfg.n, counts[0], int(clamps[0]))
 
@@ -493,10 +545,10 @@ def _tally(clamps: np.ndarray, trial, over: np.ndarray) -> None:
 def _firework(config: LatticeConfig, trials: int, chunks, initiator_radii):
     """Cover counts (trials, n, ...) and clamp counts (trials,) of firework fields.
 
-    chunks are _draws' (t0, r0, open bits, sources, radii), every open site a
-    source.  initiator_radii is None or the (trials, 2) radii of sites -1 and
-    0 (1D), which cover sites 1..site+r: blocks from index 0 with radius
-    max(site+r, 0) - 1 (-1 for an empty one).
+    chunks are _sources' [t0, r0, shape, flat indices, levels, radii] of
+    the chunks' sources.  initiator_radii is None or the (trials, 2) radii
+    of sites -1 and 0 (1D), which cover sites 1..site+r: blocks from index 0
+    with radius max(site+r, 0) - 1 (-1 for an empty one).
     Every block stops at min(start + radius + 1, n), and one box_counts call
     with a leading trial axis counts every field.
     """
@@ -509,8 +561,8 @@ def _firework(config: LatticeConfig, trials: int, chunks, initiator_radii):
         return starts, [np.minimum(stop, n, out=stop) for stop in stops], trial
 
     def batches():
-        for t0, r0, _, sources, radii in chunks:
-            for trial, starts, rad in _sites(t0, r0, sources, radii):
+        for t0, r0, shape, flat, _, radii in chunks:
+            for trial, starts, rad in _sites(t0, r0, shape, flat, radii):
                 yield boxes(trial, starts, rad)
         if initiator_radii is not None:
             init = np.maximum(_INITIATOR_SITES + initiator_radii, 0).reshape(-1) - 1
@@ -743,7 +795,7 @@ def _membership(cfg: LatticeConfig, k: int, trials: int, chunks, initiator_radii
                 # a 1D row of one site packs, little end first, to its own byte
                 packed[t0:t0 + len(act), r0:r0 + end] = (
                     bits[..., None] if d == 1 else np.packbits(bits, axis=-1, bitorder="little"))
-            for trial, x, rad in _sites(t0, r0, sources, radii):
+            for trial, x, rad in _sites(t0, r0, sources.shape, np.flatnonzero(sources), radii):
                 yield qualifying(trial, [c + 1 for c in x], rad, r0)  # 1-based sites
                 yield from resolved()
             # the chunk's bits and radii are not held while the next chunk
@@ -886,31 +938,104 @@ def _batched(config: LatticeConfig) -> bool:
     return m ** d <= _BATCH_MAX_CELLS and len(_row_blocks(m, d)) == 1
 
 
-def _summaries(config: LatticeConfig, seeds: np.ndarray, idx) -> np.ndarray:
+def _summaries(config: LatticeConfig, seeds: np.ndarray, idx, points=None) -> np.ndarray:
     """Summary records of the trials on seeds (a uint64 array), in seed order.
 
-    Trials go in groups of ~_BATCH_CELLS extent cells through their model's
-    counting body, _firework or _stream_reverse, and one reduction, _records,
-    so a record does not depend on its mask's source.  Every trial's
-    initiator radii come from one _initiator_radii call.
+    The records are (trials,) of config, or, given points, (trials,
+    len(points)) of each point: firework configs that share config's window
+    (_window), config among them with the largest p.  Trials go in groups of
+    ~_BATCH_CELLS extent cells through their model's counting body, _firework
+    (_firework_points) or _stream_reverse, and one reduction, _records, so a
+    record does not depend on its mask's source.  Every trial's initiator
+    radii come from one draw of the initiator streams.
     """
-    out = np.empty(len(seeds), _summary_dtype(len(idx[0])))
-    init = _initiator_radii(config.dist, seeds) if config.include_initiators else None
-    bounds = _survival_bounds(config) if config.model == REVERSE else None
+    grid = (config,) if points is None else points
+    out = np.empty((len(seeds), len(grid)), _summary_dtype(len(idx[0])))
     step = max(1, _BATCH_CELLS // config.extent() ** config.dimension)
-    for i in range(0, len(seeds), step):
-        part, part_init = seeds[i:i + step], None if init is None else init[i:i + step]
-        if bounds is None:
-            # the group is drawn before _firework allocates its grid, so no
-            # draw buffer is alive while the fields are counted
-            field, clamps = _firework(config, len(part), list(_draws(config, part)), part_init)
-        else:
+    if config.model == FIREWORK:
+        _firework_points(config, grid, seeds, idx, step, out)
+    else:
+        init = _initiator_radii(config.dist, seeds) if config.include_initiators else None
+        bounds = _survival_bounds(config)
+        for i in range(0, len(seeds), step):
+            part, part_init = seeds[i:i + step], None if init is None else init[i:i + step]
             field, clamps = _stream_reverse(config, part, bounds, part_init)
-        # a membership field is under-covered where it is 0
-        mask = field < (config.k if bounds is None else 1)
-        del field  # not held while the next group draws
-        out[i:i + step] = _records(mask, clamps, idx)
-        del mask  # nor is the mask: held, it put the 2D n=2000 p-scan's peak 12% higher
+            # a membership field is under-covered where it is 0
+            mask = field < 1
+            del field  # not held while the next group draws
+            out[i:i + step, 0] = _records(mask, clamps, idx)
+    return out if points is not None else out[:, 0]
+
+
+def _firework_points(config: LatticeConfig, points, seeds: np.ndarray, idx, step: int,
+                     out: np.ndarray) -> None:
+    """The records of each of points (_summaries) into out[:, j], each group of
+    step trials' window drawn once for all of them.
+
+    The group is drawn before any grid is allocated: _draws at the points'
+    distinct ps, its radii config.dist's when every point shares it, else
+    the radius uniforms, each point taking its own law's quantile.  Each
+    chunk keeps the largest p's sources (_sources): their flat indices,
+    levels and radii.  The points are counted one at a time from the largest
+    p down, and each next p narrows the sources to its own (_narrow), so no
+    point holds more than its sources and their levels, and only the first
+    finds them in the bits.  Narrowing after a point is counted, not
+    splitting the sources by level as they are drawn, keeps the freed count
+    grid's heap space for the narrowed arrays: a split raised the 2D n=2000
+    p-scan's 10-trial VmHWM from 64.8 to 74.7 MB.
+    """
+    ps = tuple(sorted({pt.p for pt in points}, reverse=True))
+    shared = all(pt.dist == config.dist for pt in points)
+    init = _initiator_uniforms(seeds) if config.include_initiators else None
+    order = sorted(range(len(points)), key=lambda j: -points[j].p)
+    for i in range(0, len(seeds), step):
+        part = seeds[i:i + step]
+        chunks = list(_sources(_draws(config, part, ps=ps,
+                                      quantile=None if shared else np.asarray)))
+        level = 0
+        for j in order:
+            pt = points[j]
+            if ps[level] != pt.p:
+                level = ps.index(pt.p)
+                _narrow(chunks, level)  # the sites open at ps[level]
+            counted = chunks if shared else [c[:5] + [_quantiles(pt.dist, c[5])] for c in chunks]
+            field, clamps = _firework(pt, len(part), counted, None if init is None else
+                                      pt.dist.quantile_from_uniform(init[i:i + step]))
+            del counted
+            mask = field < pt.k
+            del field  # not held while the next point is counted
+            out[i:i + step, j] = _records(mask, clamps, idx)
+            # nor is the mask: held, it put the 2D n=2000 p-scan's peak 12% higher
+            del mask
+        del chunks  # nor are the sources while the next group draws
+
+
+def _sources(chunks):
+    """The sources of _draws' chunks, every site of top a source, as [t0, r0,
+    shape, flat indices, levels, radii], what _firework reads: the flat
+    indices are into the chunk's (trials, rows, ...) shape, row-major as
+    np.flatnonzero gives them, and levels are act's (None if act is top, the
+    open bits)."""
+    for t0, r0, act, top, radii in chunks:
+        yield [t0, r0, top.shape, np.flatnonzero(top), None if act is top else act, radii]
+
+
+def _narrow(chunks: list, level: int) -> None:
+    """Keep, in place, the sources of _sources' chunks whose level passes level;
+    each chunk's larger arrays go as it narrows."""
+    for chunk in chunks:
+        keep = chunk[4] > level
+        # compress: ~3x faster than a bool index at scattered keeps
+        for a in range(3, 6):
+            chunk[a] = chunk[a].compress(keep)
+
+
+def _quantiles(law: TailDistribution, u: np.ndarray) -> np.ndarray:
+    """law's radii of uniforms u, a _SOURCE_BLOCK at a time, so the quantile's
+    temporaries stay near one block's whatever the window."""
+    out = np.empty(len(u), np.int64)
+    for a in range(0, len(u), _SOURCE_BLOCK):
+        out[a:a + _SOURCE_BLOCK] = law.quantile_from_uniform(u[a:a + _SOURCE_BLOCK])
     return out
 
 
@@ -996,17 +1121,33 @@ def simulate_windows(configs, trials: int, workers: int = 1, sites=None) -> list
     """WindowStats of each config; trial t of each runs on mix64(config.seed, t).
 
     Every config's trials run in one run_trials call, so they share one pool.
-    With sites, the same trials also give the per-site estimates of
-    estimate_under_coverage (in WindowStats.sites), so each trial's field is
-    built once.
+    Firework configs that share one window (_window), the points of a p or
+    beta scan, are one job: each trial's window is drawn once for all of
+    them (_firework_points).  Any other configs run a job each; a reverse
+    point stays alone, as a streamed reverse trial of several points would
+    hold a prefix buffer per point.  With sites, the same trials also give
+    the per-site estimates of estimate_under_coverage (in WindowStats.sites),
+    so each trial's field is built once.
     """
-    site_list = [] if sites is None else list(sites)
-    # every config validates its sites before any trial
-    jobs = [(config, (), (_site_indices(config, site_list),)) for config in configs]
-    results = run_trials(_summaries, jobs, trials, workers, _summary_dtype(len(site_list)))
+    configs, site_list = list(configs), [] if sites is None else list(sites)
+    grid = len({_window(config) for config in configs}) == 1 and configs[0].model == FIREWORK
+    groups = [configs] if grid else [[config] for config in configs]
+    # every config validates its sites before any trial; a grid's points share
+    # their window, so they share their site indices
+    jobs = [(max(group, key=lambda c: c.p), (), (_site_indices(group[0], site_list), tuple(group)))
+            for group in groups]
+    dtype = np.dtype((_summary_dtype(len(site_list)), (len(groups[0]) if groups else 1,)))
+    results = run_trials(_summaries, jobs, trials, workers, dtype)
     return [WindowStats(r["fraction"], r["last"], int(r["clamp"].sum()),
                         None if sites is None else _site_estimates(site_list, r["bits"], trials))
-            for r in results]
+            for point in results for r in point.T]
+
+
+def _window(config: LatticeConfig) -> tuple:
+    """What config's window stream depends on, and what its counts share with
+    other configs: everything but p, the radius law and k."""
+    return (config.dimension, config.model, config.n, config.seed, config.cushion,
+            config.include_initiators)
 
 
 def simulate_window(config: LatticeConfig, trials: int, workers: int = 1,

@@ -336,14 +336,14 @@ class TestWorkers:
         assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
 
     # every call's trials, all points of a scan included, share one pool:
-    # its tasks are points x chunks
+    # its tasks are jobs x chunks, and a firework p or beta scan is one job
     @pytest.mark.parametrize("argv, tasks", [
         (["continuum", "--dist", "pareto:alpha=4", "--lambda", "1.0", "--T", "20",
           "--trials", "4"], 2),
         (["scan", "--dist", "pareto:alpha=4", "--lambda-grid", "0.5,1", "--T", "20",
           "--trials", "4"], 4),
         (["scan", "--dist", "pareto:alpha=4", "--p-grid", "0.2,0.5", "--n", "300",
-          "--trials", "4"], 4),
+          "--trials", "4"], 2),
         (["scan", "--model", "reverse", "--beta-grid", "0.8,1.5", "--p", "0.5", "--n", "30",
           "--cushion", "2", "--trials", "4"], 4),
     ])
@@ -538,6 +538,19 @@ def _lattice_trial(monkeypatch, dim, model, n, cushion=1, chunk_cells=None, dist
     return c.trial_bytes(), lambda: lattice._summaries(c, seeds, lattice._site_indices(c, []))
 
 
+def _lattice_grid(monkeypatch, dim, n, ps, laws=None, chunk_cells=None):
+    """A one-trial group of a firework grid job, its points at ps (and laws), and
+    the estimate of its config, the point of largest p."""
+    if chunk_cells is not None:
+        monkeypatch.setattr(lattice, "_CHUNK_CELLS", chunk_cells)
+    points = tuple(lattice.LatticeConfig(dim, lattice.FIREWORK, p, 2, n, law, 3)
+                   for p, law in zip(ps, laws or [PowerTail(1.5)] * len(ps)))
+    c = max(points, key=lambda point: point.p)
+    seeds = np.array([5], dtype=np.uint64)
+    return c.trial_bytes(), lambda: lattice._summaries(c, seeds, lattice._site_indices(c, []),
+                                                       points)
+
+
 def _realize(monkeypatch):
     """realize of a 2D window, with the estimate realize checks."""
     c = lattice.LatticeConfig(2, lattice.FIREWORK, 1.0, 2, 1500, PowerTail(1.5), 3)
@@ -571,6 +584,13 @@ class TestByteEstimates:
     CASES = {
         "firework_1d": lambda mp: _lattice_trial(mp, 1, lattice.FIREWORK, 1_000_000),
         "firework_2d": lambda mp: _lattice_trial(mp, 2, lattice.FIREWORK, 1000),
+        # a p grid's job, its window drawn once: each chunk's sources split by
+        # level, then counted a point at a time
+        "firework_2d_p_grid": lambda mp: _lattice_grid(mp, 2, 1000, (0.3, 1.0, 0.6)),
+        # a beta grid's job in 8 chunks of 131 rows: each point's radii from
+        # the held radius uniforms
+        "firework_2d_beta_grid": lambda mp: _lattice_grid(
+            mp, 2, 1000, (1.0,) * 3, (PowerTail(2.5), PowerTail(0.5), PowerTail(1.5)), 1 << 17),
         "reverse_1d": lambda mp: _lattice_trial(mp, 1, lattice.REVERSE, 400_000, 1, 1 << 17),
         "reverse_2d": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 800, 1, 1 << 17),
         "reverse_2d_cushion": lambda mp: _lattice_trial(mp, 2, lattice.REVERSE, 200, 4, 1 << 17),

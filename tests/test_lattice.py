@@ -831,6 +831,141 @@ class TestBatchedTrials:
         assert estimate_under_coverage(c, sites, 300) == stats.sites
 
 
+def grid_records(points, seeds, idx):
+    """The (trials, points) records of one grid job, each trial's window drawn once."""
+    head = max(points, key=lambda c: c.p)
+    return lat._summaries(head, seeds, idx, tuple(points))
+
+
+class TestGridJobs:
+    """A firework p or beta scan is one job that draws each trial's window once
+    for every point; each point's records must equal its own _summaries, bit
+    for bit."""
+
+    @staticmethod
+    def points(grid, dim, n, initiators=False):
+        # unsorted grids with duplicates; the p grid holds p 0 and 1, and the
+        # mixed one varies p, law and k together
+        if grid == "p":
+            specs = [(p, ParetoTail(2.0), 2) for p in (0.3, 0.7, 0.3, 0.0, 1.0, 0.5)]
+        elif grid == "beta":
+            specs = [(0.5, PowerTail(b), 2) for b in (1.5, 0.5, 2.5, 1.5)]
+        else:
+            specs = [(0.2, PowerTail(0.5), 1), (0.6, PowerTail(1.5), 2), (0.6, PowerTail(0.5), 3),
+                     (0.9, Geometric(0.5), 2)]
+        return [cfg(dim=dim, p=p, k=k, n=n, dist=dist, seed=n + 3, initiators=initiators)
+                for p, dist, k in specs]
+
+    @staticmethod
+    def assert_equal_per_point(points, trials):
+        n, o = points[0].n, points[0].report_origin()
+        sites = [o, n] if points[0].dimension == 1 else [(o, o), (n, o + 1)]
+        idx = lat._site_indices(points[0], sites)
+        seeds = mix64(points[0].seed, np.arange(trials, dtype=np.uint64))
+        got = grid_records(points, seeds, idx)
+        assert got.shape == (trials, len(points))
+        for j, c in enumerate(points):
+            TestBatchedTrials.assert_same_records(got[:, j], lat._summaries(c, seeds, idx))
+
+    @pytest.mark.parametrize("grid", ["p", "beta", "mixed"])
+    @pytest.mark.parametrize("dim, n, initiators", [
+        (1, 50, False), (1, 50, True), (1, 700, False), (1, 700, True), (2, 10, False),
+        (2, 30, False)])
+    def test_records_equal_per_point_records(self, grid, dim, n, initiators):
+        # batched (n^d <= 256) and per-trial windows
+        points = self.points(grid, dim, n, initiators)
+        assert lat._batched(points[0]) == (n ** dim <= lat._BATCH_MAX_CELLS)
+        self.assert_equal_per_point(points, 12)
+
+    @pytest.mark.parametrize("grid", ["p", "beta", "mixed"])
+    @pytest.mark.parametrize("dim, n, chunk_cells, piece_cells", [
+        (1, 300, 64, 7), (2, 17, 64, 20), (2, 9, 1, 1)])
+    def test_several_chunks_and_pieces(self, monkeypatch, grid, dim, n, chunk_cells,
+                                       piece_cells):
+        monkeypatch.setattr(lat, "_CHUNK_CELLS", chunk_cells)
+        monkeypatch.setattr(lat, "_PIECE_CELLS", piece_cells)
+        points = self.points(grid, dim, n, initiators=dim == 1)
+        rows = lat._row_blocks(n, dim)
+        assert len(rows) > 2 and rows[0][1] * n ** (dim - 1) > piece_cells
+        self.assert_equal_per_point(points, 5)
+
+    def test_grid_records_equal_the_public_api(self):
+        # an independent oracle: each point realized and counted trial by trial
+        points = self.points("mixed", 2, 9)
+        idx = lat._site_indices(points[0], [(1, 1), (9, 4)])
+        seeds = mix64(points[0].seed, np.arange(8, dtype=np.uint64))
+        got = grid_records(points, seeds, idx)
+        for j, c in enumerate(points):
+            TestBatchedTrials.assert_same_records(got[:, j], public_records(c, seeds, idx))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulate_windows_equal_each_point_alone(self, inline_pools, monkeypatch, workers):
+        monkeypatch.setattr(lat.os, "sched_getaffinity", lambda pid: {0, 1})
+        points, sites = self.points("p", 2, 20), [(1, 1), (20, 3)]
+        got = lat.simulate_windows(points, 10, workers, sites)
+        # one job: 2 chunks of 5 trials with 2 workers
+        assert [(p.max_workers, p.tasks) for p in inline_pools] == (
+            [(2, 2)] if workers == 2 else [])
+        for stats, c in zip(got, points):
+            want = simulate_window(c, 10, sites=sites)
+            np.testing.assert_array_equal(stats.fractions, want.fractions)
+            np.testing.assert_array_equal(stats.last_normalized, want.last_normalized)
+            assert stats.clamp_count == want.clamp_count and stats.sites == want.sites
+
+    @pytest.mark.parametrize("grid", [["--p-grid", "0.1,0.5,0.9", "--dist", "pareto:alpha=4"],
+                                      ["--beta-grid", "0.5,1.5,2.5", "--p", "0.5"]])
+    def test_scan_opens_one_window_stream_per_trial(self, monkeypatch, capsys, grid):
+        # 1D n = 300 runs trial by trial, each trial on its own window stream
+        streams, real = [], lat.make_rng
+        monkeypatch.setattr(lat, "make_rng", lambda *parts: streams.append(parts) or real(*parts))
+        assert main(["scan", "--dim", "1", *grid, "--n", "300", "--trials", "5",
+                     "--seed", "3"]) == 0
+        assert len(streams) == 5
+        assert {parts[-1] for parts in streams} == {lat._STREAM_WINDOW}
+
+    @pytest.mark.parametrize("dim, n", [(1, 300), (2, 12), (2, 40)])
+    def test_every_trial_monotone(self, dim, n):
+        # coupled trials: a site open at p is open at every larger p with the
+        # same radius, and a larger beta never lengthens a radius
+        def by_param(params, configs):
+            stats = lat.simulate_windows(configs, 30)
+            return [s for _, s in sorted(zip(params, stats), key=lambda ps: ps[0])]
+
+        ps = [0.5, 0.1, 0.9, 0.3, 0.7]
+        by_p = by_param(ps, [cfg(dim=dim, p=p, n=n, dist=ParetoTail(4.0), seed=21) for p in ps])
+        betas = [2.5, 0.5, 1.5, 1.0]
+        by_beta = by_param(betas, [cfg(dim=dim, p=0.3, n=n, dist=PowerTail(b), seed=22)
+                                   for b in betas])
+        strict = 0
+        for runs, sign in ((by_p, 1), (by_beta, -1)):
+            for a, b in zip(runs, runs[1:]):
+                for name in ("fractions", "last_normalized"):
+                    drop = sign * (getattr(a, name) - getattr(b, name))
+                    assert np.all(drop >= 0), name
+                    strict += np.count_nonzero(drop > 0)
+        assert strict > 0
+
+    def test_grid_trial_peaks_within_its_largest_point_and_a_level_byte(self):
+        # the p-scan benchmark's shape, two trials: the first point counts the
+        # sources it counts alone, holding one level byte more per source
+        # (~0.1 * 2000^2 of them), and the later ones fewer
+        points = [cfg(dim=2, p=p, n=2000, dist=ParetoTail(4.0), seed=7) for p in (0.02, 0.05, 0.1)]
+        idx = lat._site_indices(points[0], [])
+        seeds = mix64(7, np.arange(2, dtype=np.uint64))
+        runs = {"alone": lambda: lat._summaries(points[2], seeds, idx),
+                "grid": lambda: grid_records(points, seeds, idx)}
+        peaks = {}
+        for name, run in runs.items():
+            run()  # the first window stream imports numpy.random, traced or not
+            tracemalloc.start()
+            try:
+                run()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["grid"] <= peaks["alone"] + 0.101 * 2000 ** 2
+
+
 class TestFireworkRowChunks:
     """Every firework field is counted from row chunks; a chunk boundary
     anywhere in a window must not change a field or a record."""
