@@ -21,9 +21,9 @@ __version__ = "0.2.0"
 # module -> the names the package exports from it
 _EXPORTS = {
     "distributions": (
-        "ConstCont", "Constant", "DistParseError", "Geometric", "ParetoCont", "ParetoTail",
-        "PowerCont", "PowerTail", "TailDistribution", "TailFunctionals", "Truncated",
-        "TruncatedLawError", "parse_distribution",
+        "Constant", "DistParseError", "Geometric", "ParetoTail", "PowerTail",
+        "TailDistribution", "TailFunctionals", "Truncated", "TruncatedLawError",
+        "parse_distribution",
     ),
     "lattice": (
         "CoverageField", "LatticeConfig", "Realization", "SiteEstimate", "WindowOverflowError",

@@ -1,14 +1,15 @@
 """Poisson Boolean model on the positive orthant (d = 1, 2).
 
 Points fall as a Poisson process of intensity lam on [0, T]^d; each point
-x grows a block x + [0, rho]^d with rho drawn from a continuous heavy- or
-light-tailed law.  The 1D sweep finds the supremum of the k-deficient
-set exactly; the 2D variant rasterizes onto a pixel grid with the lattice
-box-count kernel (discretization bias of order resolution * boundary
-density, documented not corrected), a block of at most _SOURCE_BLOCK points
-at a time.  A trial holds ~90 (1D) or ~32 (2D) bytes per point, ~105 per
-point of one 2D block and ~13 per pixel; a request whose expected trial
-passes the memory budget, stats.MAX_BYTES, is refused before sampling.
+x grows a block x + [0, rho]^d, rho the real radius (real_quantile) of a
+pareto, power or const law.  The 1D sweep finds the supremum of the
+k-deficient set exactly; the 2D variant rasterizes onto a pixel grid with
+the lattice box-count kernel (discretization bias of order resolution *
+boundary density, documented not corrected), a block of at most
+_SOURCE_BLOCK points at a time.  A trial holds ~90 (1D) or ~32 (2D) bytes
+per point, ~105 per point of one 2D block and ~13 per pixel; a request
+whose expected trial passes the memory budget, stats.MAX_BYTES, is refused
+before sampling.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from rumourlab.distributions import ConstCont, ParetoCont, PowerCont
+from rumourlab.distributions import TailDistribution
 from rumourlab.lattice import _SOURCE_BLOCK, box_counts, run_trials
 from rumourlab.stats import check_bytes, mean_interval, make_rng
 
@@ -41,7 +42,7 @@ class ContinuumConfig:
     dimension: int
     lam: float
     window_t: float
-    radius_law: ParetoCont | PowerCont | ConstCont
+    radius_law: TailDistribution
     k: int
     seed: int
     resolution: float = 1.0
@@ -89,7 +90,7 @@ def sample_ppp(config: ContinuumConfig) -> PointSet:
     mean = config.lam * config.window_t**config.dimension
     n = int(rng.poisson(mean))
     coords = rng.random((n, config.dimension)) * config.window_t
-    radii = config.radius_law.quantile_from_uniform(1.0 - rng.random(n))
+    radii = config.radius_law.real_quantile(1.0 - rng.random(n))
     return PointSet(coords, radii)
 
 

@@ -3,9 +3,12 @@
 Every lattice law is described by its survival function G(j) = P(radius >= j)
 on the nonnegative integers, with G(0) = 1.  The families are closed-form so
 that the tail functionals liminf/limsup of j*G(j) and the moment flags are
-exact rather than estimated.  The continuum counterparts (ParetoCont,
-PowerCont, ConstCont) are given by P(rho > x) on the reals; one table maps
-each spec family to its lattice and continuum class.
+exact rather than estimated.  One class per family also gives its continuum
+law, the radius rho of the Poisson Boolean model: real_quantile draws rho,
+with P(rho > x) the family's formula for G at real x, and the lattice radius
+is ceil(rho) - 1, so P(radius >= j) = P(rho > j) = G(j).  Only a constant
+radius r is r itself on the lattice.  One table maps each spec family to its
+class and to its lattice and continuum parameter types.
 """
 
 from __future__ import annotations
@@ -20,6 +23,12 @@ import numpy as np
 RADIUS_CAP = 2**62
 
 _INF = float("inf")
+
+
+def _number(x: int | float) -> str:
+    """The shortest spec text that parses back to x: an int as it is, a float as
+    its repr (the shortest digits that round-trip) without a trailing '.0'."""
+    return str(x) if isinstance(x, int) else repr(float(x)).removesuffix(".0")
 
 
 class TruncatedLawError(ValueError):
@@ -54,13 +63,21 @@ class TailDistribution:
         """
         raise NotImplementedError
 
+    def real_quantile(self, u: np.ndarray) -> np.ndarray:
+        """The real radius rho of u in (0, 1], by inverting P(rho > x) = u; inf
+        past the float range."""
+        raise NotImplementedError
+
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Largest j with G(j) > u, for u in (0, 1].
 
         This is the inverse transform on the integer survival function:
         the result j satisfies G(j+1) <= u < G(j), so P(result >= j) = G(j).
+        It is ceil(rho) - 1 of the real radius, clipped to RADIUS_CAP (where
+        rho is inf) and, where G(1) = 1, raised to 1 (where rho rounds to 1).
         """
-        raise NotImplementedError
+        q = np.minimum(np.ceil(self.real_quantile(u)) - 1.0, RADIUS_CAP)
+        return np.maximum(q, 1.0 if self.survival_vec(1.0) == 1 else 0.0).astype(np.int64)
 
     # E[radius^d] is finite exactly for d < moment_bound
     moment_bound = _INF
@@ -94,18 +111,15 @@ class ParetoTail(TailDistribution):
         with np.errstate(divide="ignore"):  # alpha / 0 = inf: G(j) = 1 for j <= 0
             return np.minimum(1.0, self.alpha / np.maximum(j, 0.0))
 
-    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # inf is the right tail; it clips to the cap
-            q = np.minimum(np.ceil(self.alpha / u) - 1.0, RADIUS_CAP)
-        # at alpha >= 1, G(1) = 1: every radius is at least 1, even where
-        # alpha / u rounds to 1
-        return np.maximum(q, 1.0 if self.alpha >= 1 else 0.0).astype(np.int64)
+    def real_quantile(self, u: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # inf is the right tail
+            return self.alpha / u
 
     def functionals(self) -> TailFunctionals:
         return TailFunctionals(self.alpha, self.alpha)
 
     def spec_string(self) -> str:
-        return f"pareto:alpha={self.alpha:g}"
+        return f"pareto:alpha={_number(self.alpha)}"
 
 
 @dataclass(frozen=True)
@@ -123,12 +137,9 @@ class PowerTail(TailDistribution):
         # power would be NaN
         return np.float_power(np.maximum(j, 1.0), -self.beta)
 
-    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # inf is the right tail; it clips to the cap
-            q = np.minimum(np.ceil(u ** (-1.0 / self.beta)) - 1.0, RADIUS_CAP)
-        # G(1) = 1: every radius is at least 1, even where a huge beta
-        # rounds u^(-1/beta) to 1
-        return np.maximum(q, 1.0).astype(np.int64)
+    def real_quantile(self, u: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # inf is the right tail
+            return u ** (-1.0 / self.beta)
 
     def functionals(self) -> TailFunctionals:
         if self.beta < 1:
@@ -142,7 +153,7 @@ class PowerTail(TailDistribution):
         return self.beta
 
     def spec_string(self) -> str:
-        return f"power:beta={self.beta:g}"
+        return f"power:beta={_number(self.beta)}"
 
 
 @dataclass(frozen=True)
@@ -159,38 +170,41 @@ class Geometric(TailDistribution):
         # q^0 = 1 for j <= 0, where q^j would overflow
         return np.float_power(self.q, np.maximum(j, 0.0))
 
-    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        q = np.ceil(np.log(u) / math.log(self.q)) - 1.0
-        return np.maximum(q, 0.0).astype(np.int64)
+    def real_quantile(self, u: np.ndarray) -> np.ndarray:
+        return np.log(u) / math.log(self.q)
 
     def functionals(self) -> TailFunctionals:
         return TailFunctionals(0.0, 0.0)
 
     def spec_string(self) -> str:
-        return f"geom:q={self.q:g}"
+        return f"geom:q={_number(self.q)}"
 
 
 @dataclass(frozen=True)
 class Constant(TailDistribution):
-    """Degenerate law: radius = r always."""
+    """Degenerate law: radius = r always, an int on the lattice, a float in the continuum."""
 
-    r: int
+    r: int | float
 
     def __post_init__(self):
-        if self.r < 0:
+        if not self.r >= 0:  # NaN fails it too
             raise ValueError(f"r must be nonnegative, got {self.r}")
 
     def survival_vec(self, j: np.ndarray) -> np.ndarray:
         return np.where(np.asarray(j) <= self.r, 1.0, 0.0)
 
+    def real_quantile(self, u: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(u), float(self.r))
+
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
+        # a lattice radius r is r itself, not ceil(r) - 1
         return np.full(np.shape(u), self.r, dtype=np.int64)
 
     def functionals(self) -> TailFunctionals:
         return TailFunctionals(0.0, 0.0)
 
     def spec_string(self) -> str:
-        return f"const:r={self.r}"
+        return f"const:r={_number(self.r)}"
 
 
 @dataclass(frozen=True)
@@ -224,80 +238,13 @@ class Truncated(TailDistribution):
         return f"trunc:{self.base.spec_string()}:cap={self.cap}"
 
 
-@dataclass(frozen=True)
-class ParetoCont:
-    """Continuum law P(rho > x) = min(1, alpha/x)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-    def survival(self, x: float) -> float:
-        if x <= self.alpha:
-            return 1.0
-        return self.alpha / x
-
-    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """rho with P(rho > quantile(u)) = u; u in (0, 1], inf past the float range."""
-        with np.errstate(over="ignore"):
-            return self.alpha / u
-
-    def spec_string(self) -> str:
-        return f"pareto:alpha={self.alpha:g}"
-
-
-@dataclass(frozen=True)
-class PowerCont:
-    """Continuum law P(rho > x) = min(1, x^(-beta))."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-
-    def survival(self, x: float) -> float:
-        if x <= 1.0:
-            return 1.0
-        return x ** (-self.beta)
-
-    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # inf past the float range
-            return u ** (-1.0 / self.beta)
-
-    def spec_string(self) -> str:
-        return f"power:beta={self.beta:g}"
-
-
-@dataclass(frozen=True)
-class ConstCont:
-    """Continuum law rho = r always: P(rho > x) = 1 for x < r, else 0."""
-
-    r: float
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"r must be nonnegative, got {self.r}")
-
-    def survival(self, x: float) -> float:
-        return 1.0 if x < self.r else 0.0
-
-    def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(u), float(self.r))
-
-    def spec_string(self) -> str:
-        return f"const:r={self.r:g}"
-
-
-# family -> (parameter key, (lattice class, parameter type),
-#            (continuum class, parameter type) or None)
+# family -> (parameter key, class, lattice parameter type,
+#            continuum parameter type or None)
 _LAWS = {
-    "pareto": ("alpha", (ParetoTail, float), (ParetoCont, float)),
-    "power": ("beta", (PowerTail, float), (PowerCont, float)),
-    "geom": ("q", (Geometric, float), None),
-    "const": ("r", (Constant, int), (ConstCont, float)),
+    "pareto": ("alpha", ParetoTail, float, float),
+    "power": ("beta", PowerTail, float, float),
+    "geom": ("q", Geometric, float, None),
+    "const": ("r", Constant, int, float),
 }
 
 
@@ -312,7 +259,7 @@ def _parse_value(token: str, key: str, kind: type, spec: str):
         raise DistParseError(token, f"{key} is not {what}") from None
 
 
-def parse_distribution(spec: str, continuous: bool = False):
+def parse_distribution(spec: str, continuous: bool = False) -> TailDistribution:
     """Parse a spec string into a lattice law, or a continuum law if `continuous`.
 
     Grammar (case-sensitive):
@@ -332,16 +279,14 @@ def parse_distribution(spec: str, continuous: bool = False):
         except ValueError as e:
             raise DistParseError(rest[sep + 1:], str(e)) from None
 
-    column = 2 if continuous else 1
     head, _, rest = spec.partition(":")
-    form = _LAWS[head][column] if head in _LAWS else None
-    if form is None:
-        want = [family for family, law in _LAWS.items() if law[column]]
+    key, cls, *kinds = _LAWS.get(head, (None,) * 4)
+    if kinds[continuous] is None:
+        want = [family for family, law in _LAWS.items() if law[2 + continuous]]
         want += [] if continuous else ["trunc"]
         label = "continuous family" if continuous else "family"
         raise DistParseError(head, f"unknown {label} (want {'|'.join(want)})")
-    key, (cls, kind) = _LAWS[head][0], form
-    value = _parse_value(rest, key, kind, spec)
+    value = _parse_value(rest, key, kinds[continuous], spec)
     try:
         return cls(value)
     except ValueError as e:

@@ -308,7 +308,8 @@ def realize(config: LatticeConfig) -> Realization:
     identical radii on the common part.
     """
     # the bitmap, one chunk's bits (at most as many) and each radius twice (as
-    # chunk parts and joined), with a third copy's margin for one piece's quantiles
+    # chunk parts and joined, past one chunk), with a third copy's margin for
+    # one piece's quantiles
     cells = config.extent() ** config.dimension
     check_bytes(2 * cells + 24 * math.ceil(Fraction(config.p) * cells) + _TRIAL_OVERHEAD,
                 f"realizing a window of {cells} cells")
@@ -318,7 +319,7 @@ def realize(config: LatticeConfig) -> Realization:
     for _, r0, (act,), _, radii in _draws(config, seed):
         activation[r0:r0 + len(act)] = act
         radii_parts.append(radii)
-    radii = np.concatenate(radii_parts)
+    radii = radii_parts[0] if len(radii_parts) == 1 else np.concatenate(radii_parts)
     init = _initiator_radii(config.dist, seed)[0] if config.include_initiators else None
     return Realization(config, activation, radii, init)
 

@@ -12,7 +12,7 @@ import pytest
 
 from rumourlab.cli import main
 from rumourlab.continuum import ContinuumConfig, scan_lambda
-from rumourlab.distributions import Constant, Geometric, ParetoCont, ParetoTail, PowerTail, Truncated
+from rumourlab.distributions import Constant, Geometric, ParetoTail, PowerTail, Truncated
 from rumourlab.exact import (
     ExactQuery,
     enumeration_oracle,
@@ -195,7 +195,7 @@ def test_criterion_08_proposition4_dimension_contrast():
 
 def test_criterion_09_proposition5_bracketing():
     with _Budget(9, 120.0, "continuum 1D deficiency drops from >=0.8 to <=0.2 across lambda"):
-        cfg = ContinuumConfig(1, 0.05, 10_000.0, ParetoCont(4), 2, seed=909)
+        cfg = ContinuumConfig(1, 0.05, 10_000.0, ParetoTail(4), 2, seed=909)
         summaries = scan_lambda(cfg, [0.05, 0.1, 0.25, 0.5, 1.0, 2.0], 50)
         assert summaries[0].mean >= 0.8
         assert summaries[-1].mean <= 0.2

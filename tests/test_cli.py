@@ -280,6 +280,18 @@ class TestContinuumCmd:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ") and repr(token) in err
 
+    @pytest.mark.parametrize("argv", [["continuum", "--lambda", "1.0", "--T", "20"],
+                                      ["scan", "--lambda-grid", "0.5,1", "--T", "20"]])
+    def test_nan_const_radius_rejected(self, argv, capsys, monkeypatch):
+        # NaN fails r >= 0; a NaN radius covered nothing, so every trial read 1.0
+        def no_sampling(config):
+            raise AssertionError("sampled a NaN radius")
+
+        monkeypatch.setattr(continuum, "sample_ppp", no_sampling)
+        assert main(argv + ["--dist", "const:r=nan", "--trials", "2", "--seed", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "'r=nan'" in err
+
     @pytest.mark.parametrize("argv", [
         ["continuum", "--lambda", "1.0", "--T", "20", "--trials", "0"],
         ["continuum", "--lambda", "1.0", "--T", "20", "--trials", "-3"],

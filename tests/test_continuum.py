@@ -17,17 +17,17 @@ from rumourlab.continuum import (
     trial_statistic,
 )
 from rumourlab.distributions import (
-    ConstCont,
+    Constant,
     DistParseError,
-    ParetoCont,
-    PowerCont,
+    ParetoTail,
+    PowerTail,
     TailDistribution,
     parse_distribution,
 )
 from rumourlab.stats import mix64
 
 
-def cfg(dim=1, lam=1.0, T=10.0, law=ParetoCont(4), k=2, seed=0, res=0.5):
+def cfg(dim=1, lam=1.0, T=10.0, law=ParetoTail(4), k=2, seed=0, res=0.5):
     return ContinuumConfig(dim, lam, T, law, k, seed, res)
 
 
@@ -158,7 +158,7 @@ class TestDeficit2D:
                                              (2.0, 5.0, 0.25, 3), (0.05, 7.0, 1.0, 1)])
     def test_against_pixel_loop(self, lam, T, res, k):
         for seed in range(4):
-            pts = sample_ppp(cfg(dim=2, lam=lam, T=T, law=ParetoCont(0.8), seed=seed, res=res))
+            pts = sample_ppp(cfg(dim=2, lam=lam, T=T, law=ParetoTail(0.8), seed=seed, res=res))
             assert k_cover_deficit_2d(pts, k, T, res) == brute_deficit_2d(pts, k, T, res)
 
     @pytest.mark.parametrize("block", [1, 7])
@@ -166,7 +166,7 @@ class TestDeficit2D:
         # ~1800 points a trial, in one default block; the counts are integer
         # sums, so blocks of 1 and 7 points give the same grid
         for seed, k in itertools.product(range(3), (1, 2, 3)):
-            pts = sample_ppp(cfg(dim=2, lam=2.0, T=30.0, law=ParetoCont(0.5), seed=seed, res=0.25))
+            pts = sample_ppp(cfg(dim=2, lam=2.0, T=30.0, law=ParetoTail(0.5), seed=seed, res=0.25))
             want = k_cover_deficit_2d(pts, k, 30.0, 0.25)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(continuum, "_SOURCE_BLOCK", block)
@@ -298,12 +298,27 @@ class TestScanLambda:
 
 class TestContinuousLawParsing:
     def test_families(self):
-        for spec, law in [("pareto:alpha=4", ParetoCont(4.0)), ("power:beta=1.5", PowerCont(1.5)),
-                          ("const:r=2.5", ConstCont(2.5))]:
+        for spec, law in [("pareto:alpha=4", ParetoTail(4.0)), ("power:beta=1.5", PowerTail(1.5)),
+                          ("const:r=2.5", Constant(2.5)), ("const:r=3", Constant(3.0)),
+                          # 17 significant digits round-trip too
+                          ("pareto:alpha=1.2345678901234567", ParetoTail(1.2345678901234567)),
+                          ("power:beta=0.30000000000000004", PowerTail(0.30000000000000004)),
+                          ("const:r=2.5000000000000004", Constant(2.5000000000000004))]:
             assert parse_distribution(spec, continuous=True) == law
+            assert law.spec_string() == spec
             assert parse_distribution(law.spec_string(), continuous=True) == law
-            # not a lattice law, so draws are not counted as lattice radius quantiles
-            assert not isinstance(law, TailDistribution)
+
+    def test_draws_are_not_lattice_quantiles(self, monkeypatch):
+        # sample_ppp draws real radii only, so a traced lattice quantile never
+        # counts a continuum draw
+        def no_lattice_quantile(self, u):
+            raise AssertionError("drew a lattice radius quantile")
+
+        monkeypatch.setattr(TailDistribution, "quantile_from_uniform", no_lattice_quantile)
+        monkeypatch.setattr(Constant, "quantile_from_uniform", no_lattice_quantile)
+        for law in (ParetoTail(4.0), PowerTail(1.5), Constant(2.5)):
+            pts = sample_ppp(cfg(lam=5.0, law=law, seed=3))
+            assert pts.radii.dtype == np.float64 and pts.radii.size > 0
 
     def test_lattice_only_families_rejected(self):
         with pytest.raises(DistParseError) as exc:
@@ -317,22 +332,46 @@ class TestContinuousLawParsing:
         # survival(quantile(u)) == u wherever the survival is strictly decreasing
         rng = np.random.default_rng(1)
         u = 1.0 - rng.random(1000)
-        for law in (ParetoCont(4.0), PowerCont(1.5)):
-            x = law.quantile_from_uniform(u)
-            sv = np.array([law.survival(float(v)) for v in x])
+        for law in (ParetoTail(4.0), PowerTail(1.5)):
+            x = law.real_quantile(u)
+            sv = law.survival_vec(x)
+            # on the reals, P(rho > x) is the family's G formula, bit for bit
+            np.testing.assert_array_equal(sv, [continuum_survival(law, v) for v in x.tolist()])
             np.testing.assert_allclose(sv, u, rtol=1e-12)
-        assert np.all(ConstCont(3.0).quantile_from_uniform(u) == 3.0)
+        assert np.all(Constant(3.0).real_quantile(u) == 3.0)
         # P(rho > x) for rho = 3: one below r, zero at and above it
-        assert [ConstCont(3.0).survival(x) for x in (2.5, 3.0, 3.5)] == [1.0, 0.0, 0.0]
+        assert [continuum_survival(Constant(3.0), x) for x in (2.5, 3.0, 3.5)] == [1.0, 0.0, 0.0]
+
+    def test_real_radii_match_the_closed_forms(self):
+        # each continuum quantile written out as an oracle
+        u = np.concatenate([1.0 - np.random.default_rng(4).random(10_000),
+                            [1.0, 2.0**-53, np.nextafter(1.0, 0.0)]])
+        with np.errstate(over="ignore"):
+            for alpha in (0.5, 4.0, 1e300):
+                np.testing.assert_array_equal(ParetoTail(alpha).real_quantile(u), alpha / u)
+            for beta in (0.001, 1.5, 50.0):
+                np.testing.assert_array_equal(PowerTail(beta).real_quantile(u),
+                                              u ** (-1.0 / beta))
+        for r in (0.0, 2.5, 3.0):
+            np.testing.assert_array_equal(Constant(r).real_quantile(u), np.full(u.shape, r))
+
+
+def continuum_survival(law, x: float) -> float:
+    """P(rho > x) of a continuum law at real x, by its Python-float formula."""
+    if isinstance(law, Constant):
+        return 1.0 if x < law.r else 0.0
+    if isinstance(law, ParetoTail):
+        return 1.0 if x <= law.alpha else law.alpha / x
+    return 1.0 if x <= 1.0 else x ** (-law.beta)
 
 
 def cover_integral(law, T: float) -> float:
     """The integral of P(rho > s) over s in [0, T], in closed form per law."""
-    if isinstance(law, ConstCont):
+    if isinstance(law, Constant):
         return min(law.r, T)
-    if isinstance(law, ParetoCont):
+    if isinstance(law, ParetoTail):
         return T if law.alpha >= T else law.alpha * (1.0 + math.log(T / law.alpha))
-    b = law.beta  # PowerCont, T > 1
+    b = law.beta  # PowerTail, T > 1
     return 1.0 + (math.log(T) if b == 1 else (T ** (1.0 - b) - 1.0) / (1.0 - b))
 
 
@@ -352,16 +391,16 @@ class TestExactLaw1D:
     # alpha >= T (every interval from [0, T] covers T, mu = lam * T) and
     # alpha < T, const with r < T and r >= T, power on both sides of beta = 1
     POINTS = [
-        (0.5, 4.0, ParetoCont(5.0), 2), (1.0, 2.0, ParetoCont(2.0), 3),
-        (0.3, 5.0, ParetoCont(8.0), 1), (1.5, 3.0, ParetoCont(3.0), 4),
-        (3.0, 1.5, ParetoCont(2.0), 3), (0.5, 10.0, ParetoCont(1.0), 2),
-        (0.2, 20.0, ParetoCont(2.0), 1), (1.0, 8.0, ParetoCont(0.5), 2),
-        (2.0, 6.0, ParetoCont(1.5), 5), (1.0, 10.0, ConstCont(2.0), 2),
-        (0.5, 6.0, ConstCont(3.0), 1), (2.0, 5.0, ConstCont(1.5), 3),
-        (0.4, 20.0, ConstCont(5.0), 2), (1.0, 2.0, ConstCont(3.0), 2),
-        (1.0, 10.0, PowerCont(2.0), 2), (0.5, 20.0, PowerCont(1.5), 1),
-        (0.1, 30.0, PowerCont(1.2), 1), (0.5, 10.0, PowerCont(1.0), 2),
-        (0.3, 10.0, PowerCont(0.5), 2), (1.0, 4.0, PowerCont(0.8), 4),
+        (0.5, 4.0, ParetoTail(5.0), 2), (1.0, 2.0, ParetoTail(2.0), 3),
+        (0.3, 5.0, ParetoTail(8.0), 1), (1.5, 3.0, ParetoTail(3.0), 4),
+        (3.0, 1.5, ParetoTail(2.0), 3), (0.5, 10.0, ParetoTail(1.0), 2),
+        (0.2, 20.0, ParetoTail(2.0), 1), (1.0, 8.0, ParetoTail(0.5), 2),
+        (2.0, 6.0, ParetoTail(1.5), 5), (1.0, 10.0, Constant(2.0), 2),
+        (0.5, 6.0, Constant(3.0), 1), (2.0, 5.0, Constant(1.5), 3),
+        (0.4, 20.0, Constant(5.0), 2), (1.0, 2.0, Constant(3.0), 2),
+        (1.0, 10.0, PowerTail(2.0), 2), (0.5, 20.0, PowerTail(1.5), 1),
+        (0.1, 30.0, PowerTail(1.2), 1), (0.5, 10.0, PowerTail(1.0), 2),
+        (0.3, 10.0, PowerTail(0.5), 2), (1.0, 4.0, PowerTail(0.8), 4),
     ]
     TRIALS = 1000
     SEED = 2017

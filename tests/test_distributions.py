@@ -11,9 +11,7 @@ from rumourlab.distributions import (
     DistParseError,
     RADIUS_CAP,
     Geometric,
-    ParetoCont,
     ParetoTail,
-    PowerCont,
     PowerTail,
     Truncated,
     TruncatedLawError,
@@ -49,6 +47,23 @@ def reference_survival(d, j: int) -> float:
     if isinstance(d, PowerTail):
         return j ** -d.beta
     return d.q ** j
+
+
+def family_quantile(d, u: np.ndarray) -> np.ndarray:
+    """The lattice radius of u by each family's own closed-form expression."""
+    if isinstance(d, Truncated):
+        return np.minimum(family_quantile(d.base, u), d.cap)
+    if isinstance(d, Constant):
+        return np.full(np.shape(u), d.r, dtype=np.int64)
+    if isinstance(d, Geometric):
+        q = np.ceil(np.log(u) / math.log(d.q)) - 1.0
+        return np.maximum(q, 0.0).astype(np.int64)
+    with np.errstate(over="ignore"):
+        if isinstance(d, ParetoTail):
+            q = np.minimum(np.ceil(d.alpha / u) - 1.0, RADIUS_CAP)
+            return np.maximum(q, 1.0 if d.alpha >= 1 else 0.0).astype(np.int64)
+        q = np.minimum(np.ceil(u ** (-1.0 / d.beta)) - 1.0, RADIUS_CAP)
+        return np.maximum(q, 1.0).astype(np.int64)
 
 
 def assert_bitwise(vec, ref):
@@ -190,7 +205,7 @@ class TestSampler:
 
     def test_heavy_tails_overflow_quietly(self):
         # the smallest uniform, 2^-53, sends u^(-1/beta) and alpha/u past the
-        # float range: lattice laws clip the inf to RADIUS_CAP, continuum laws
+        # float range: lattice radii clip the inf to RADIUS_CAP, real radii
         # return it, and none of them warns (here a warning is an error); a
         # power-law radius is at least 1 even at u = 1, since G(1) = 1
         u = np.array([2.0**-53, 0.5, 1.0])
@@ -200,10 +215,33 @@ class TestSampler:
             np.testing.assert_array_equal(power.quantile_from_uniform(u),
                                           [RADIUS_CAP, RADIUS_CAP, 1])
             np.testing.assert_array_equal(pareto.quantile_from_uniform(u), [RADIUS_CAP] * 3)
-            np.testing.assert_array_equal(PowerCont(0.001).quantile_from_uniform(u),
-                                          [math.inf, 2.0**1000, 1.0])
-            np.testing.assert_array_equal(ParetoCont(1e300).quantile_from_uniform(u),
-                                          [math.inf, 2e300, 1e300])
+            np.testing.assert_array_equal(power.real_quantile(u), [math.inf, 2.0**1000, 1.0])
+            np.testing.assert_array_equal(pareto.real_quantile(u), [math.inf, 2e300, 1e300])
+
+    # every family at parameters on both sides of G(1) = 1, the float range's
+    # edges and a truncation of each unbounded family
+    QUANTILE_LAWS = [
+        ParetoTail(1e-300), ParetoTail(0.5), ParetoTail(1.0), ParetoTail(4.0), ParetoTail(1e300),
+        ParetoTail(math.inf), PowerTail(0.001), PowerTail(0.5), PowerTail(1.5), PowerTail(50.0),
+        PowerTail(1e20), PowerTail(math.inf), Geometric(1e-300), Geometric(0.01), Geometric(0.5),
+        Geometric(0.99), Geometric(float(np.nextafter(1.0, 0.0))), Constant(0), Constant(3),
+        Truncated(PowerTail(0.5), 10), Truncated(ParetoTail(4.0), 1000),
+        Truncated(Geometric(0.5), 3), Truncated(Constant(5), 2),
+    ]
+
+    @pytest.mark.parametrize("d", QUANTILE_LAWS, ids=lambda d: d.spec_string())
+    def test_lattice_quantile_matches_each_family_expression(self, d):
+        # one ceil(rho) - 1 rule gives what each family's own expression
+        # gives, bit for bit, on uniforms spread evenly over [2^-53, 1] and
+        # logarithmically down to 2^-53, and at the edges; and it never warns
+        rng = make_rng(11)
+        u = np.concatenate([1.0 - rng.random(20_000), 2.0 ** -rng.uniform(0.0, 53.0, 20_000),
+                            [1.0, 2.0**-53, np.nextafter(1.0, 0.0)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = d.quantile_from_uniform(u)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, family_quantile(d, u))
 
     def test_stream_advances_deterministically(self):
         a = ParetoTail(4).quantile_from_uniform(1.0 - make_rng(5).random(1000))
@@ -221,6 +259,15 @@ class TestParsing:
             ("const:r=1", Constant(1)),
             ("trunc:geom:q=0.5:cap=6", Truncated(Geometric(0.5), 6)),
             ("trunc:trunc:const:r=3:cap=5:cap=4", Truncated(Truncated(Constant(3), 5), 4)),
+            # more significant digits (up to 17) than a 6-digit format keeps
+            ("pareto:alpha=1.2345678", ParetoTail(1.2345678)),
+            ("pareto:alpha=1.2345678901234567", ParetoTail(1.2345678901234567)),
+            ("power:beta=0.30000000000000004", PowerTail(0.30000000000000004)),
+            ("geom:q=0.12345678901234568", Geometric(0.12345678901234568)),
+            ("trunc:power:beta=1.0000000000000002:cap=9",
+             Truncated(PowerTail(1.0000000000000002), 9)),
+            ("trunc:geom:q=0.99999999999999989:cap=3",
+             Truncated(Geometric(0.99999999999999989), 3)),
         ],
     )
     def test_round_trip(self, spec, expected):

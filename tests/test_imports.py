@@ -84,9 +84,9 @@ class TestImportHygiene:
 # every name the package exported when it imported all its modules eagerly
 EXPORTED = {
     "distributions": [
-        "ConstCont", "Constant", "DistParseError", "Geometric", "ParetoCont", "ParetoTail",
-        "PowerCont", "PowerTail", "TailDistribution", "TailFunctionals", "Truncated",
-        "TruncatedLawError", "parse_distribution"],
+        "Constant", "DistParseError", "Geometric", "ParetoTail", "PowerTail",
+        "TailDistribution", "TailFunctionals", "Truncated", "TruncatedLawError",
+        "parse_distribution"],
     "lattice": [
         "CoverageField", "LatticeConfig", "Realization", "SiteEstimate", "WindowOverflowError",
         "estimate_under_coverage", "firework_counts", "last_under_covered", "realize",
@@ -166,3 +166,21 @@ class TestLazyPackage:
             from concurrent.futures import ProcessPoolExecutor
             print(json.dumps([built, lattice.ProcessPoolExecutor is ProcessPoolExecutor]))
         """) == [[2], True]
+
+
+class TestTracerHooks:
+    def test_benchmark_tracer_installs(self, tmp_path):
+        # perfbench's tracer wraps library names by attribute, so a rename or
+        # deletion it looks up fails here; a lattice radius quantile is one
+        # traced call, a real (continuum) one is not
+        perfbench = str(Path(SRC).parent / "perfbench")
+        assert fresh(f"""
+            import json, sys
+            sys.path.insert(0, {perfbench!r})
+            import tracing
+            from rumourlab.distributions import Constant, ParetoTail
+            tracing.install(tracing.Recorder(), {str(tmp_path)!r})
+            print(json.dumps([hasattr(f, "__wrapped__") for f in (
+                ParetoTail(4).quantile_from_uniform, Constant(1).quantile_from_uniform,
+                ParetoTail(4).real_quantile)]))
+        """) == [True, True, False]

@@ -131,6 +131,20 @@ class TestRealize:
         np.testing.assert_array_equal(a.activation, b.activation)
         np.testing.assert_array_equal(a.radii, b.radii)
 
+    def test_one_chunk_holds_each_radius_once(self):
+        # 2000^2 cells are one RNG chunk: its radii are returned as drawn, not
+        # joined into a copy that would double the peak; the rest is the
+        # chunk's bits and one piece's uniforms
+        c = cfg(dim=2, n=2000, p=1.0, dist=Constant(2), seed=4)
+        assert len(lat._row_blocks(c.extent(), 2)) == 1
+        tracemalloc.start()
+        try:
+            r = realize(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (r.activation.nbytes + r.radii.nbytes)
+
     def test_2d_shapes(self):
         r = realize(cfg(dim=2, n=20, p=0.3, seed=5))
         assert r.activation.shape == (20, 20)
