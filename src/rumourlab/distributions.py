@@ -65,7 +65,7 @@ class TailDistribution:
 
     def real_quantile(self, u: np.ndarray) -> np.ndarray:
         """The real radius rho of u in (0, 1], by inverting P(rho > x) = u; inf
-        past the float range."""
+        past the float range.  Returns a new array, which the caller may reuse."""
         raise NotImplementedError
 
     def quantile_from_uniform(self, u: np.ndarray) -> np.ndarray:
@@ -76,8 +76,13 @@ class TailDistribution:
         It is ceil(rho) - 1 of the real radius, clipped to RADIUS_CAP (where
         rho is inf) and, where G(1) = 1, raised to 1 (where rho rounds to 1).
         """
-        q = np.minimum(np.ceil(self.real_quantile(u)) - 1.0, RADIUS_CAP)
-        return np.maximum(q, 1.0 if self.survival_vec(1.0) == 1 else 0.0).astype(np.int64)
+        # in place on real_quantile's new array: one float64 temporary
+        q = self.real_quantile(u)
+        np.ceil(q, out=q)
+        q -= 1.0
+        np.minimum(q, RADIUS_CAP, out=q)
+        np.maximum(q, 1.0 if self.survival_vec(1.0) == 1 else 0.0, out=q)
+        return q.astype(np.int64)
 
     # E[radius^d] is finite exactly for d < moment_bound
     moment_bound = _INF

@@ -175,6 +175,7 @@ def test_criterion_07_proposition3_2d_regime():
         assert fractions[2] < 0.01, fractions
 
 
+@pytest.mark.slow
 def test_criterion_08_proposition4_dimension_contrast():
     with _Budget(8, 180.0, "finite mean, infinite square: reverse fails in 1D, fills 2D"):
         d1_fracs = []

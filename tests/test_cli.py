@@ -1000,6 +1000,7 @@ class TestOutputs:
         assert stdout == (tmp_path / "d.csv").read_text()
         assert stdout.count("\n") == 40000
 
+    @pytest.mark.slow
     def test_diagnose_traced_peak(self, tmp_path):
         # the diagnose rows are columns written a block at a time: at --imax
         # 1e5 with every format the traced peak was 40242689 bytes when each

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from rumourlab.distributions import (
     Geometric,
     ParetoTail,
     PowerTail,
+    TailDistribution,
     Truncated,
     TruncatedLawError,
     parse_distribution,
@@ -242,6 +244,39 @@ class TestSampler:
             got = d.quantile_from_uniform(u)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, family_quantile(d, u))
+
+    # the laws that read the shared ceil(rho) - 1 rule
+    SHARED_RULE_LAWS = [d for d in QUANTILE_LAWS if type(d).quantile_from_uniform
+                        is TailDistribution.quantile_from_uniform]
+
+    @pytest.mark.parametrize("d", SHARED_RULE_LAWS, ids=lambda d: d.spec_string())
+    def test_in_place_rule_matches_the_expression(self, d):
+        # the rule works in place on real_quantile's array; its values are
+        # those of the expression it replaced, on random u, at u = 1, and at
+        # u so small that rho is inf (pareto, power) or past the cap (geom at
+        # q = 1 - 2^-53) and clips to RADIUS_CAP
+        u = np.concatenate([1.0 - make_rng(12).random(10_000), [1.0, 2.0**-53, 5e-324]])
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            got = d.quantile_from_uniform(u)
+            q = np.minimum(np.ceil(d.real_quantile(u)) - 1.0, RADIUS_CAP)
+            want = np.maximum(q, 1.0 if d.survival_vec(1.0) == 1 else 0.0).astype(np.int64)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [ParetoTail(4.0), PowerTail(0.5), Geometric(0.5)],
+                             ids=lambda d: d.spec_string())
+    def test_quantile_peak_memory(self, d):
+        # one float64 temporary beside the int64 result: 2x the input's bytes
+        # (the out-of-place expression peaked at 3x)
+        u = 1.0 - make_rng(13).random(2**18)
+        tracemalloc.start()
+        try:
+            out = d.quantile_from_uniform(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == np.int64
+        assert peak <= 2.1 * u.nbytes, peak / u.nbytes
 
     def test_stream_advances_deterministically(self):
         a = ParetoTail(4).quantile_from_uniform(1.0 - make_rng(5).random(1000))

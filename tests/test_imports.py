@@ -16,12 +16,15 @@ from rumourlab import lattice
 SRC = str(Path(rumourlab.__file__).resolve().parent.parent)
 
 
-def fresh(script: str):
-    """Run script in a new interpreter that imports rumourlab from this tree;
-    return the JSON value of its last stdout line."""
+def fresh(script: str, env_override=None):
+    """Run script in a new interpreter that imports rumourlab from this tree,
+    with no BLAS thread variable set unless env_override sets it; return the
+    JSON value of its last stdout line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
-    env.pop("RUMOURLAB_SEED", None)
+    for name in ["RUMOURLAB_SEED", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"]:
+        env.pop(name, None)
+    env.update(env_override or {})
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -79,6 +82,58 @@ class TestImportHygiene:
             print(json.dumps([sorted(set(out["pid"].tolist())), os.getpid()]))
         """)
         assert pids and parent not in pids
+
+
+class TestBlasThreads:
+    # the CLI sets OPENBLAS_NUM_THREADS=1 before numpy loads, unless numpy is
+    # loaded already or the variable is set; a library import sets nothing
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_cli_process_has_one_thread(self):
+        assert fresh("""
+            import json, os
+            import rumourlab.cli
+            print(json.dumps([len(os.listdir("/proc/self/task")),
+                              os.environ["OPENBLAS_NUM_THREADS"]]))
+        """) == [1, "1"]
+
+    def test_library_import_sets_nothing(self):
+        assert fresh("""
+            import json, os
+            import rumourlab.lattice
+            print(json.dumps(os.environ.get("OPENBLAS_NUM_THREADS")))
+        """) is None
+
+    def test_user_setting_is_kept(self):
+        assert fresh("""
+            import json, os
+            import rumourlab.cli
+            print(json.dumps(os.environ["OPENBLAS_NUM_THREADS"]))
+        """, {"OPENBLAS_NUM_THREADS": "2"}) == "2"
+
+    def test_numpy_loaded_first_leaves_environment(self):
+        assert fresh("""
+            import json, os
+            import numpy
+            before = dict(os.environ)
+            import rumourlab.cli
+            print(json.dumps(dict(os.environ) == before))
+        """) is True
+
+    def test_diagnose_bytes_hold_at_any_blas_thread_count(self, tmp_path):
+        # np.polyfit in series_diagnostics is the one BLAS/LAPACK call on a
+        # CLI path; its fit, and every byte, is the same on 1 and 2 threads
+        outputs = []
+        for threads in ["1", "2"]:
+            base = str(tmp_path / f"d{threads}")
+            assert fresh(f"""
+                import json
+                from rumourlab.cli import main
+                print(json.dumps(main(["diagnose", "--dist", "pareto:alpha=4", "--p", "0.5",
+                                       "--k", "2", "--imax", "200000", "--seed", "1",
+                                       "--csv", "--json", "--out", {base!r}])))
+            """, {"OPENBLAS_NUM_THREADS": threads}) == 0
+            outputs.append([Path(base + ext).read_bytes() for ext in (".csv", ".json")])
+        assert outputs[0] == outputs[1]
 
 
 # every name the package exported when it imported all its modules eagerly
